@@ -4,9 +4,9 @@
 // pixels) can be assimilated per cycle.
 //
 // Expected shape: the observation-space path (Cholesky of an m x m matrix)
-// scales ~m^3 and wins for few observations; the ensemble-space path (thin
-// SVD of an m x N matrix) scales ~m N^2 and wins once m >> N — the image
-// assimilation regime.
+// scales ~m^3 and wins for few observations; the ensemble-space path (TSQR
+// R-factor of the stacked (m+N) x N panel) scales ~m N^2 and wins once
+// m >> N — the image assimilation regime.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -50,7 +50,7 @@ void print_crossover_note() {
   if (done) return;
   done = true;
   std::printf("\n=== Substrate: EnKF solver paths (N = 25 members) ===\n");
-  std::printf("obs-space Cholesky ~ O(m^3); ensemble-space SVD ~ O(m N^2).\n");
+  std::printf("obs-space Cholesky ~ O(m^3); ensemble-space QR ~ O(m N^2).\n");
   std::printf("auto path switches at m = 2N; timings below show the "
               "crossover.\n\n");
 }
@@ -210,50 +210,5 @@ BENCHMARK(BM_EnKF_EnsembleSpaceFactorization)
     ->Args({1000, 1})
     ->Args({10000, 0})
     ->Args({10000, 1});
-
-static void BM_EnKF_LargeStateSequential(benchmark::State& state) {
-  const std::int64_t be = state.range(0);
-  const int n = 20000, m = 100, N = 25;
-  util::Rng rng(23);
-  const Problem base = make_problem(n, m, N, rng);
-  ScopedBackend scope(arg_backend(be));
-  Workspace ws;
-  SequentialOptions opt;
-  opt.workspace = &ws;
-  for (auto _ : state) {
-    Matrix X = base.X;
-    Matrix HX = base.HX;
-    util::Rng r(13);
-    const EnKFStats s = enkf_sequential(X, HX, base.d, base.r_std, r, opt);
-    benchmark::DoNotOptimize(s.increment_rms);
-  }
-  state.SetLabel(backend_name(be));
-}
-BENCHMARK(BM_EnKF_LargeStateSequential)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(0)
-    ->Arg(1);
-
-static void BM_EnKF_Sequential(benchmark::State& state) {
-  // Sequential filter cost per observation (the localized path).
-  const int m = static_cast<int>(state.range(0));
-  const int N = 25;
-  const int n = 4096;
-  util::Rng rng(11);
-  const Problem base = make_problem(n, m, N, rng);
-  for (auto _ : state) {
-    Matrix X = base.X;
-    Matrix HX = base.HX;
-    util::Rng r(13);
-    const EnKFStats s = enkf_sequential(X, HX, base.d, base.r_std, r);
-    benchmark::DoNotOptimize(s.increment_rms);
-  }
-  state.counters["m"] = m;
-}
-BENCHMARK(BM_EnKF_Sequential)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(10)
-    ->Arg(50)
-    ->Arg(200);
 
 BENCHMARK_MAIN();

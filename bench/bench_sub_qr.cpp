@@ -1,21 +1,17 @@
-// Substrate benchmark: the blocked Householder QR kernels that carry the
-// EnKF ensemble-space square-root analysis. Three questions, matching how
-// the factorization is used in src/enkf/enkf.cpp:
-//  - blocked vs reference factorization cost across the shapes the filter
-//    produces (tall-skinny stacked [B; I] at image scale, wider panels from
-//    the registration least-squares fits);
-//  - blocked vs reference apply-Q^T cost for multi-RHS least squares;
-//  - the headline replacement: QR of [B; I] vs the one-sided Jacobi SVD of
-//    B it displaced (the PR 3 serial bottleneck) at m = 10000, N = 25.
-//  - the PR 5 scheme question: TSQR (row-block tree) vs the blocked
-//    compact-WY chain vs the Jacobi SVD on the stacked image-scale panel,
-//    across observation counts (BM_QR_Scheme; thread count is recorded so
+// Substrate benchmark: the QR R-factor that carries the EnKF ensemble-space
+// square-root analysis (src/enkf/enkf.cpp). Two questions:
+//  - TSQR vs the serial reference Householder chain across the shapes the
+//    filter produces (tall-skinny stacked [B; I] at image scale) and two
+//    wider panels, where TSQR splits into fewer blocks or none;
+//  - the factorization the analysis pays per cycle: TSQR of the stacked
+//    image-scale panel against the Jacobi SVD of B it replaced, across
+//    observation counts (BM_QR_Scheme; thread count is recorded so
 //    multi-core captures are self-describing).
 #include <benchmark/benchmark.h>
 
-#include "backend_args.h"
-#include "la/backend.h"
-#include "la/blas.h"
+#include <string>
+
+#include "la/matrix.h"
 #include "la/qr.h"
 #include "la/svd.h"
 #include "la/workspace.h"
@@ -26,8 +22,6 @@
 #endif
 
 using namespace wfire::la;
-using wfire::bench::arg_backend;
-using wfire::bench::backend_name;
 
 namespace {
 
@@ -37,99 +31,10 @@ struct QrShape {
 };
 
 // 10025 x 25: the stacked [B; I] of an image-scale ensemble analysis
-// (m = 10000 pixels, N = 25 members). 2000 x 64 and 400 x 200 exercise the
-// multi-panel compact-WY path and the trailing-update gemms.
+// (m = 10000 pixels, N = 25 members). 2000 x 64 splits into fewer, wider
+// TSQR blocks; 400 x 200 does not split at all (one serial leaf).
 const QrShape kShapes[] = {
     {10025, 25, "stacked-ens"}, {2000, 64, "tall"}, {400, 200, "blocky"}};
-
-}  // namespace
-
-static void BM_QrFactor(benchmark::State& state) {
-  const QrShape shape = kShapes[state.range(0)];
-  const std::int64_t be = state.range(1);
-  wfire::util::Rng rng(11);
-  const Matrix base = Matrix::random_normal(shape.m, shape.n, rng);
-  ScopedBackend scope(arg_backend(be));
-  Workspace ws;
-  Matrix A = base;
-  Vector beta;
-  for (auto _ : state) {
-    A = base;  // the factorization is in place; restore per iteration
-    qr_factor_in_place(A, beta, &ws);
-    benchmark::DoNotOptimize(A.data());
-  }
-  state.SetLabel(std::string(shape.tag) + "/" + backend_name(be));
-  state.counters["m"] = shape.m;
-  state.counters["n"] = shape.n;
-}
-BENCHMARK(BM_QrFactor)
-    ->Unit(benchmark::kMillisecond)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({1, 0})
-    ->Args({1, 1})
-    ->Args({2, 0})
-    ->Args({2, 1});
-
-static void BM_QrApplyQt(benchmark::State& state) {
-  // Multi-RHS apply-Q^T (the least-squares workhorse): 2000 x 64 factor
-  // against 25 right-hand sides.
-  const std::int64_t be = state.range(0);
-  wfire::util::Rng rng(13);
-  const int m = 2000, n = 64, nrhs = 25;
-  Matrix A = Matrix::random_normal(m, n, rng);
-  const Matrix B = Matrix::random_normal(m, nrhs, rng);
-  ScopedBackend scope(arg_backend(be));
-  Workspace ws;
-  Vector beta;
-  qr_factor_in_place(A, beta, &ws);
-  Matrix C = B;
-  for (auto _ : state) {
-    C = B;
-    apply_qt_in_place(A, beta, C, &ws);
-    benchmark::DoNotOptimize(C.data());
-  }
-  state.SetLabel(backend_name(be));
-}
-BENCHMARK(BM_QrApplyQt)->Unit(benchmark::kMillisecond)->Arg(0)->Arg(1);
-
-static void BM_QrVsSvd_EnsembleFactor(benchmark::State& state) {
-  // The factorization swap in isolation: what the ensemble-space analysis
-  // pays per cycle to factor its N x N square-root system. arg 0: 0 = QR of
-  // the stacked (m+N) x N matrix (blocked backend), 1 = Jacobi SVD of the
-  // m x N matrix (backend-independent, allocates internally).
-  const bool use_svd = state.range(0) != 0;
-  const int m = 10000, N = 25;
-  wfire::util::Rng rng(17);
-  const Matrix B = Matrix::random_normal(m, N, rng);
-  Workspace ws;
-  Matrix M(m + N, N);
-  Vector beta;
-  for (auto _ : state) {
-    if (use_svd) {
-      const SvdResult s = svd(B);
-      benchmark::DoNotOptimize(s.sigma.data());
-    } else {
-      for (int k = 0; k < N; ++k) {
-        const auto src = B.col(k);
-        auto dst = M.col(k);
-        for (int i = 0; i < m; ++i) dst[i] = src[i];
-        for (int i = 0; i < N; ++i) dst[m + i] = i == k ? 1.0 : 0.0;
-      }
-      qr_factor_in_place(M, beta, &ws);
-      benchmark::DoNotOptimize(M.data());
-    }
-  }
-  state.SetLabel(use_svd ? "svd" : "qr");
-  state.counters["m"] = m;
-  state.counters["N"] = N;
-}
-BENCHMARK(BM_QrVsSvd_EnsembleFactor)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(0)
-    ->Arg(1);
-
-namespace {
 
 int omp_threads() {
 #if defined(WFIRE_HAVE_OPENMP)
@@ -141,24 +46,53 @@ int omp_threads() {
 
 }  // namespace
 
-// The PR 5 scheme comparison on the analysis panel: factor the stacked
-// [B; I_N] of an ensemble analysis with the TSQR row-block tree (arg 1 = 0)
-// or the blocked compact-WY chain (1), against the Jacobi SVD of B (2) as
-// the historical reference, at N = 25 and image-scale observation counts.
-// On one core tsqr and blocked should be comparable (same flops, the tree
-// is noise); the tsqr case is the one expected to scale with cores — the
-// "threads" counter records what the capture machine actually exposed.
+// arg 0: shape index; arg 1: 0 = TSQR (R only), 1 = serial reference.
+static void BM_QrFactor(benchmark::State& state) {
+  const QrShape shape = kShapes[state.range(0)];
+  const bool reference = state.range(1) != 0;
+  wfire::util::Rng rng(11);
+  const Matrix base = Matrix::random_normal(shape.m, shape.n, rng);
+  Workspace ws;
+  Matrix A = base;
+  Vector beta;
+  for (auto _ : state) {
+    A = base;  // the factorization is in place; restore per iteration
+    if (reference)
+      qr_factor_in_place(A, beta);
+    else
+      tsqr_factor_r_in_place(A, &ws);
+    benchmark::DoNotOptimize(A.data());
+  }
+  state.SetLabel(std::string(shape.tag) + "/" +
+                 (reference ? "reference" : "tsqr"));
+  state.counters["m"] = shape.m;
+  state.counters["n"] = shape.n;
+  state.counters["blocks"] = tsqr_nblocks(shape.m, shape.n);
+  state.counters["threads"] = omp_threads();
+}
+BENCHMARK(BM_QrFactor)
+    ->Unit(benchmark::kMillisecond)
+    ->Args({0, 0})
+    ->Args({0, 1})
+    ->Args({1, 0})
+    ->Args({1, 1})
+    ->Args({2, 0})
+    ->Args({2, 1});
+
+// The analysis panel: factor the stacked [B; I_N] of an ensemble analysis
+// with TSQR (arg 1 = 0) against the Jacobi SVD of B (2) as the historical
+// reference, at N = 25 and image-scale observation counts. The arg values
+// keep the row names gated by bench/ci_baseline_ubuntu.json.
 static void BM_QR_Scheme(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
-  const int which = static_cast<int>(state.range(1));
+  const bool use_svd = state.range(1) == 2;
   const int N = 25;
   wfire::util::Rng rng(31);
   const Matrix B = Matrix::random_normal(m, N, rng);
   Workspace ws;
   Matrix M(m + N, N);
-  Vector beta;
   for (auto _ : state) {
-    if (which == 2) {
+    if (use_svd) {
       const SvdResult s = svd(B);
       benchmark::DoNotOptimize(s.sigma.data());
       continue;
@@ -169,13 +103,10 @@ static void BM_QR_Scheme(benchmark::State& state) {
       for (int i = 0; i < m; ++i) dst[i] = src[i];
       for (int i = 0; i < N; ++i) dst[m + i] = i == k ? 1.0 : 0.0;
     }
-    if (which == 0)
-      tsqr_factor_r_in_place(M, &ws);
-    else
-      qr_factor_in_place(M, beta, &ws);
+    tsqr_factor_r_in_place(M, &ws);
     benchmark::DoNotOptimize(M.data());
   }
-  state.SetLabel(which == 0 ? "tsqr" : which == 1 ? "blocked" : "svd");
+  state.SetLabel(use_svd ? "svd" : "tsqr");
   state.counters["m"] = m;
   state.counters["N"] = N;
   state.counters["threads"] = omp_threads();
@@ -183,13 +114,10 @@ static void BM_QR_Scheme(benchmark::State& state) {
 BENCHMARK(BM_QR_Scheme)
     ->Unit(benchmark::kMillisecond)
     ->Args({2000, 0})
-    ->Args({2000, 1})
     ->Args({2000, 2})
     ->Args({10000, 0})
-    ->Args({10000, 1})
     ->Args({10000, 2})
     ->Args({40000, 0})
-    ->Args({40000, 1})
     ->Args({40000, 2});
 
 BENCHMARK_MAIN();

@@ -1,9 +1,6 @@
 #include "enkf/enkf.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "enkf/ensemble.h"
@@ -16,18 +13,6 @@
 namespace wfire::enkf {
 
 namespace {
-
-Factorization factorization_from_env() {
-  const char* s = std::getenv("WFIRE_ENKF_FACTORIZATION");
-  if (!s || std::strcmp(s, "qr") == 0) return Factorization::kQr;
-  if (std::strcmp(s, "svd") == 0) return Factorization::kSvd;
-  // A typo here would silently invalidate qr-vs-svd comparisons — say so.
-  std::fprintf(stderr,
-               "wfire: unrecognized WFIRE_ENKF_FACTORIZATION='%s' "
-               "(expected 'qr' or 'svd'); using qr\n",
-               s);
-  return Factorization::kQr;
-}
 
 double rms(const la::Vector& v) {
   if (v.empty()) return 0.0;
@@ -86,30 +71,30 @@ void scale_ensemble_system(const la::Matrix& HA, const la::Matrix& Y,
 //
 // The m-sized work is one pass: in the image regime (m >= N) the scaled
 // stack B = R^{-1/2} HA / sqrt(N-1) is built directly from HA into the
-// panel (no separate B buffer), the panel is factored with the selected
-// scheme (TSQR splits it into row blocks factored in parallel), and
-// W = B^T Ytilde is computed from the *unscaled* HA and Y with the
-// R^{-1} weighting folded into the gemm's pack step (gemm_scaled) — the
-// two full m x N scaling sweeps the previous pipeline made are gone.
+// panel (no separate B buffer), the panel's R-factor comes from TSQR (row
+// blocks factored in parallel; a panel too short to split is one serial
+// leaf), and W = B^T Ytilde is computed from the *unscaled* HA and Y with
+// the R^{-1} weighting folded into the gemm's pack step (gemm_scaled).
 void analyze_ensemble_space_qr(la::Matrix& X, const la::Matrix& A,
                                const la::Matrix& HA, const la::Matrix& Y,
-                               const la::Vector& r_std, la::QrScheme scheme,
-                               la::Workspace& ws, EnKFStats& stats) {
+                               const la::Vector& r_std, la::Workspace& ws) {
   const int N = X.cols();
   const int m = HA.rows();
   const double inv_sqrtn1 = 1.0 / std::sqrt(static_cast<double>(N - 1));
   const int r = std::min(m, N);  // factored system dimension
   la::Matrix& M = ws.mat("ens.M", m + N, r);
   la::Matrix& W = ws.mat("ens.W", N, N);
-  const bool tsqr = la::tsqr_selected(scheme, m + N, r);
-  stats.qr_scheme_used = tsqr ? la::QrScheme::kTsqr : la::QrScheme::kBlocked;
 
+  // Pack-time weights (m >= N): winv scales rows by R^{-1/2}/sqrt(N-1)
+  // while the stack is built; w2 carries the full R^{-1} (both B and Ytilde
+  // sides) into the coefficient gemm below.
+  la::Vector& w2 = ws.vec("ens.w2", static_cast<std::size_t>(m));
+  // Scaled system (m < N only): B and Ytilde, materialized since B^T is
+  // stacked and Ytilde is solved in place.
+  la::Matrix* B = nullptr;
+  la::Matrix* Yt = nullptr;
   if (m >= N) {  // stacked [B; I_N], Rs^T Rs = I + B^T B
-    // Pack-time weights: winv scales rows by R^{-1/2}/sqrt(N-1) while the
-    // stack is built; w2 carries the full R^{-1} (both B and Ytilde sides)
-    // into the coefficient gemm below.
     la::Vector& winv = ws.vec("ens.winv", static_cast<std::size_t>(m));
-    la::Vector& w2 = ws.vec("ens.w2", static_cast<std::size_t>(m));
     for (int i = 0; i < m; ++i) {
       winv[i] = inv_sqrtn1 / r_std[i];
       w2[i] = 1.0 / (r_std[i] * r_std[i]);
@@ -123,35 +108,29 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) \
       for (int i = 0; i < m; ++i) dst[i] = src[i] * wi[i];
       for (int i = 0; i < N; ++i) dst[m + i] = i == k ? 1.0 : 0.0;
     }
-    if (tsqr) {
-      la::tsqr_factor_r_in_place(M, &ws);
-    } else {
-      la::Vector& beta = ws.vec("ens.beta", static_cast<std::size_t>(r));
-      la::qr_factor_in_place(M, beta, &ws);
+  } else {  // stacked [B^T; I_m], Rs^T Rs = I + B B^T; m < N is small
+    B = &ws.mat("ens.B", m, N);
+    Yt = &ws.mat("ens.Yt", m, N);
+    scale_ensemble_system(HA, Y, r_std, inv_sqrtn1, *B, *Yt);
+    for (int k = 0; k < m; ++k) {
+      auto dst = M.col(k);
+      for (int i = 0; i < N; ++i) dst[i] = (*B)(k, i);
+      for (int i = 0; i < m; ++i) dst[N + i] = i == k ? 1.0 : 0.0;
     }
+  }
+
+  la::tsqr_factor_r_in_place(M, &ws);
+
+  if (m >= N) {
     // W = B^T Ytilde = HA^T R^{-1} Y / sqrt(N-1), R^{-1} applied at pack
     // time — neither B nor Ytilde is materialized.
     la::gemm_scaled(true, false, inv_sqrtn1, HA, w2, Y, 0.0, W);
     la::rt_solve_in_place(M, W);  // W <- Rs^-T W
     la::r_solve_in_place(M, W);   // W <- Rs^-1 W = (I+B^T B)^-1 B^T Yt
-  } else {  // stacked [B^T; I_m], Rs^T Rs = I + B B^T; m < N is small
-    la::Matrix& B = ws.mat("ens.B", m, N);
-    la::Matrix& Yt = ws.mat("ens.Yt", m, N);
-    scale_ensemble_system(HA, Y, r_std, inv_sqrtn1, B, Yt);
-    for (int k = 0; k < m; ++k) {
-      auto dst = M.col(k);
-      for (int i = 0; i < N; ++i) dst[i] = B(k, i);
-      for (int i = 0; i < m; ++i) dst[N + i] = i == k ? 1.0 : 0.0;
-    }
-    if (tsqr) {
-      la::tsqr_factor_r_in_place(M, &ws);
-    } else {
-      la::Vector& beta = ws.vec("ens.beta", static_cast<std::size_t>(r));
-      la::qr_factor_in_place(M, beta, &ws);
-    }
-    la::rt_solve_in_place(M, Yt);               // Yt <- Rs^-T Yt
-    la::r_solve_in_place(M, Yt);                // Yt <- Stilde^-1 Ytilde
-    la::gemm(true, false, 1.0, B, Yt, 0.0, W);  // W = B^T Stilde^-1 Yt
+  } else {
+    la::rt_solve_in_place(M, *Yt);                // Yt <- Rs^-T Yt
+    la::r_solve_in_place(M, *Yt);                 // Yt <- Stilde^-1 Ytilde
+    la::gemm(true, false, 1.0, *B, *Yt, 0.0, W);  // W = B^T Stilde^-1 Yt
   }
   la::gemm(false, false, inv_sqrtn1, A, W, 1.0, X);  // X += A W / sqrt(N-1)
 }
@@ -194,11 +173,6 @@ void analyze_ensemble_space_svd(la::Matrix& X, const la::Matrix& A,
 }
 
 }  // namespace
-
-Factorization default_factorization() {
-  static const Factorization f = factorization_from_env();
-  return f;
-}
 
 EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
                         const la::Vector& d, const la::Vector& r_std,
@@ -272,14 +246,10 @@ EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
   if (path == SolverPath::kObsSpace) {
     analyze_obs_space(X, A, HA, Y, r_std, ws);
   } else {
-    const Factorization fact = opt.factorization == Factorization::kDefault
-                                   ? default_factorization()
-                                   : opt.factorization;
-    stats.factorization_used = fact;
-    if (fact == Factorization::kSvd)
+    if (opt.factorization == Factorization::kSvd)
       analyze_ensemble_space_svd(X, A, HA, Y, r_std, opt.svd_rcond, ws);
     else
-      analyze_ensemble_space_qr(X, A, HA, Y, r_std, opt.qr_scheme, ws, stats);
+      analyze_ensemble_space_qr(X, A, HA, Y, r_std, ws);
   }
 
   {
@@ -288,138 +258,6 @@ EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
     for (int i = 0; i < n; ++i) ma[i] -= mf[i];
     stats.increment_rms = rms(ma);
   }
-  return stats;
-}
-
-EnKFStats enkf_sequential(la::Matrix& X, la::Matrix& HX, const la::Vector& d,
-                          const la::Vector& r_std, util::Rng& rng,
-                          const SequentialOptions& opt) {
-  const int n = X.rows();
-  const int N = X.cols();
-  const int m = HX.rows();
-  if (HX.cols() != N) throw std::invalid_argument("enkf_seq: HX mismatch");
-  if (static_cast<int>(d.size()) != m || static_cast<int>(r_std.size()) != m)
-    throw std::invalid_argument("enkf_seq: obs size mismatch");
-  if (N < 2) throw std::invalid_argument("enkf_seq: need >= 2 members");
-
-  EnKFStats stats;
-  stats.n = n;
-  stats.m = m;
-  stats.N = N;
-  stats.path_used = SolverPath::kObsSpace;
-
-  la::Workspace local_ws;
-  la::Workspace& ws = opt.workspace ? *opt.workspace : local_ws;
-
-  inflate(X, opt.inflation);
-  inflate(HX, opt.inflation);
-
-  {
-    la::Vector& hxm = ws.vec("seq.hxm", static_cast<std::size_t>(m));
-    ensemble_mean(HX, hxm);
-    la::Vector& innov = ws.vec("seq.innov", static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) innov[i] = d[i] - hxm[i];
-    stats.innovation_rms = rms(innov);
-  }
-  la::Vector& mean_before = ws.vec("seq.mb", static_cast<std::size_t>(n));
-  ensemble_mean(X, mean_before);
-
-  // The sweep applies, per observation, a rank-1 update X += px alpha^T (and
-  // HX += ph alpha^T). Instead of streaming 2m rank-1 passes over the state,
-  // the gain columns and member coefficients are accumulated for a batch of
-  // observations and flushed as one blocked gemm. Observations later in a
-  // batch see the pending updates through the correction terms below, so the
-  // sweep stays algebraically sequential.
-  const int kBatch = std::min(m, 32);
-  la::Matrix& Px = ws.mat("seq.Px", n, kBatch);      // pending state gains
-  la::Matrix& Ph = ws.mat("seq.Ph", m, kBatch);      // pending obs gains
-  la::Matrix& AlphaT = ws.mat("seq.At", N, kBatch);  // member coefficients
-  la::Vector& ha = ws.vec("seq.ha", static_cast<std::size_t>(N));
-  la::Vector& hrow = ws.vec("seq.hrow", static_cast<std::size_t>(N));
-  la::Vector& px = ws.vec("seq.px", static_cast<std::size_t>(n));
-  la::Vector& ph = ws.vec("seq.ph", static_cast<std::size_t>(m));
-  int filled = 0;
-
-  const auto flush = [&]() {
-    if (filled == 0) return;
-    // Matrix::resize keeps leading columns intact, so a partial batch is a
-    // plain column-prefix view of the arena buffers.
-    Px.resize(n, filled);
-    Ph.resize(m, filled);
-    AlphaT.resize(N, filled);
-    la::gemm(false, true, 1.0, Px, AlphaT, 1.0, X);   // X  += Px Alpha
-    la::gemm(false, true, 1.0, Ph, AlphaT, 1.0, HX);  // HX += Ph Alpha
-    Px.resize(n, kBatch);
-    Ph.resize(m, kBatch);
-    AlphaT.resize(N, kBatch);
-    filled = 0;
-  };
-
-  const double invn1 = 1.0 / (N - 1);
-  for (int o = 0; o < m; ++o) {
-    // Effective row o of HX = stored row + pending batch updates.
-    for (int k = 0; k < N; ++k) hrow[k] = HX(o, k);
-    for (int b = 0; b < filled; ++b) {
-      const double pho = Ph(o, b);
-      if (pho == 0.0) continue;
-      const auto ab = AlphaT.col(b);
-      for (int k = 0; k < N; ++k) hrow[k] += pho * ab[k];
-    }
-    double hm = 0;
-    for (int k = 0; k < N; ++k) hm += hrow[k];
-    hm /= N;
-    double var = 0;
-    for (int k = 0; k < N; ++k) {
-      ha[k] = hrow[k] - hm;
-      var += ha[k] * ha[k];
-    }
-    var *= invn1;
-    const double denom = var + r_std[o] * r_std[o];
-    if (denom <= 0) continue;
-
-    // Cross covariances against the effective ensemble: the stored X/HX
-    // part via gemv (sum ha = 0 makes the mean term vanish), the pending
-    // part via the small inner products with the batched gain columns.
-    la::gemv(invn1, X, ha, 0.0, px);
-    la::gemv(invn1, HX, ha, 0.0, ph);
-    for (int b = 0; b < filled; ++b) {
-      const auto ab = AlphaT.col(b);
-      double w = 0;
-      for (int k = 0; k < N; ++k) w += ab[k] * ha[k];
-      w *= invn1;
-      if (w == 0.0) continue;
-      const auto pxb = Px.col(b);
-      for (int i = 0; i < n; ++i) px[i] += w * pxb[i];
-      const auto phb = Ph.col(b);
-      for (int i = 0; i < m; ++i) ph[i] += w * phb[i];
-    }
-
-    if (opt.state_obs_taper)
-      for (int i = 0; i < n; ++i)
-        px[i] *= opt.state_obs_taper(i, o, opt.taper_ctx);
-    if (opt.obs_obs_taper)
-      for (int i = 0; i < m; ++i)
-        ph[i] *= opt.obs_obs_taper(i, o, opt.taper_ctx);
-
-    // Member coefficients from perturbed innovations (same draw order as
-    // the original per-member update loop).
-    {
-      auto ab = AlphaT.col(filled);
-      for (int k = 0; k < N; ++k)
-        ab[k] = (d[o] + r_std[o] * rng.normal() - hrow[k]) / denom;
-      auto pxb = Px.col(filled);
-      for (int i = 0; i < n; ++i) pxb[i] = px[i];
-      auto phb = Ph.col(filled);
-      for (int i = 0; i < m; ++i) phb[i] = ph[i];
-    }
-    if (++filled == kBatch) flush();
-  }
-  flush();
-
-  la::Vector& mean_after = ws.vec("seq.ma", static_cast<std::size_t>(n));
-  ensemble_mean(X, mean_after);
-  for (int i = 0; i < n; ++i) mean_after[i] -= mean_before[i];
-  stats.increment_rms = rms(mean_after);
   return stats;
 }
 

@@ -12,27 +12,21 @@
 //    small, e.g. weather stations);
 //  - ensemble space: an N x N square-root system derived from
 //    B = R^{-1/2} HA / sqrt(N-1), cost O(m N^2) (best when m >> N, e.g.
-//    infrared image observations). Two factorizations of that system are
-//    kept: the default QR square-root form (one Householder QR of the
-//    stacked (m+N) x N matrix [B; I], then two N x N triangular solves —
-//    never forms B^T B, so no condition-number squaring) and the original
-//    thin Jacobi SVD of B, retained as the property-tested reference
-//    (WFIRE_ENKF_FACTORIZATION=qr|svd, or Factorization below).
+//    infrared image observations). It is solved by the QR square-root form:
+//    one TSQR R-factor of the stacked (m+N) x N matrix [B; I] (see
+//    la/qr.h), then two N x N triangular solves — never forms B^T B, so no
+//    condition-number squaring. The thin Jacobi SVD of B is kept as the
+//    property-tested reference (Factorization::kSvd, selected explicitly).
 //
-// The QR path's panel factorization scheme is itself selectable
-// (WFIRE_QR_SCHEME=tsqr|blocked, or EnKFOptions::qr_scheme): the TSQR
-// scheme splits the tall stacked panel into row blocks factored in
-// parallel (see la/qr.h). The R^{-1/2} scaling of the anomalies and
-// innovations is fused into the stacked-panel build and the pack step of
-// the coefficient gemm (gemm_scaled), so the m-sized part of the analysis
-// is one parallel sweep plus the factorization — no separate B / Ytilde
-// scaling passes.
+// The R^{-1/2} scaling of the anomalies and innovations is fused into the
+// stacked-panel build and the pack step of the coefficient gemm
+// (gemm_scaled), so the m-sized part of the analysis is one parallel sweep
+// plus the factorization — no separate B / Ytilde scaling passes.
 #pragma once
 
 #include <string>
 
 #include "la/matrix.h"
-#include "la/qr.h"
 #include "la/workspace.h"
 #include "util/rng.h"
 
@@ -40,20 +34,14 @@ namespace wfire::enkf {
 
 enum class SolverPath { kAuto, kObsSpace, kEnsembleSpace };
 
-// Factorization of the ensemble-space system. kDefault resolves to the
-// process-wide default (env WFIRE_ENKF_FACTORIZATION=qr|svd, qr when unset).
-enum class Factorization { kDefault, kQr, kSvd };
-
-// The process-wide default read from the environment at first use.
-[[nodiscard]] Factorization default_factorization();
+// Factorization of the ensemble-space system: the QR square root, or the
+// Jacobi-SVD reference.
+enum class Factorization { kQr, kSvd };
 
 struct EnKFOptions {
   double inflation = 1.0;        // multiplicative, applied pre-analysis
   SolverPath path = SolverPath::kAuto;
-  Factorization factorization = Factorization::kDefault;  // ensemble path
-  // Panel scheme of the QR square-root factorization; kAuto follows
-  // WFIRE_QR_SCHEME (and its m >= 8n heuristic when that is unset too).
-  la::QrScheme qr_scheme = la::QrScheme::kAuto;
+  Factorization factorization = Factorization::kQr;  // ensemble path
   double svd_rcond = 1e-10;      // pseudo-inverse cutoff (svd factorization)
   // Scratch arena reused across calls; the analysis is allocation-free in
   // steady state when one is supplied (a temporary arena is used otherwise).
@@ -62,12 +50,6 @@ struct EnKFOptions {
 
 struct EnKFStats {
   SolverPath path_used = SolverPath::kObsSpace;
-  // Resolved factorization when the ensemble-space path ran (kDefault when
-  // the observation-space path was taken instead).
-  Factorization factorization_used = Factorization::kDefault;
-  // Panel scheme the QR factorization resolved to (kAuto when the QR
-  // ensemble-space path did not run).
-  la::QrScheme qr_scheme_used = la::QrScheme::kAuto;
   int n = 0, m = 0, N = 0;
   double innovation_rms = 0;  // RMS of d - H(mean) before analysis
   double increment_rms = 0;   // RMS change of the ensemble mean
@@ -81,24 +63,5 @@ struct EnKFStats {
 EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
                         const la::Vector& d, const la::Vector& r_std,
                         util::Rng& rng, const EnKFOptions& opt = {});
-
-// Sequential (one observation at a time) stochastic EnKF with optional
-// Gaspari-Cohn covariance localization. `state_obs_taper(i, o)` returns the
-// taper for state coordinate i against observation o (1.0 = no taper), and
-// `obs_obs_taper(o1, o2)` likewise between observations (needed to keep HX
-// consistent while sweeping). Pass nullptrs for no localization.
-using TaperFn = double (*)(int, int, const void* ctx);
-
-struct SequentialOptions {
-  double inflation = 1.0;
-  TaperFn state_obs_taper = nullptr;
-  TaperFn obs_obs_taper = nullptr;
-  const void* taper_ctx = nullptr;
-  la::Workspace* workspace = nullptr;  // as in EnKFOptions
-};
-
-EnKFStats enkf_sequential(la::Matrix& X, la::Matrix& HX, const la::Vector& d,
-                          const la::Vector& r_std, util::Rng& rng,
-                          const SequentialOptions& opt = {});
 
 }  // namespace wfire::enkf

@@ -24,28 +24,6 @@ Backend backend_from_env() {
   return Backend::kBlocked;
 }
 
-int block_from_env() {
-  const char* s = std::getenv("WFIRE_LA_BLOCK");
-  if (s) {
-    const int nb = std::atoi(s);
-    if (nb > 0) return clamp_block(nb);
-  }
-  return 64;
-}
-
-QrScheme qr_scheme_from_env() {
-  const char* s = std::getenv("WFIRE_QR_SCHEME");
-  if (!s) return QrScheme::kAuto;
-  if (std::strcmp(s, "tsqr") == 0) return QrScheme::kTsqr;
-  if (std::strcmp(s, "blocked") == 0) return QrScheme::kBlocked;
-  // A typo here would silently invalidate scheme comparisons — say so.
-  std::fprintf(stderr,
-               "wfire: unrecognized WFIRE_QR_SCHEME='%s' "
-               "(expected 'tsqr' or 'blocked'); using auto\n",
-               s);
-  return QrScheme::kAuto;
-}
-
 // Relaxed atomics: the backend is set during startup or between test cases,
 // never concurrently with kernel calls, but TSan-instrumented suites flip it
 // while worker threads from earlier phases may still be parked in the pool.
@@ -55,13 +33,8 @@ std::atomic<Backend>& backend_flag() {
 }
 
 std::atomic<int>& block_flag() {
-  static std::atomic<int> nb{block_from_env()};
+  static std::atomic<int> nb{64};
   return nb;
-}
-
-std::atomic<QrScheme>& qr_scheme_flag() {
-  static std::atomic<QrScheme> s{qr_scheme_from_env()};
-  return s;
 }
 
 }  // namespace
@@ -76,14 +49,6 @@ int block_size() { return block_flag().load(std::memory_order_relaxed); }
 
 void set_block_size(int nb) {
   block_flag().store(clamp_block(nb), std::memory_order_relaxed);
-}
-
-QrScheme default_qr_scheme() {
-  return qr_scheme_flag().load(std::memory_order_relaxed);
-}
-
-void set_default_qr_scheme(QrScheme s) {
-  qr_scheme_flag().store(s, std::memory_order_relaxed);
 }
 
 }  // namespace wfire::la

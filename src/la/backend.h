@@ -4,44 +4,26 @@
 //  - kReference: the original naive triple loops — kept as the ground truth
 //    the blocked kernels are property-tested against.
 // The process-wide default comes from the environment at first use
-// (WFIRE_LA_BACKEND=blocked|reference, WFIRE_LA_BLOCK=<tile edge>) and can
-// be overridden programmatically; tests use ScopedBackend.
+// (WFIRE_LA_BACKEND=blocked|reference) and can be overridden
+// programmatically; tests use ScopedBackend, which can also move the
+// blocked kernels' tile edge.
 //
-// Two further runtime knobs live here with the backend:
-//  - QrScheme picks the tall-skinny panel factorization used by the
-//    square-root analysis (WFIRE_QR_SCHEME=tsqr|blocked; see la/qr.h for
-//    the TSQR row-block reduction tree and the kAuto resolution rule);
-//  - the gemm/syrk pack step exposes a per-column scale hook (gemm_scaled /
-//    syrk_scaled in la/blas.h): a diagonal weight along the contraction
-//    dimension is applied while panels are packed, so diagonal row/column
-//    scalings (the EnKF's R^{-1/2} observation weighting) fuse into the
-//    product instead of costing separate m x N sweeps.
+// The gemm/syrk pack step also exposes a per-column scale hook
+// (gemm_scaled / syrk_scaled in la/blas.h): a diagonal weight along the
+// contraction dimension is applied while panels are packed, so diagonal
+// row/column scalings (the EnKF's R^{-1/2} observation weighting) fuse into
+// the product instead of costing separate m x N sweeps.
 #pragma once
 
 namespace wfire::la {
 
 enum class Backend { kBlocked, kReference };
 
-// Panel factorization scheme for tall-skinny QR systems (see la/qr.h):
-//  - kBlocked: the compact-WY blocked Householder chain;
-//  - kTsqr: communication-avoiding TSQR (independent row blocks + binary
-//    R-reduction tree — the m-sized work parallelizes across blocks);
-//  - kAuto: follow the process default (WFIRE_QR_SCHEME); when that is also
-//    unset, use tsqr for panels with m >= 8 n that split into at least two
-//    row blocks, blocked otherwise.
-enum class QrScheme { kAuto, kBlocked, kTsqr };
-
-// Process-wide QR scheme (env WFIRE_QR_SCHEME at first use; kAuto when
-// unset). set_default_qr_scheme overrides it; tests use ScopedQrScheme.
-[[nodiscard]] QrScheme default_qr_scheme();
-void set_default_qr_scheme(QrScheme s);
-
 // Process-wide backend for all dispatching kernels.
 [[nodiscard]] Backend backend();
 void set_backend(Backend b);
 
-// Tile edge used by the blocked kernels (default 64, env WFIRE_LA_BLOCK).
-// Values are clamped to [8, 1024].
+// Tile edge used by the blocked kernels (default 64, clamped to [8, 1024]).
 [[nodiscard]] int block_size();
 void set_block_size(int nb);
 
@@ -64,20 +46,6 @@ class ScopedBackend {
  private:
   Backend prev_;
   int prev_nb_ = 0;
-};
-
-// RAII QR-scheme override for tests.
-class ScopedQrScheme {
- public:
-  explicit ScopedQrScheme(QrScheme s) : prev_(default_qr_scheme()) {
-    set_default_qr_scheme(s);
-  }
-  ~ScopedQrScheme() { set_default_qr_scheme(prev_); }
-  ScopedQrScheme(const ScopedQrScheme&) = delete;
-  ScopedQrScheme& operator=(const ScopedQrScheme&) = delete;
-
- private:
-  QrScheme prev_;
 };
 
 }  // namespace wfire::la

@@ -1,6 +1,5 @@
 #include "la/qr.h"
 
-#include "la/blas.h"
 #include "util/omp_compat.h"
 
 #include <algorithm>
@@ -11,179 +10,6 @@ namespace wfire::la {
 
 namespace {
 
-// Panel width of the compact-WY blocked path. Wider panels amortize the
-// trailing gemm better but grow the O(rows * pb^2) T-factor build; 48 keeps
-// that under a few percent of the update flops at EnKF shapes.
-int panel_width(int n) { return std::min({block_size(), 48, n}); }
-
-// --- reference path: the original serial column-by-column factorization ---
-
-void qr_factor_reference(Matrix& R, Vector& beta) {
-  const int m = R.rows();
-  const int n = R.cols();
-  for (int j = 0; j < n; ++j) {
-    // Build the Householder reflector for column j.
-    double norm = 0;
-    for (int i = j; i < m; ++i) norm += R(i, j) * R(i, j);
-    norm = std::sqrt(norm);
-    if (norm == 0.0) {
-      beta[j] = 0.0;
-      continue;
-    }
-    const double alpha = R(j, j) >= 0 ? -norm : norm;
-    const double v0 = R(j, j) - alpha;
-    beta[j] = -v0 / alpha;  // 2 / (v^T v) with v scaled so v[j] = 1
-    const double inv_v0 = 1.0 / v0;
-    for (int i = j + 1; i < m; ++i) R(i, j) *= inv_v0;
-    R(j, j) = alpha;
-    // Apply the reflector to the trailing columns.
-    for (int k = j + 1; k < n; ++k) {
-      double s = R(j, k);
-      for (int i = j + 1; i < m; ++i) s += R(i, j) * R(i, k);
-      s *= beta[j];
-      R(j, k) -= s;
-      for (int i = j + 1; i < m; ++i) R(i, k) -= s * R(i, j);
-    }
-  }
-}
-
-// --- blocked path: compact-WY panels, trailing update through gemm ---
-
-// Factors panel columns [j0, j0 + jb) in place, applying each reflector to
-// the remaining *panel* columns only (the trailing matrix is updated once
-// per panel via the WY form). The per-reflector application is threaded
-// across panel columns when the panel is tall enough to pay for it.
-void panel_factor(Matrix& A, Vector& beta, int j0, int jb) {
-  const int m = A.rows();
-  const int last = j0 + jb;
-  for (int j = j0; j < last; ++j) {
-    double norm = 0;
-    for (int i = j; i < m; ++i) norm += A(i, j) * A(i, j);
-    norm = std::sqrt(norm);
-    if (norm == 0.0) {
-      beta[j] = 0.0;
-      continue;
-    }
-    const double alpha = A(j, j) >= 0 ? -norm : norm;
-    const double v0 = A(j, j) - alpha;
-    beta[j] = -v0 / alpha;
-    const double inv_v0 = 1.0 / v0;
-    for (int i = j + 1; i < m; ++i) A(i, j) *= inv_v0;
-    A(j, j) = alpha;
-    const double bj = beta[j];
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) \
-                 if (static_cast<long>(m - j) * (last - j - 1) > 16384))
-    for (int k = j + 1; k < last; ++k) {
-      double s = A(j, k);
-      for (int i = j + 1; i < m; ++i) s += A(i, j) * A(i, k);
-      s *= bj;
-      A(j, k) -= s;
-      for (int i = j + 1; i < m; ++i) A(i, k) -= s * A(i, j);
-    }
-  }
-}
-
-// Unpacks the reflectors of panel [j0, j0 + jb) into explicit V
-// ((m - j0) x jb, unit diagonal, zeros above) and builds the upper-
-// triangular T of the compact-WY form H_{j0} ... H_{j0+jb-1} = I - V T V^T.
-void build_wy(const Matrix& A, const Vector& beta, int j0, int jb, Matrix& V,
-              Matrix& T) {
-  const int m = A.rows();
-  const int rows = m - j0;
-  V.resize(rows, jb);
-  T.resize(jb, jb);
-  for (int jj = 0; jj < jb; ++jj) {
-    const int j = j0 + jj;
-    auto v = V.col(jj);
-    for (int i = 0; i < jj; ++i) v[i] = 0.0;
-    v[jj] = 1.0;
-    for (int i = jj + 1; i < rows; ++i) v[i] = A(j0 + i, j);
-  }
-  // T(0:jj, jj) = -beta_jj * T(0:jj, 0:jj) * (V(:, 0:jj)^T v_jj). The whole
-  // column is zeroed first: T may live in a reused arena buffer whose
-  // previous shape leaves garbage below the diagonal, and the WY gemms read
-  // the full matrix.
-  for (int jj = 0; jj < jb; ++jj) {
-    const double b = beta[j0 + jj];
-    for (int i = 0; i < jb; ++i) T(i, jj) = 0.0;
-    T(jj, jj) = b;
-    if (b == 0.0) continue;
-    const auto vj = V.col(jj);
-    for (int p = 0; p < jj; ++p) {
-      const auto vp = V.col(p);
-      double s = 0;
-      // v_p has zeros above its own diagonal; v_jj above jj — the product
-      // only needs rows >= jj.
-      for (int i = jj; i < rows; ++i) s += vp[i] * vj[i];
-      T(p, jj) = s;
-    }
-    // In-place triangular multiply T(0:jj, jj) <- -b * T_prev * t: ascending
-    // rows, since row i only reads the still-raw dots at positions >= i.
-    for (int i = 0; i < jj; ++i) {
-      double s = 0;
-      for (int p = i; p < jj; ++p) s += T(i, p) * T(p, jj);
-      T(i, jj) = -b * s;
-    }
-  }
-}
-
-// C(j0:m, cols) <- (I - V op(T) V^T) C(j0:m, cols), with C staged through
-// workspace buffers so the three products run through the dispatched gemm.
-// trans_t selects between Q (T) and Q^T (T^T) of the panel.
-void apply_wy_panel(const Matrix& V, const Matrix& T, bool trans_t, Matrix& C,
-                    int j0, Workspace& ws) {
-  const int m = C.rows();
-  const int nc = C.cols();
-  const int rows = m - j0;
-  const int jb = V.cols();
-  Matrix& Csub = ws.mat("qr.Csub", rows, nc);
-  for (int k = 0; k < nc; ++k) {
-    const auto src = C.col(k);
-    auto dst = Csub.col(k);
-    for (int i = 0; i < rows; ++i) dst[i] = src[j0 + i];
-  }
-  Matrix& W = ws.mat("qr.W", jb, nc);
-  gemm(true, false, 1.0, V, Csub, 0.0, W);       // W  = V^T C
-  Matrix& W2 = ws.mat("qr.W2", jb, nc);
-  gemm(trans_t, false, 1.0, T, W, 0.0, W2);      // W2 = op(T) W
-  gemm(false, false, -1.0, V, W2, 1.0, Csub);    // C -= V W2
-  for (int k = 0; k < nc; ++k) {
-    const auto src = Csub.col(k);
-    auto dst = C.col(k);
-    for (int i = 0; i < rows; ++i) dst[j0 + i] = src[i];
-  }
-}
-
-void qr_factor_blocked(Matrix& A, Vector& beta, Workspace& ws) {
-  const int m = A.rows();
-  const int n = A.cols();
-  const int pb = panel_width(n);
-  for (int j0 = 0; j0 < n; j0 += pb) {
-    const int jb = std::min(pb, n - j0);
-    panel_factor(A, beta, j0, jb);
-    if (j0 + jb >= n) break;
-    Matrix& V = ws.mat("qr.V", m - j0, jb);
-    Matrix& T = ws.mat("qr.T", jb, jb);
-    build_wy(A, beta, j0, jb, V, T);
-    // Trailing columns as a contiguous block for the WY gemms.
-    const int nc = n - j0 - jb;
-    Matrix& Ct = ws.mat("qr.Ct", m, nc);
-    for (int k = 0; k < nc; ++k) {
-      const auto src = A.col(j0 + jb + k);
-      auto dst = Ct.col(k);
-      for (int i = 0; i < m; ++i) dst[i] = src[i];
-    }
-    apply_wy_panel(V, T, /*trans_t=*/true, Ct, j0, ws);
-    for (int k = 0; k < nc; ++k) {
-      const auto src = Ct.col(k);
-      auto dst = A.col(j0 + jb + k);
-      for (int i = j0; i < m; ++i) dst[i] = src[i];
-    }
-  }
-}
-
-// --- TSQR scheme: row-block leaves + binary R-reduction tree ---
-
 // Row-block height of the TSQR split. Shape-only (no thread count, no env)
 // so the factorization is bitwise identical for every OMP_NUM_THREADS: the
 // tree structure is part of the result, not a scheduling detail. 2n keeps a
@@ -191,25 +17,10 @@ void qr_factor_blocked(Matrix& A, Vector& beta, Workspace& ws) {
 // floor keeps blocks from degenerating into tree overhead for tiny n.
 int tsqr_block_rows(int n) { return std::max(2 * n, 128); }
 
-// Number of row blocks for an m x n panel (1 = no split, serial leaf).
-int tsqr_nblocks(int m, int n) {
-  const int br = tsqr_block_rows(n);
-  return m >= 2 * br ? m / br : 1;
-}
-
-// Evenly distributed block row offsets (every block >= tsqr_block_rows >= n
-// rows by construction of tsqr_nblocks).
-void tsqr_offsets(int m, int nb, std::vector<int>& row0) {
-  row0.resize(static_cast<std::size_t>(nb) + 1);
-  const int base = m / nb;
-  const int rem = m % nb;
-  int r = 0;
-  for (int b = 0; b < nb; ++b) {
-    row0[static_cast<std::size_t>(b)] = r;
-    r += base + (b < rem ? 1 : 0);
-  }
-  row0[static_cast<std::size_t>(nb)] = m;
-}
+// First row of block b when m rows are split into nb blocks as evenly as
+// possible (the first m % nb blocks get one extra row; every block has
+// >= tsqr_block_rows >= n rows by construction of tsqr_nblocks).
+int tsqr_row0(int m, int nb, int b) { return b * (m / nb) + std::min(b, m % nb); }
 
 // Serial Householder factorization of the rows x n block at `a` (column
 // stride ld), reflectors scaled to unit diagonal, scalars into beta[0..n).
@@ -225,10 +36,11 @@ void factor_block(double* a, int ld, int rows, int n, double* beta) {
     }
     const double alpha = cj[j] >= 0 ? -norm : norm;
     const double v0 = cj[j] - alpha;
-    beta[j] = -v0 / alpha;
+    beta[j] = -v0 / alpha;  // 2 / (v^T v) with v scaled so v[j] = 1
     const double inv_v0 = 1.0 / v0;
     for (int i = j + 1; i < rows; ++i) cj[i] *= inv_v0;
     cj[j] = alpha;
+    // Apply the reflector to the trailing columns.
     for (int k = j + 1; k < n; ++k) {
       double* ck = a + static_cast<std::size_t>(k) * ld;
       double s = ck[j];
@@ -236,27 +48,6 @@ void factor_block(double* a, int ld, int rows, int n, double* beta) {
       s *= beta[j];
       ck[j] -= s;
       for (int i = j + 1; i < rows; ++i) ck[i] -= s * cj[i];
-    }
-  }
-}
-
-// Applies the reflectors of a factored block (a: rows x n, stride ld, unit
-// diagonals implicit) to c (rows x k, stride ldc): Q^T when `transpose`
-// (forward reflector order), Q otherwise (reverse order).
-void apply_block(const double* a, int ld, const double* beta, int rows, int n,
-                 double* c, int ldc, int k, bool transpose) {
-  for (int jj = 0; jj < n; ++jj) {
-    const int j = transpose ? jj : n - 1 - jj;
-    const double bj = beta[j];
-    if (bj == 0.0) continue;
-    const double* vj = a + static_cast<std::size_t>(j) * ld;
-    for (int col = 0; col < k; ++col) {
-      double* cc = c + static_cast<std::size_t>(col) * ldc;
-      double s = cc[j];
-      for (int i = j + 1; i < rows; ++i) s += vj[i] * cc[i];
-      s *= bj;
-      cc[j] -= s;
-      for (int i = j + 1; i < rows; ++i) cc[i] -= s * vj[i];
     }
   }
 }
@@ -273,78 +64,65 @@ void copy_r_block(const double* src, int lds, double* dst, int ldd, int n) {
   }
 }
 
-// Shared core of the full and R-only TSQR factorizations. With `f` null the
-// node factors are reduced through preallocated scratch and discarded.
-void tsqr_core(Matrix& A, Workspace& ws, TsqrFactor* f) {
+}  // namespace
+
+void qr_factor_in_place(Matrix& A, Vector& beta) {
+  const int m = A.rows();
+  const int n = A.cols();
+  if (m < n) throw std::invalid_argument("qr_factor: requires m >= n");
+  beta.resize(static_cast<std::size_t>(n));
+  factor_block(A.data(), m, m, n, beta.data());
+}
+
+int tsqr_nblocks(int m, int n) {
+  const int br = tsqr_block_rows(n);
+  return m >= 2 * br ? m / br : 1;
+}
+
+void tsqr_factor_r_in_place(Matrix& A, Workspace* ws) {
   const int m = A.rows();
   const int n = A.cols();
   if (m < n) throw std::invalid_argument("tsqr_factor: requires m >= n");
-  const int nb = tsqr_nblocks(std::max(m, 1), std::max(n, 1));
-  std::vector<int> local_row0;
-  std::vector<int>& row0 = f ? f->row0 : local_row0;
-  tsqr_offsets(m, nb, row0);
-  if (f) {
-    f->m = m;
-    f->n = n;
-    f->leaf_beta.resize(static_cast<std::size_t>(nb) * n);
-    f->tree.resize(2 * n, n * (nb - 1));
-    f->tree_beta.resize(static_cast<std::size_t>(n) * (nb - 1));
-    f->level_count.clear();
-    f->level_off.clear();
-  }
   if (n == 0) return;
+  Workspace local;
+  Workspace& arena = ws ? *ws : local;
+  const int nb = tsqr_nblocks(m, n);
   Vector& lbeta =
-      f ? f->leaf_beta
-        : ws.vec("qr.tsqr.lbeta", static_cast<std::size_t>(nb) * n);
+      arena.vec("qr.tsqr.lbeta", static_cast<std::size_t>(nb) * n);
 
   // Leaf stage: factor every row block independently; R_b lands in the top
-  // n rows of its block, reflectors below the block-local diagonal.
+  // n rows of its block.
   double* Ad = A.data();
   const int ld = m;
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (nb > 1))
-  for (int b = 0; b < nb; ++b)
-    factor_block(Ad + row0[static_cast<std::size_t>(b)], ld,
-                 row0[static_cast<std::size_t>(b) + 1] -
-                     row0[static_cast<std::size_t>(b)],
-                 n, lbeta.data() + static_cast<std::size_t>(b) * n);
+  for (int b = 0; b < nb; ++b) {
+    const int r0 = tsqr_row0(m, nb, b);
+    factor_block(Ad + r0, ld, tsqr_row0(m, nb, b + 1) - r0, n,
+                 lbeta.data() + static_cast<std::size_t>(b) * n);
+  }
+  if (nb == 1) return;  // a single leaf already holds R in the top of A
 
   // Stack the leaf Rs into ping-pong buffers and reduce pairs level by
   // level. Writes go to the other buffer: pair p writes slot p while pair
   // p' reads slots 2p', 2p'+1, which alias in place once p >= 1.
-  Matrix& S0 = ws.mat("qr.tsqr.S0", nb * n, n);
-  Matrix& S1 = ws.mat("qr.tsqr.S1", ((nb + 1) / 2) * n, n);
+  Matrix& S0 = arena.mat("qr.tsqr.S0", nb * n, n);
+  Matrix& S1 = arena.mat("qr.tsqr.S1", ((nb + 1) / 2) * n, n);
   for (int b = 0; b < nb; ++b)
-    copy_r_block(Ad + row0[static_cast<std::size_t>(b)], ld,
+    copy_r_block(Ad + tsqr_row0(m, nb, b), ld,
                  S0.data() + static_cast<std::size_t>(b) * n, S0.rows(), n);
-  Matrix* nodebuf = nullptr;
-  Vector* nbeta = nullptr;
-  if (!f && nb > 1) {
-    nodebuf = &ws.mat("qr.tsqr.node", 2 * n, n * (nb / 2));
-    nbeta = &ws.vec("qr.tsqr.nbeta", static_cast<std::size_t>(n) * (nb / 2));
-  }
+  Matrix& nodebuf = arena.mat("qr.tsqr.node", 2 * n, n * (nb / 2));
+  Vector& nbeta =
+      arena.vec("qr.tsqr.nbeta", static_cast<std::size_t>(n) * (nb / 2));
 
   int c = nb;
-  int node = 0;
   Matrix* src = &S0;
   Matrix* dst = &S1;
   while (c > 1) {
     const int pairs = c / 2;
-    if (f) {
-      f->level_count.push_back(c);
-      f->level_off.push_back(node);
-    }
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (pairs > 1))
     for (int p = 0; p < pairs; ++p) {
-      double* nd;
-      double* nbp;
-      if (f) {
-        nd = f->tree.data() +
-             static_cast<std::size_t>(node + p) * n * (2 * n);
-        nbp = f->tree_beta.data() + static_cast<std::size_t>(node + p) * n;
-      } else {
-        nd = nodebuf->data() + static_cast<std::size_t>(p) * n * (2 * n);
-        nbp = nbeta->data() + static_cast<std::size_t>(p) * n;
-      }
+      double* nd = nodebuf.data() + static_cast<std::size_t>(p) * n * (2 * n);
+      double* nbp = nbeta.data() + static_cast<std::size_t>(p) * n;
       // Stack [R_2p; R_2p+1] (2n x n, contiguous), factor, write R to slot p.
       const int lds = src->rows();
       for (int j = 0; j < n; ++j) {
@@ -363,313 +141,16 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (pairs > 1))
                    dst->data() + static_cast<std::size_t>(pairs) * n,
                    dst->rows(), n);
     }
-    node += pairs;
     c = pairs + (c & 1);
     std::swap(src, dst);
   }
 
-  // Final R into the top of A — upper triangle only, so the leaf-0
-  // reflectors below the diagonal stay intact for apply-Q.
+  // Final R into the upper triangle of the top of A.
   for (int j = 0; j < n; ++j) {
     const double* s = src->data() + static_cast<std::size_t>(j) * src->rows();
     double* d = Ad + static_cast<std::size_t>(j) * ld;
     for (int i = 0; i <= j; ++i) d[i] = s[i];
   }
-}
-
-// Reference application of a single reflector j to every column of C.
-void apply_reflector_reference(const Matrix& qr, const Vector& beta, int j,
-                               Matrix& C) {
-  const int m = qr.rows();
-  if (beta[j] == 0.0) return;
-  for (int k = 0; k < C.cols(); ++k) {
-    auto c = C.col(k);
-    double s = c[j];
-    for (int i = j + 1; i < m; ++i) s += qr(i, j) * c[i];
-    s *= beta[j];
-    c[j] -= s;
-    for (int i = j + 1; i < m; ++i) c[i] -= s * qr(i, j);
-  }
-}
-
-void apply_q_or_qt(const Matrix& qr, const Vector& beta, Matrix& C,
-                   bool transpose, Workspace* ws) {
-  const int m = qr.rows();
-  const int n = qr.cols();
-  if (C.rows() != m)
-    throw std::invalid_argument("apply_q: row mismatch");
-  if (static_cast<int>(beta.size()) != n)
-    throw std::invalid_argument("apply_q: beta size mismatch");
-  if (C.cols() == 0 || n == 0) return;
-  if (backend() == Backend::kReference) {
-    // Q^T = H_{n-1} ... H_0 applied left to right; Q right to left.
-    if (transpose)
-      for (int j = 0; j < n; ++j) apply_reflector_reference(qr, beta, j, C);
-    else
-      for (int j = n - 1; j >= 0; --j)
-        apply_reflector_reference(qr, beta, j, C);
-    return;
-  }
-  Workspace local;
-  Workspace& arena = ws ? *ws : local;
-  const int pb = panel_width(n);
-  const int npanels = (n + pb - 1) / pb;
-  for (int p = 0; p < npanels; ++p) {
-    // Q^T consumes panels left to right (with T^T), Q right to left (with T).
-    const int j0 = (transpose ? p : npanels - 1 - p) * pb;
-    const int jb = std::min(pb, n - j0);
-    Matrix& V = arena.mat("qr.V", m - j0, jb);
-    Matrix& T = arena.mat("qr.T", jb, jb);
-    build_wy(qr, beta, j0, jb, V, T);
-    apply_wy_panel(V, T, /*trans_t=*/transpose, C, j0, arena);
-  }
-}
-
-}  // namespace
-
-bool tsqr_selected(QrScheme s, int m, int n) {
-  if (s == QrScheme::kAuto) s = default_qr_scheme();
-  if (s == QrScheme::kBlocked) return false;
-  if (n < 1 || m < n) return false;
-  const bool splits = tsqr_nblocks(m, n) >= 2;
-  if (s == QrScheme::kTsqr) return splits;
-  return splits && m >= 8 * n;  // kAuto heuristic
-}
-
-void tsqr_factor_in_place(Matrix& A, TsqrFactor& f, Workspace* ws) {
-  Workspace local;
-  tsqr_core(A, ws ? *ws : local, &f);
-}
-
-void tsqr_factor_r_in_place(Matrix& A, Workspace* ws) {
-  Workspace local;
-  tsqr_core(A, ws ? *ws : local, nullptr);
-}
-
-void tsqr_apply_qt(const Matrix& A, const TsqrFactor& f, const Matrix& C,
-                   Matrix& Y, Workspace* ws) {
-  const int m = f.m;
-  const int n = f.n;
-  const int nb = f.nblocks();
-  if (A.rows() != m || A.cols() != n)
-    throw std::invalid_argument("tsqr_apply_qt: factor/matrix mismatch");
-  if (C.rows() != m) throw std::invalid_argument("tsqr_apply_qt: C rows");
-  const int k = C.cols();
-  Y.resize(n, k);
-  if (n == 0 || k == 0) return;
-  Workspace local;
-  Workspace& arena = ws ? *ws : local;
-
-  // Leaf stage on a scratch copy of C (C stays const); the top n rows of
-  // each block feed the tree.
-  Matrix& W = arena.mat("qr.tsqr.aW", m, k);
-  W = C;
-  const double* Ad = A.data();
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (nb > 1))
-  for (int b = 0; b < nb; ++b)
-    apply_block(Ad + f.row0[static_cast<std::size_t>(b)], m,
-                f.leaf_beta.data() + static_cast<std::size_t>(b) * n,
-                f.row0[static_cast<std::size_t>(b) + 1] -
-                    f.row0[static_cast<std::size_t>(b)],
-                n, W.data() + f.row0[static_cast<std::size_t>(b)], m, k,
-                /*transpose=*/true);
-
-  Matrix& S0 = arena.mat("qr.tsqr.aS0", nb * n, k);
-  Matrix& S1 = arena.mat("qr.tsqr.aS1", ((nb + 1) / 2) * n, k);
-  for (int b = 0; b < nb; ++b)
-    for (int j = 0; j < k; ++j) {
-      const double* s = W.data() + static_cast<std::size_t>(j) * m +
-                        f.row0[static_cast<std::size_t>(b)];
-      double* d = S0.data() + static_cast<std::size_t>(j) * S0.rows() +
-                  static_cast<std::size_t>(b) * n;
-      for (int i = 0; i < n; ++i) d[i] = s[i];
-    }
-
-  Matrix* zbuf = nullptr;
-  if (nb > 1) zbuf = &arena.mat("qr.tsqr.aZ", 2 * n, k * (nb / 2));
-  Matrix* src = &S0;
-  Matrix* dst = &S1;
-  for (std::size_t l = 0; l < f.level_count.size(); ++l) {
-    const int c = f.level_count[l];
-    const int pairs = c / 2;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (pairs > 1))
-    for (int p = 0; p < pairs; ++p) {
-      const double* nd =
-          f.tree.data() +
-          static_cast<std::size_t>(f.level_off[l] + p) * n * (2 * n);
-      const double* nbp =
-          f.tree_beta.data() + static_cast<std::size_t>(f.level_off[l] + p) * n;
-      double* z = zbuf->data() + static_cast<std::size_t>(p) * k * (2 * n);
-      const int lds = src->rows();
-      for (int j = 0; j < k; ++j) {
-        const double* s = src->data() + static_cast<std::size_t>(j) * lds;
-        double* zj = z + static_cast<std::size_t>(j) * (2 * n);
-        for (int i = 0; i < n; ++i) zj[i] = s[2 * p * n + i];
-        for (int i = 0; i < n; ++i) zj[n + i] = s[(2 * p + 1) * n + i];
-      }
-      apply_block(nd, 2 * n, nbp, 2 * n, n, z, 2 * n, k, /*transpose=*/true);
-      const int ldd = dst->rows();
-      for (int j = 0; j < k; ++j) {
-        const double* zj = z + static_cast<std::size_t>(j) * (2 * n);
-        double* d = dst->data() + static_cast<std::size_t>(j) * ldd +
-                    static_cast<std::size_t>(p) * n;
-        for (int i = 0; i < n; ++i) d[i] = zj[i];
-      }
-    }
-    if (c & 1) {
-      for (int j = 0; j < k; ++j) {
-        const double* s = src->data() + static_cast<std::size_t>(j) * src->rows() +
-                          static_cast<std::size_t>(c - 1) * n;
-        double* d = dst->data() + static_cast<std::size_t>(j) * dst->rows() +
-                    static_cast<std::size_t>(pairs) * n;
-        for (int i = 0; i < n; ++i) d[i] = s[i];
-      }
-    }
-    std::swap(src, dst);
-  }
-  for (int j = 0; j < k; ++j) {
-    const double* s = src->data() + static_cast<std::size_t>(j) * src->rows();
-    double* d = Y.data() + static_cast<std::size_t>(j) * n;
-    for (int i = 0; i < n; ++i) d[i] = s[i];
-  }
-}
-
-void tsqr_apply_q(const Matrix& A, const TsqrFactor& f, const Matrix& Yin,
-                  Matrix& C, Workspace* ws) {
-  const int m = f.m;
-  const int n = f.n;
-  const int nb = f.nblocks();
-  if (A.rows() != m || A.cols() != n)
-    throw std::invalid_argument("tsqr_apply_q: factor/matrix mismatch");
-  if (Yin.rows() != n) throw std::invalid_argument("tsqr_apply_q: Y rows");
-  const int k = Yin.cols();
-  C.resize(m, k);
-  if (k == 0) return;
-  if (n == 0) {
-    C.fill(0.0);
-    return;
-  }
-  Workspace local;
-  Workspace& arena = ws ? *ws : local;
-
-  // Walk the tree top-down, expanding each node's coefficients into its two
-  // children; the leaf stage then expands each block's n coefficients into
-  // the block's rows of C.
-  Matrix& S0 = arena.mat("qr.tsqr.aS0", nb * n, k);
-  Matrix& S1 = arena.mat("qr.tsqr.aS1", ((nb + 1) / 2) * n, k);
-  Matrix* src = (f.level_count.size() % 2 == 0) ? &S0 : &S1;
-  Matrix* dst = nullptr;
-  for (int j = 0; j < k; ++j) {
-    const double* s = Yin.data() + static_cast<std::size_t>(j) * n;
-    double* d = src->data() + static_cast<std::size_t>(j) * src->rows();
-    for (int i = 0; i < n; ++i) d[i] = s[i];
-  }
-  Matrix* zbuf = nullptr;
-  if (nb > 1) zbuf = &arena.mat("qr.tsqr.aZ", 2 * n, k * (nb / 2));
-  for (std::size_t li = f.level_count.size(); li-- > 0;) {
-    const int c = f.level_count[li];
-    const int pairs = c / 2;
-    dst = (src == &S0) ? &S1 : &S0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (pairs > 1))
-    for (int p = 0; p < pairs; ++p) {
-      const double* nd =
-          f.tree.data() +
-          static_cast<std::size_t>(f.level_off[li] + p) * n * (2 * n);
-      const double* nbp =
-          f.tree_beta.data() +
-          static_cast<std::size_t>(f.level_off[li] + p) * n;
-      double* z = zbuf->data() + static_cast<std::size_t>(p) * k * (2 * n);
-      const int lds = src->rows();
-      for (int j = 0; j < k; ++j) {
-        const double* s = src->data() + static_cast<std::size_t>(j) * lds +
-                          static_cast<std::size_t>(p) * n;
-        double* zj = z + static_cast<std::size_t>(j) * (2 * n);
-        for (int i = 0; i < n; ++i) zj[i] = s[i];
-        for (int i = 0; i < n; ++i) zj[n + i] = 0.0;
-      }
-      apply_block(nd, 2 * n, nbp, 2 * n, n, z, 2 * n, k, /*transpose=*/false);
-      const int ldd = dst->rows();
-      for (int j = 0; j < k; ++j) {
-        const double* zj = z + static_cast<std::size_t>(j) * (2 * n);
-        double* d = dst->data() + static_cast<std::size_t>(j) * ldd;
-        for (int i = 0; i < n; ++i) d[2 * p * n + i] = zj[i];
-        for (int i = 0; i < n; ++i) d[(2 * p + 1) * n + i] = zj[n + i];
-      }
-    }
-    if (c & 1) {
-      for (int j = 0; j < k; ++j) {
-        const double* s = src->data() + static_cast<std::size_t>(j) * src->rows() +
-                          static_cast<std::size_t>(pairs) * n;
-        double* d = dst->data() + static_cast<std::size_t>(j) * dst->rows() +
-                    static_cast<std::size_t>(c - 1) * n;
-        for (int i = 0; i < n; ++i) d[i] = s[i];
-      }
-    }
-    src = dst;
-  }
-
-  const double* Ad = A.data();
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (nb > 1))
-  for (int b = 0; b < nb; ++b) {
-    const int r0 = f.row0[static_cast<std::size_t>(b)];
-    const int rows = f.row0[static_cast<std::size_t>(b) + 1] - r0;
-    for (int j = 0; j < k; ++j) {
-      const double* s = src->data() + static_cast<std::size_t>(j) * src->rows() +
-                        static_cast<std::size_t>(b) * n;
-      double* d = C.data() + static_cast<std::size_t>(j) * m + r0;
-      for (int i = 0; i < n; ++i) d[i] = s[i];
-      for (int i = n; i < rows; ++i) d[i] = 0.0;
-    }
-    apply_block(Ad + r0, m,
-                f.leaf_beta.data() + static_cast<std::size_t>(b) * n, rows, n,
-                C.data() + r0, m, k, /*transpose=*/false);
-  }
-}
-
-void qr_factor_in_place(Matrix& A, Vector& beta, Workspace* ws) {
-  const int m = A.rows();
-  const int n = A.cols();
-  if (m < n) throw std::invalid_argument("qr_factor: requires m >= n");
-  beta.resize(static_cast<std::size_t>(n));
-  std::fill(beta.begin(), beta.end(), 0.0);
-  if (n == 0) return;
-  if (backend() == Backend::kReference) {
-    qr_factor_reference(A, beta);
-    return;
-  }
-  Workspace local;
-  qr_factor_blocked(A, beta, ws ? *ws : local);
-}
-
-QrFactor qr_factor(const Matrix& A) {
-  QrFactor f{A, Vector()};
-  qr_factor_in_place(f.qr, f.beta);
-  return f;
-}
-
-void apply_qt(const QrFactor& f, Vector& v) {
-  const int m = f.qr.rows();
-  const int n = f.qr.cols();
-  if (static_cast<int>(v.size()) != m)
-    throw std::invalid_argument("apply_qt: size mismatch");
-  for (int j = 0; j < n; ++j) {
-    if (f.beta[j] == 0.0) continue;
-    double s = v[j];
-    for (int i = j + 1; i < m; ++i) s += f.qr(i, j) * v[i];
-    s *= f.beta[j];
-    v[j] -= s;
-    for (int i = j + 1; i < m; ++i) v[i] -= s * f.qr(i, j);
-  }
-}
-
-void apply_qt_in_place(const Matrix& qr, const Vector& beta, Matrix& C,
-                       Workspace* ws) {
-  apply_q_or_qt(qr, beta, C, /*transpose=*/true, ws);
-}
-
-void apply_q_in_place(const Matrix& qr, const Vector& beta, Matrix& C,
-                      Workspace* ws) {
-  apply_q_or_qt(qr, beta, C, /*transpose=*/false, ws);
 }
 
 void r_solve_in_place(const Matrix& qr, Matrix& B) {
@@ -712,83 +193,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (nrhs > 1))
       b[i] = s / ri[i];
     }
   }
-}
-
-Vector least_squares(const Matrix& A, const Vector& b) {
-  if (static_cast<int>(b.size()) != A.rows())
-    throw std::invalid_argument("least_squares: size mismatch");
-  const QrFactor f = qr_factor(A);
-  Vector y = b;
-  apply_qt(f, y);
-  const int n = A.cols();
-  Vector x(static_cast<std::size_t>(n));
-  for (int i = n - 1; i >= 0; --i) {
-    if (f.qr(i, i) == 0.0)
-      throw std::runtime_error("least_squares: rank-deficient system");
-    double s = y[i];
-    for (int k = i + 1; k < n; ++k) s -= f.qr(i, k) * x[k];
-    x[i] = s / f.qr(i, i);
-  }
-  return x;
-}
-
-Matrix least_squares(const Matrix& A, const Matrix& B) {
-  if (B.rows() != A.rows())
-    throw std::invalid_argument("least_squares: size mismatch");
-  Workspace ws;
-  if (tsqr_selected(QrScheme::kAuto, A.rows(), A.cols())) {
-    Matrix QR = A;
-    TsqrFactor f;
-    tsqr_factor_in_place(QR, f, &ws);
-    Matrix X;
-    tsqr_apply_qt(QR, f, B, X, &ws);
-    r_solve_in_place(QR, X);
-    return X;
-  }
-  Matrix QR = A;
-  Vector beta;
-  qr_factor_in_place(QR, beta, &ws);
-  Matrix Y = B;
-  apply_qt_in_place(QR, beta, Y, &ws);
-  const int n = A.cols();
-  Matrix X(n, B.cols());
-  for (int j = 0; j < B.cols(); ++j) {
-    const auto src = Y.col(j);
-    auto dst = X.col(j);
-    for (int i = 0; i < n; ++i) dst[i] = src[i];
-  }
-  r_solve_in_place(QR, X);
-  return X;
-}
-
-Matrix economy_q(const QrFactor& f) {
-  const int m = f.qr.rows();
-  const int n = f.qr.cols();
-  Matrix Q(m, n, 0.0);
-  Vector e(static_cast<std::size_t>(m));
-  for (int j = 0; j < n; ++j) {
-    std::fill(e.begin(), e.end(), 0.0);
-    e[j] = 1.0;
-    // Q e_j = H_0 H_1 ... H_{n-1} e_j, apply reflectors in reverse.
-    for (int p = n - 1; p >= 0; --p) {
-      if (f.beta[p] == 0.0) continue;
-      double s = e[p];
-      for (int i = p + 1; i < m; ++i) s += f.qr(i, p) * e[i];
-      s *= f.beta[p];
-      e[p] -= s;
-      for (int i = p + 1; i < m; ++i) e[i] -= s * f.qr(i, p);
-    }
-    for (int i = 0; i < m; ++i) Q(i, j) = e[i];
-  }
-  return Q;
-}
-
-Matrix economy_r(const QrFactor& f) {
-  const int n = f.qr.cols();
-  Matrix R(n, n, 0.0);
-  for (int j = 0; j < n; ++j)
-    for (int i = 0; i <= j; ++i) R(i, j) = f.qr(i, j);
-  return R;
 }
 
 }  // namespace wfire::la

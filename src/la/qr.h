@@ -1,133 +1,44 @@
-// Householder QR with least-squares solve and the square-root kernels of the
-// QR-based EnKF ensemble-space analysis. The EnKF replaces the ensemble by
-// linear combinations "with the coefficients obtained by solving a least
-// squares problem" (paper Sec. 3.3); this is that solver, also used by the
-// registration smoothness fits and tested against the normal equations.
+// Householder QR R-factors for the square-root EnKF ensemble-space analysis.
+// The EnKF replaces the ensemble by linear combinations "with the
+// coefficients obtained by solving a least squares problem" (paper
+// Sec. 3.3); the analysis needs only the upper-triangular R of one stacked
+// tall-skinny panel plus two triangular solves against it.
 //
-// The factorization dispatches on la::backend() (see la/backend.h):
-//  - blocked: compact-WY panel QR — each panel is factored unblocked (with
-//    the reflector application across panel columns OpenMP-threaded when
-//    tall), then the trailing matrix is updated with three gemm calls
-//    through the blocked kernel backend;
-//  - reference: the original serial column-by-column loop, kept as the
-//    ground truth the blocked path is property-tested against.
-// Scratch for the blocked path is drawn from a caller-supplied la::Workspace
-// (keys "qr.*") so repeated factorizations are allocation-free in steady
-// state; a local arena is used when none is given.
-//
-// For the tall-skinny panels of the image-scale analysis (m >> n), a second
-// *scheme* is available on top of the backend split: communication-avoiding
-// TSQR (tsqr_factor_in_place below). The panel is cut into row blocks, each
-// factored independently (OpenMP across blocks), and the stacked n x n R
-// factors are reduced pairwise in a binary tree; apply-Q / apply-Q^T are
-// reconstructed from the stored leaf and tree reflectors. Selection is
-// runtime: WFIRE_QR_SCHEME=tsqr|blocked (see la/backend.h), with the kAuto
-// default picking tsqr once m >= 8 n and the split yields >= 2 blocks. The
-// blocking depends only on the shape, so results are identical for every
-// thread count.
+// The production factorization is communication-avoiding TSQR
+// (tsqr_factor_r_in_place): the panel is cut into row blocks, each factored
+// independently (OpenMP across blocks), and the stacked n x n R factors are
+// reduced pairwise in a binary tree. A panel too short to split is a single
+// serial leaf. The blocking depends only on the shape, so results are
+// identical for every thread count. qr_factor_in_place is the serial
+// column-by-column Householder chain, kept as the test oracle.
 #pragma once
 
-#include "la/backend.h"
 #include "la/matrix.h"
 #include "la/workspace.h"
 
 namespace wfire::la {
 
-struct QrFactor {
-  // Householder vectors stored below the diagonal of `qr`, R on/above it.
-  Matrix qr;
-  Vector beta;  // Householder scalars
-};
-
-// Factors A (m x n, m >= n) in place: R on/above the diagonal, Householder
-// vectors (scaled so v[j] = 1) below it, scalars in `beta` (resized to n).
-// Throws on m < n.
-void qr_factor_in_place(Matrix& A, Vector& beta, Workspace* ws = nullptr);
-
-// Factors A (m x n, m >= n). Throws on m < n.
-[[nodiscard]] QrFactor qr_factor(const Matrix& A);
-
-// Applies Q^T to a vector (in place, size m) given the factor.
-void apply_qt(const QrFactor& f, Vector& v);
-
-// Applies Q^T to every column of C (in place, C has m rows) given the
-// packed factor + scalars. Blocked backend: compact-WY panels and gemm;
-// reference backend: one reflector at a time.
-void apply_qt_in_place(const Matrix& qr, const Vector& beta, Matrix& C,
-                       Workspace* ws = nullptr);
-
-// Applies Q (not Q^T) to every column of C (in place), reflectors in
-// reverse order. Same backend split as apply_qt_in_place.
-void apply_q_in_place(const Matrix& qr, const Vector& beta, Matrix& C,
-                      Workspace* ws = nullptr);
+// Reference factorization of A (m x n, m >= n) in place: R on/above the
+// diagonal, Householder vectors (scaled so v[j] = 1) below it, scalars in
+// `beta` (resized to n). Throws on m < n.
+void qr_factor_in_place(Matrix& A, Vector& beta);
 
 // Triangular solves with the n x n upper-triangular R stored in the top of
-// the packed factor `qr` (n = qr.cols()); B has n rows and is overwritten
+// the factored matrix `qr` (n = qr.cols()); B has n rows and is overwritten
 // column by column (OpenMP-parallel across right-hand sides). Throws
 // std::runtime_error on a zero diagonal (rank-deficient R).
 void r_solve_in_place(const Matrix& qr, Matrix& B);   // R X = B
 void rt_solve_in_place(const Matrix& qr, Matrix& B);  // R^T X = B
 
-// Minimizes ||A x - b||_2; returns x (size n). Rank deficiency is reported
-// via std::runtime_error (zero diagonal in R).
-[[nodiscard]] Vector least_squares(const Matrix& A, const Vector& b);
+// Number of TSQR row blocks for an m x n panel (1 = no split, serial leaf).
+// A shape-only rule: blocks of max(2n, 128) rows once m reaches two blocks.
+[[nodiscard]] int tsqr_nblocks(int m, int n);
 
-// Multi-RHS variant: returns X with columns solving each column of B.
-[[nodiscard]] Matrix least_squares(const Matrix& A, const Matrix& B);
-
-// Extracts the economy Q (m x n) by applying Householder reflectors to the
-// first n columns of the identity.
-[[nodiscard]] Matrix economy_q(const QrFactor& f);
-
-// Extracts the n x n upper-triangular R.
-[[nodiscard]] Matrix economy_r(const QrFactor& f);
-
-// --- TSQR: communication-avoiding tall-skinny QR ---
-
-// Resolves scheme `s` for an m x n panel: true iff the TSQR path would be
-// used (kBlocked never; kTsqr whenever the row-block split is feasible, i.e.
-// m >= n and at least two blocks; kAuto additionally requires m >= 8 n).
-[[nodiscard]] bool tsqr_selected(QrScheme s, int m, int n);
-
-// TSQR factor bookkeeping. The leaf reflectors stay inside the factored
-// matrix itself (below each row block's local diagonal — the caller keeps
-// that matrix to apply Q); this struct records the block layout, the leaf
-// Householder scalars, and the packed 2n x n reduction-tree node factors.
-// Reusing one TsqrFactor across factorizations is allocation-free once warm
-// (Matrix/Vector resize retains capacity).
-struct TsqrFactor {
-  int m = 0, n = 0;
-  std::vector<int> row0;         // nblocks + 1 row offsets of the blocks
-  Vector leaf_beta;              // nblocks * n Householder scalars
-  Matrix tree;                   // 2n x (n * nnodes) packed node factors
-  Vector tree_beta;              // n scalars per node
-  std::vector<int> level_count;  // R count entering each reduction level
-  std::vector<int> level_off;    // first node index of each level
-  [[nodiscard]] int nblocks() const {
-    return static_cast<int>(row0.size()) - 1;
-  }
-};
-
-// Factors A (m x n, m >= n) with the TSQR scheme: on return the leading
-// n x n upper triangle of A is R, the leaf reflectors sit below each block
-// diagonal of A, and `f` holds the reduction tree. A degenerate split into
-// one block (panel too short) reduces to a serial factorization with an
-// empty tree. Scratch from `ws` (keys "qr.tsqr.*").
-void tsqr_factor_in_place(Matrix& A, TsqrFactor& f, Workspace* ws = nullptr);
-
-// R-only variant for square-root consumers (the EnKF analysis reads just
-// the triangle via r/rt_solve_in_place): same R in the top of A, but all
-// reflector bookkeeping stays in `ws` scratch — with a warm workspace the
-// factorization allocates nothing.
+// TSQR factorization of A (m x n, m >= n): on return the leading n x n
+// upper triangle of A is R (the rest of A is scratch). R agrees with the
+// reference up to the sign of each row. Reflector bookkeeping stays in `ws`
+// scratch (keys "qr.tsqr.*"), so with a warm workspace the factorization
+// allocates nothing. Throws on m < n.
 void tsqr_factor_r_in_place(Matrix& A, Workspace* ws = nullptr);
-
-// Economy applications through the stored block reflectors. `A` must be the
-// matrix factored by tsqr_factor_in_place (it holds the leaf reflectors).
-//   Y (n x k) <- Q^T C  with C m x k (economy Q; C is not modified);
-//   C (m x k) <- Q Y    with Y n x k.
-void tsqr_apply_qt(const Matrix& A, const TsqrFactor& f, const Matrix& C,
-                   Matrix& Y, Workspace* ws = nullptr);
-void tsqr_apply_q(const Matrix& A, const TsqrFactor& f, const Matrix& Y,
-                  Matrix& C, Workspace* ws = nullptr);
 
 }  // namespace wfire::la

@@ -118,8 +118,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic) reduction(+ : reg_res))
   enkf::EnKFOptions eopt;
   eopt.inflation = opt_.inflation;
   eopt.path = opt_.path;
-  eopt.factorization = opt_.factorization;
-  eopt.qr_scheme = opt_.qr_scheme;
   eopt.workspace = &arena;
   stats.enkf = enkf::enkf_analysis(X, HX, d, r_std, rng, eopt);
 

@@ -30,14 +30,6 @@ struct MorphingEnKFOptions {
   double t_weight = 1.0;      // relative weight of T vs r in the state
   double inflation = 1.0;
   enkf::SolverPath path = enkf::SolverPath::kAuto;
-  // Factorization of the inner ensemble-space analysis (image observations
-  // put the morphing filter squarely in the m >> N regime); kDefault follows
-  // WFIRE_ENKF_FACTORIZATION.
-  enkf::Factorization factorization = enkf::Factorization::kDefault;
-  // Panel scheme of the inner QR square-root factorization: the extended
-  // state has m = 3 npix observations, so the stacked panel is exactly the
-  // tall-skinny shape TSQR parallelizes. kAuto follows WFIRE_QR_SCHEME.
-  la::QrScheme qr_scheme = la::QrScheme::kAuto;
 };
 
 // One ensemble member in field form: fields[0] is the registration /

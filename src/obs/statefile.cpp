@@ -78,6 +78,53 @@ void check_header(std::istream& in, const std::string& path) {
     throw std::runtime_error("StateFile: unsupported version in " + path);
 }
 
+// Bytes between the read position and the end of the stream; the read
+// position is left where it was.
+std::uint64_t bytes_left(std::istream& in) {
+  const std::streampos here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streampos end = in.tellg();
+  in.seekg(here);
+  if (!in || here < 0 || end < here)
+    throw std::runtime_error("StateFile: unreadable file");
+  return static_cast<std::uint64_t>(end - here);
+}
+
+struct SectionHeader {
+  std::string name;
+  std::uint64_t count = 0;  // doubles in the payload that follows
+};
+
+// Reads one section header. Both lengths come from the file, so each is
+// bounded by the bytes left in it: a corrupt header fails here with a clean
+// error instead of allocating or seeking without bound.
+SectionHeader read_section_header(std::istream& in) {
+  SectionHeader h;
+  const std::uint32_t len = read_u32(in);
+  if (len > bytes_left(in))
+    throw std::runtime_error("StateFile: truncated file");
+  h.name.assign(len, '\0');
+  in.read(h.name.data(), len);
+  h.count = read_u64(in);
+  if (h.count > bytes_left(in) / sizeof(double))
+    throw std::runtime_error("StateFile: section " + h.name +
+                             " claims more data than the file holds");
+  return h;
+}
+
+void skip_payload(std::istream& in, const SectionHeader& h) {
+  in.seekg(static_cast<std::streamoff>(h.count * sizeof(double)),
+           std::ios::cur);
+}
+
+std::vector<double> read_payload(std::istream& in, const SectionHeader& h) {
+  std::vector<double> values(h.count);
+  in.read(reinterpret_cast<char*>(values.data()),
+          static_cast<std::streamsize>(h.count * sizeof(double)));
+  if (!in) throw std::runtime_error("StateFile: truncated section " + h.name);
+  return values;
+}
+
 }  // namespace
 
 void StateFile::write(const std::string& path, const Sections& sections) {
@@ -125,15 +172,9 @@ Sections StateFile::read(const std::string& path) {
   const std::uint32_t n = read_u32(in);
   Sections out;
   for (std::uint32_t s = 0; s < n; ++s) {
-    const std::uint32_t len = read_u32(in);
-    std::string name(len, '\0');
-    in.read(name.data(), len);
-    const std::uint64_t count = read_u64(in);
-    std::vector<double> values(count);
-    in.read(reinterpret_cast<char*>(values.data()),
-            static_cast<std::streamsize>(count * sizeof(double)));
-    if (!in) throw std::runtime_error("StateFile: truncated section " + name);
-    out.emplace(std::move(name), std::move(values));
+    SectionHeader h = read_section_header(in);
+    std::vector<double> values = read_payload(in, h);
+    out.emplace(std::move(h.name), std::move(values));
   }
   return out;
 }
@@ -146,14 +187,10 @@ std::vector<std::pair<std::string, std::size_t>> StateFile::list_sections(
   const std::uint32_t n = read_u32(in);
   std::vector<std::pair<std::string, std::size_t>> out;
   for (std::uint32_t s = 0; s < n; ++s) {
-    const std::uint32_t len = read_u32(in);
-    std::string name(len, '\0');
-    in.read(name.data(), len);
-    const std::uint64_t count = read_u64(in);
-    in.seekg(static_cast<std::streamoff>(count * sizeof(double)),
-             std::ios::cur);
+    SectionHeader h = read_section_header(in);
+    skip_payload(in, h);
     if (!in) throw std::runtime_error("StateFile: truncated file " + path);
-    out.emplace_back(std::move(name), static_cast<std::size_t>(count));
+    out.emplace_back(std::move(h.name), static_cast<std::size_t>(h.count));
   }
   return out;
 }
@@ -165,19 +202,9 @@ std::vector<double> StateFile::extract(const std::string& path,
   check_header(in, path);
   const std::uint32_t n = read_u32(in);
   for (std::uint32_t s = 0; s < n; ++s) {
-    const std::uint32_t len = read_u32(in);
-    std::string sname(len, '\0');
-    in.read(sname.data(), len);
-    const std::uint64_t count = read_u64(in);
-    if (sname == name) {
-      std::vector<double> values(count);
-      in.read(reinterpret_cast<char*>(values.data()),
-              static_cast<std::streamsize>(count * sizeof(double)));
-      if (!in) throw std::runtime_error("StateFile: truncated section " + name);
-      return values;
-    }
-    in.seekg(static_cast<std::streamoff>(count * sizeof(double)),
-             std::ios::cur);
+    const SectionHeader h = read_section_header(in);
+    if (h.name == name) return read_payload(in, h);
+    skip_payload(in, h);
   }
   throw std::runtime_error("StateFile: section not found: " + name);
 }
@@ -189,20 +216,16 @@ void StateFile::replace(const std::string& path, const std::string& name,
   check_header(io, path);
   const std::uint32_t n = read_u32(io);
   for (std::uint32_t s = 0; s < n; ++s) {
-    const std::uint32_t len = read_u32(io);
-    std::string sname(len, '\0');
-    io.read(sname.data(), len);
-    const std::uint64_t count = read_u64(io);
-    if (sname == name) {
-      if (count != values.size())
+    const SectionHeader h = read_section_header(io);
+    if (h.name == name) {
+      if (h.count != values.size())
         throw std::runtime_error("StateFile: size mismatch replacing " + name);
       io.write(reinterpret_cast<const char*>(values.data()),
                static_cast<std::streamsize>(values.size() * sizeof(double)));
       if (!io) throw std::runtime_error("StateFile: replace failed: " + name);
       return;
     }
-    io.seekg(static_cast<std::streamoff>(count * sizeof(double)),
-             std::ios::cur);
+    skip_payload(io, h);
   }
   throw std::runtime_error("StateFile: section not found: " + name);
 }

@@ -54,6 +54,22 @@ levelset::Ignition unpack_ignition(const double* in) {
   return levelset::LineIgnition{in[1], in[2], in[3], in[4], in[5], in[6]};
 }
 
+// Rejects a spec the model cannot run. Every size and rate must be finite
+// and positive; each test is written so that a NaN fails it.
+void validate(const ScenarioSpec& spec) {
+  const auto positive = [](double v) { return std::isfinite(v) && v > 0; };
+  if (spec.nx < 2 || spec.ny < 2)
+    throw std::invalid_argument("ScenarioSpec: nx and ny must be >= 2");
+  if (!positive(spec.dx) || !positive(spec.dy))
+    throw std::invalid_argument(
+        "ScenarioSpec: dx and dy must be finite and > 0");
+  if (!positive(spec.dt))
+    throw std::invalid_argument("ScenarioSpec: dt must be finite and > 0");
+  if (!positive(spec.fuel_moisture_scale) || !positive(spec.burn_time_scale))
+    throw std::invalid_argument(
+        "ScenarioSpec: fuel scales must be finite and > 0");
+}
+
 }  // namespace
 
 ScenarioServer::ScenarioServer(ServerOptions opt)
@@ -75,9 +91,7 @@ ScenarioServer::Scenario& ScenarioServer::at(ScenarioId id) const {
 }
 
 ScenarioId ScenarioServer::admit(const ScenarioSpec& spec) {
-  if (spec.dt <= 0) throw std::invalid_argument("ScenarioSpec: dt <= 0");
-  if (!(spec.fuel_moisture_scale > 0) || !(spec.burn_time_scale > 0))
-    throw std::invalid_argument("ScenarioSpec: fuel scales must be > 0");
+  validate(spec);
   auto s = std::make_unique<Scenario>();
   s->spec = spec;
   s->grid = grid::Grid2D(spec.nx, spec.ny, spec.dx, spec.dy);

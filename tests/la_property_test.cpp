@@ -3,20 +3,18 @@
 // degenerate (size-1), small-odd, tile-straddling and tall m >> N shapes —
 // plus rank-deficient contents (zero / duplicated columns, low-rank
 // products) — and pins
-//   - blocked vs reference agreement <= 1e-10 for gemm, syrk, Cholesky and
-//     the blocked Householder QR, across random block sizes, and
-//   - qr vs svd ensemble-space analysis increments <= 1e-8 end to end.
+//   - blocked vs reference agreement <= 1e-10 for gemm, syrk and Cholesky,
+//     across random block sizes,
+//   - TSQR vs reference Householder R agreement (row signs normalized) over
+//     single-leaf and multi-block panels, R^T R = A^T A on rank-deficient
+//     inputs, and the triangular solves against R,
+//   - gemm_scaled / syrk_scaled vs explicitly materialized diagonal
+//     scalings, and
+//   - qr vs svd ensemble-space analysis increments <= 1e-8 end to end, on
+//     both kernel backends.
 // This replaces the hand-enumerated shape lists that used to live in
 // la_backend_test.cpp. Every case logs its index and derived seed, so a
 // failure reproduces by construction (the master seeds below are fixed).
-//
-// The TSQR scheme and the fused-scaling kernels (PR 5) are pinned here too:
-//   - tsqr vs blocked vs reference R agreement (row signs normalized) and
-//     apply-Q/Q^T round trips over the same generator,
-//   - gemm_scaled / syrk_scaled vs explicitly materialized diagonal
-//     scalings, and
-//   - EnKF increments per scheme (tsqr and blocked, both backends) vs the
-//     svd reference <= 1e-8.
 //
 // The PackedPanelRegression case at the bottom reproduces the PR 3 bug
 // class (thread_local packed-panel buffers read as empty by OMP workers);
@@ -53,7 +51,7 @@ double rel_err(const Matrix& got, const Matrix& want) {
 }
 
 // Extracts the n x n upper triangle from the top of a factored panel
-// (blocked/reference packed form and the TSQR in-place form both leave R
+// (the reference packed form and the TSQR in-place form both leave R
 // there), zeros below.
 Matrix top_r(const Matrix& A) {
   const int n = A.cols();
@@ -249,117 +247,70 @@ TEST(PropertyCholesky, BlockedFactorMatchesReference) {
   }
 }
 
-TEST(PropertyQr, BlockedMatchesReferenceOnFullRank) {
-  // Full-rank random matrices: the Householder sequence is numerically
-  // stable, so the blocked (compact-WY) path must reproduce the reference
-  // factor — R, the packed reflectors and the scalars — to tight tolerance.
-  CaseGen gen(0x9A7B0537ULL);
-  for (int c = 0; c < 28; ++c) {
-    const int nb = gen.block();
-    ScopedBackend scope(Backend::kBlocked, nb);
-    const int n = c % 3 == 0 ? gen.skinny() : gen.dim(nb);
-    const int m = c % 3 == 0 ? gen.tall() : n + static_cast<int>(
-                                                    gen.rng().uniform_int(40));
-    const Matrix A = gen.dense(m, n);
-    Matrix qr_ref = A, qr_blk = A;
-    Vector beta_ref, beta_blk;
-    Workspace ws;
-    {
-      ScopedBackend ref(Backend::kReference);
-      qr_factor_in_place(qr_ref, beta_ref);
-    }
-    qr_factor_in_place(qr_blk, beta_blk, &ws);
-    ASSERT_LE(rel_err(qr_blk, qr_ref), 1e-10)
-        << "case " << c << ": " << m << "x" << n << " nb " << nb;
-    for (int j = 0; j < n; ++j)
-      ASSERT_NEAR(beta_blk[j], beta_ref[j], 1e-10)
-          << "case " << c << " beta[" << j << "]";
-  }
-}
-
-TEST(PropertyQr, EachBackendReconstructsRankDeficient) {
+TEST(PropertyQr, RtRReproducesGramOnRankDeficient) {
   // Rank-deficient inputs admit many valid QR factorizations (a numerically
-  // zero pivot column makes the reflector direction arbitrary), so blocked
-  // and reference are each pinned to the defining property Q R = A with
-  // orthonormal Q instead of to each other.
+  // zero pivot column makes the reflector direction arbitrary), so the
+  // reference chain and TSQR are each pinned to the property the square-root
+  // analysis relies on, R^T R = A^T A, instead of to each other. Row counts
+  // reach several TSQR blocks so the reduction tree sees the deficiency too.
   CaseGen gen(0xDEF1C1E47ULL);
-  for (int c = 0; c < 16; ++c) {
-    const int nb = gen.block();
+  for (int c = 0; c < 24; ++c) {
     const int n = 2 + static_cast<int>(gen.rng().uniform_int(24));
-    const int m = n + static_cast<int>(gen.rng().uniform_int(120));
-    const Matrix A = gen.deficient(m, n);
-    for (const Backend be : {Backend::kReference, Backend::kBlocked}) {
-      ScopedBackend scope(be, nb);
-      const QrFactor f = qr_factor(A);
-      const Matrix Q = economy_q(f);
-      const Matrix R = economy_r(f);
-      ASSERT_LE(rel_err(matmul(Q, R), A), 1e-10)
-          << "case " << c << ": " << m << "x" << n << " backend "
-          << (be == Backend::kBlocked ? "blocked" : "reference");
-      ASSERT_LE(rel_err(matmul(Q, Q, true, false), Matrix::identity(n)), 1e-10)
-          << "case " << c << " Q^T Q";
+    const int m = n + static_cast<int>(gen.rng().uniform_int(900));
+    const Matrix A = c % 4 == 3 ? gen.dense(m, n) : gen.deficient(m, n);
+    Matrix gram(n, n);
+    gemm(true, false, 1.0, A, A, 0.0, gram);
+    Matrix qr_ref = A, qr_tsqr = A;
+    Vector beta;
+    Workspace ws;
+    qr_factor_in_place(qr_ref, beta);
+    tsqr_factor_r_in_place(qr_tsqr, &ws);
+    for (const Matrix* f : {&qr_ref, &qr_tsqr}) {
+      const Matrix R = top_r(*f);
+      Matrix rtr(n, n);
+      gemm(true, false, 1.0, R, R, 0.0, rtr);
+      ASSERT_LE(rel_err(rtr, gram), 1e-10)
+          << "case " << c << ": " << m << "x" << n << " blocks "
+          << tsqr_nblocks(m, n) << (f == &qr_ref ? " reference" : " tsqr");
     }
   }
 }
 
-TEST(PropertyQr, ApplyQtAndTriangularSolvesRoundTrip) {
+TEST(PropertyQr, TriangularSolvesRoundTrip) {
   CaseGen gen(0xAB5013DULL);
   for (int c = 0; c < 16; ++c) {
-    const int nb = gen.block();
-    ScopedBackend scope(Backend::kBlocked, nb);
     const int n = 2 + static_cast<int>(gen.rng().uniform_int(60));
     const int m = n + static_cast<int>(gen.rng().uniform_int(300));
     const int nrhs = 1 + static_cast<int>(gen.rng().uniform_int(20));
-    const Matrix A = gen.dense(m, n);
-    const Matrix B = gen.dense(m, nrhs);
+    Matrix QR = gen.dense(m, n);
     Workspace ws;
-    Matrix QR = A;
-    Vector beta;
-    qr_factor_in_place(QR, beta, &ws);
-
-    // Blocked apply-Q^T equals the per-column reflector loop.
-    Matrix C_blk = B;
-    apply_qt_in_place(QR, beta, C_blk, &ws);
-    const QrFactor f{QR, beta};
-    Matrix C_col(m, nrhs);
-    for (int j = 0; j < nrhs; ++j) {
-      Vector v(B.col(j).begin(), B.col(j).end());
-      apply_qt(f, v);
-      auto dst = C_col.col(j);
-      std::copy(v.begin(), v.end(), dst.begin());
-    }
-    ASSERT_LE(rel_err(C_blk, C_col), 1e-10) << "case " << c;
-
-    // Q (Q^T B) = B.
-    Matrix C_round = C_blk;
-    apply_q_in_place(QR, beta, C_round, &ws);
-    ASSERT_LE(rel_err(C_round, B), 1e-10) << "case " << c;
+    tsqr_factor_r_in_place(QR, &ws);
+    const Matrix R = top_r(QR);
 
     // R^T (R x) round trip through the triangular solves.
     Matrix Z = gen.dense(n, nrhs);
     Matrix Y(n, nrhs);
-    gemm(false, false, 1.0, economy_r(f), Z, 0.0, Y);  // Y = R Z
+    gemm(false, false, 1.0, R, Z, 0.0, Y);  // Y = R Z
     r_solve_in_place(QR, Y);
     ASSERT_LE(rel_err(Y, Z), 1e-8) << "case " << c << " r_solve";
-    gemm(true, false, 1.0, economy_r(f), Z, 0.0, Y);  // Y = R^T Z
+    gemm(true, false, 1.0, R, Z, 0.0, Y);  // Y = R^T Z
     rt_solve_in_place(QR, Y);
     ASSERT_LE(rel_err(Y, Z), 1e-8) << "case " << c << " rt_solve";
   }
 }
 
-TEST(PropertyTsqr, RAgreesWithBlockedAndReference) {
+TEST(PropertyTsqr, RAgreesWithReference) {
   // The TSQR reduction tree must produce the same R (up to row signs) as
-  // the blocked compact-WY chain and the serial reference, across tall
-  // full-rank shapes including block-straddling row counts (the 128-row
-  // leaf split) and odd block counts (the pass-through tree edge).
+  // the serial reference chain, across tall full-rank shapes including
+  // block-straddling row counts (the 128-row leaf split), odd block counts
+  // (the pass-through tree edge) and panels too short to split (one leaf).
   CaseGen gen(0x75A21D0ULL);
-  for (int c = 0; c < 24; ++c) {
-    const int nb = gen.block();
+  int single = 0, multi = 0;
+  Workspace ws;  // shared across cases: reshaped scratch must not leak
+  for (int c = 0; c < 32; ++c) {
     const int n = gen.skinny();
-    // Mix generic tall shapes with ones straddling the leaf split: exact
-    // multiples of the 128-row block +/- 1, and odd block counts.
     int m;
-    switch (c % 3) {
+    switch (c % 4) {
       case 0:
         m = gen.tall();
         break;
@@ -367,80 +318,29 @@ TEST(PropertyTsqr, RAgreesWithBlockedAndReference) {
         m = 128 * (2 + static_cast<int>(gen.rng().uniform_int(6))) +
             static_cast<int>(gen.rng().uniform_int(3)) - 1;
         break;
-      default:
+      case 2:
         m = 128 * (3 + 2 * static_cast<int>(gen.rng().uniform_int(3)));
+        break;
+      default:  // below the two-block threshold: a single serial leaf
+        m = n + static_cast<int>(gen.rng().uniform_int(256 - n));
         break;
     }
     m = std::max(m, n);
+    (tsqr_nblocks(m, n) == 1 ? single : multi) += 1;
     const Matrix A = gen.dense(m, n);
-    Matrix qr_ref = A, qr_blk = A, qr_tsqr = A;
-    Vector beta_ref, beta_blk;
-    Workspace ws;
-    TsqrFactor f;
-    {
-      ScopedBackend ref(Backend::kReference);
-      qr_factor_in_place(qr_ref, beta_ref);
-    }
-    {
-      ScopedBackend blk(Backend::kBlocked, nb);
-      qr_factor_in_place(qr_blk, beta_blk, &ws);
-      tsqr_factor_in_place(qr_tsqr, f, &ws);
-    }
-    Matrix R_ref = top_r(qr_ref), R_blk = top_r(qr_blk),
-           R_tsqr = top_r(qr_tsqr);
+    Matrix qr_ref = A, qr_tsqr = A;
+    Vector beta_ref;
+    qr_factor_in_place(qr_ref, beta_ref);
+    tsqr_factor_r_in_place(qr_tsqr, &ws);
+    Matrix R_ref = top_r(qr_ref), R_tsqr = top_r(qr_tsqr);
     normalize_r_signs(R_ref);
-    normalize_r_signs(R_blk);
     normalize_r_signs(R_tsqr);
     ASSERT_LE(rel_err(R_tsqr, R_ref), 1e-10)
-        << "case " << c << ": " << m << "x" << n << " tsqr vs reference";
-    ASSERT_LE(rel_err(R_tsqr, R_blk), 1e-10)
-        << "case " << c << ": " << m << "x" << n << " tsqr vs blocked";
-
-    // R-only variant: identical triangle from the workspace-resident path.
-    Matrix qr_ronly = A;
-    tsqr_factor_r_in_place(qr_ronly, &ws);
-    Matrix R_ronly = top_r(qr_ronly);
-    normalize_r_signs(R_ronly);
-    ASSERT_LE(rel_err(R_ronly, R_tsqr), 1e-10) << "case " << c << " r-only";
+        << "case " << c << ": " << m << "x" << n << " blocks "
+        << tsqr_nblocks(m, n);
   }
-}
-
-TEST(PropertyTsqr, AppliesReconstructAndRoundTrip) {
-  // Q reconstructed from the stored leaf/tree reflectors must satisfy the
-  // defining properties — Q R = A and Q^T Q = I — including on
-  // rank-deficient inputs, where R's row signs (and the reflector
-  // directions) are arbitrary but the products are not.
-  CaseGen gen(0x7509AB31ULL);
-  for (int c = 0; c < 16; ++c) {
-    const int n = 2 + static_cast<int>(gen.rng().uniform_int(24));
-    const int m = n + static_cast<int>(gen.rng().uniform_int(900));
-    const int k = 1 + static_cast<int>(gen.rng().uniform_int(12));
-    const Matrix A = c % 4 == 3 ? gen.deficient(m, n) : gen.dense(m, n);
-    Workspace ws;
-    Matrix QR = A;
-    TsqrFactor f;
-    tsqr_factor_in_place(QR, f, &ws);
-
-    // Q R = A.
-    Matrix QRprod;
-    tsqr_apply_q(QR, f, top_r(QR), QRprod, &ws);
-    ASSERT_LE(rel_err(QRprod, A), 1e-10)
-        << "case " << c << ": " << m << "x" << n << " QR = A";
-
-    // Q^T A = R (economy).
-    Matrix Y;
-    tsqr_apply_qt(QR, f, A, Y, &ws);
-    ASSERT_LE(rel_err(Y, top_r(QR)), 1e-10) << "case " << c << " Q^T A = R";
-
-    // Q^T (Q Z) = Z for arbitrary coefficients: orthonormality of the
-    // reconstructed economy Q.
-    const Matrix Z = gen.dense(n, k);
-    Matrix C;
-    tsqr_apply_q(QR, f, Z, C, &ws);
-    Matrix Z2;
-    tsqr_apply_qt(QR, f, C, Z2, &ws);
-    ASSERT_LE(rel_err(Z2, Z), 1e-10) << "case " << c << " round trip";
-  }
+  EXPECT_GT(single, 0) << "no single-leaf panel drawn";
+  EXPECT_GT(multi, 0) << "no multi-block panel drawn";
 }
 
 TEST(PropertyGemmScaled, MatchesMaterializedScaling) {
@@ -524,19 +424,38 @@ TEST(PropertySyrkScaled, MatchesMaterializedScaling) {
 }
 
 TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
-  // End-to-end pin of the tentpole: the QR square-root ensemble-space
+  // End-to-end pin of the square-root analysis: the QR ensemble-space
   // analysis must match the SVD path on the same problem (same innovation
   // draws) to <= 1e-8 relative increment error, across shapes including
   // m >> N image scale and rank-deficient ensembles, on both kernel
-  // backends.
+  // backends. The shape generator cycles through the three panel regimes
+  // of the TSQR factorization: a multi-block split, a stacked panel too
+  // short to split (m + N < 256, one serial leaf), and m < N, where the qr
+  // path must factor the m x m (not N x N) square-root system.
   CaseGen gen(0xE2DF4C70ULL);
+  int multi = 0, single = 0, wide = 0;
   for (int c = 0; c < 12; ++c) {
     const int N = 4 + static_cast<int>(gen.rng().uniform_int(24));
-    // Mostly the m >> N image regime; every third case forces m < N, where
-    // the qr path must factor the m x m (not N x N) square-root system.
-    const int m = c % 3 == 2
-                      ? 2 + static_cast<int>(gen.rng().uniform_int(N - 2))
-                      : 2 * N + 1 + static_cast<int>(gen.rng().uniform_int(700));
+    int m;
+    switch (c % 3) {
+      case 0:  // stacked panel splits into >= 2 row blocks
+        m = 256 + static_cast<int>(gen.rng().uniform_int(700));
+        break;
+      case 1:  // m > 2N but the stacked panel stays a single leaf
+        m = 2 * N + 1 +
+            static_cast<int>(gen.rng().uniform_int(256 - 3 * N - 1));
+        break;
+      default:  // m < N
+        m = 2 + static_cast<int>(gen.rng().uniform_int(N - 2));
+        break;
+    }
+    const int rdim = std::min(m, N);
+    if (m < N)
+      ++wide;
+    else if (tsqr_nblocks(m + N, rdim) == 1)
+      ++single;
+    else
+      ++multi;
     const int n = 20 + static_cast<int>(gen.rng().uniform_int(100));
     Matrix X(n, N);
     for (int k = 0; k < N; ++k)
@@ -567,8 +486,7 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
       Matrix Xs = X;
       opt.factorization = Factorization::kSvd;
       Rng rs(rng_seed);
-      const auto ss = wfire::enkf::enkf_analysis(Xs, HX, d, r_std, rs, opt);
-      EXPECT_EQ(ss.factorization_used, Factorization::kSvd);
+      wfire::enkf::enkf_analysis(Xs, HX, d, r_std, rs, opt);
 
       // Relative to the size of the svd-path increment, not of X.
       Matrix inc(n, N);
@@ -576,32 +494,19 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
         for (int i = 0; i < n; ++i) inc(i, k) = Xs(i, k) - X(i, k);
       const double scale = std::max(frobenius_norm(inc), 1e-12);
 
-      // Both panel schemes of the qr square-root path must match the svd
-      // reference (same innovation draws) — and must report the scheme
-      // they actually ran, with kTsqr honored whenever the stacked panel
-      // splits into row blocks.
-      for (const QrScheme scheme : {QrScheme::kBlocked, QrScheme::kTsqr}) {
-        Matrix Xq = X;
-        opt.factorization = Factorization::kQr;
-        opt.qr_scheme = scheme;
-        Rng rq(rng_seed);
-        const auto sq = wfire::enkf::enkf_analysis(Xq, HX, d, r_std, rq, opt);
-        EXPECT_EQ(sq.factorization_used, Factorization::kQr);
-        const int rdim = std::min(m, N);
-        const bool want_tsqr =
-            scheme == QrScheme::kTsqr && tsqr_selected(scheme, m + N, rdim);
-        EXPECT_EQ(sq.qr_scheme_used,
-                  want_tsqr ? QrScheme::kTsqr : QrScheme::kBlocked)
-            << "case " << c << " scheme resolution";
-        ASSERT_LE(max_abs_diff(Xq, Xs) / scale, 1e-8)
-            << "case " << c << ": n " << n << " m " << m << " N " << N
-            << " backend "
-            << (be == Backend::kBlocked ? "blocked" : "reference")
-            << " scheme "
-            << (scheme == QrScheme::kTsqr ? "tsqr" : "blocked");
-      }
+      Matrix Xq = X;
+      opt.factorization = Factorization::kQr;
+      Rng rq(rng_seed);
+      wfire::enkf::enkf_analysis(Xq, HX, d, r_std, rq, opt);
+      ASSERT_LE(max_abs_diff(Xq, Xs) / scale, 1e-8)
+          << "case " << c << ": n " << n << " m " << m << " N " << N
+          << " blocks " << tsqr_nblocks(m + N, rdim) << " backend "
+          << (be == Backend::kBlocked ? "blocked" : "reference");
     }
   }
+  EXPECT_GT(multi, 0) << "no multi-block panel drawn";
+  EXPECT_GT(single, 0) << "no single-leaf m >= N panel drawn";
+  EXPECT_GT(wide, 0) << "no m < N system drawn";
 }
 
 // Regression for the PR 3 bug class: gemm/syrk pack shared panels into
@@ -641,62 +546,37 @@ TEST(PackedPanelRegression, BlockedKernelsWithTilesSmallerThanPanels) {
   }
   cholesky_factor(S0, L1);
   ASSERT_LE(rel_err(L1, L0), 1e-10) << "cholesky";
-
-  // The blocked QR drives its trailing updates through the same gemm.
-  Matrix Q0 = Matrix::random_normal(140, 90, rng);
-  Matrix Q1 = Q0;
-  Vector b0, b1;
-  {
-    ScopedBackend ref(Backend::kReference);
-    qr_factor_in_place(Q0, b0);
-  }
-  Workspace ws;
-  qr_factor_in_place(Q1, b1, &ws);
-  ASSERT_LE(rel_err(Q1, Q0), 1e-10) << "qr";
 }
 
 // Regression for the TSQR row-block reduction tree under real OpenMP
 // concurrency (the PR 3/PR 4 bug class: worker-visible state that a 1-core
 // container cannot distinguish from correct). The leaf stage and every tree
 // level run `omp parallel for` over blocks/pairs; shapes are chosen so the
-// tree has several levels *and* odd pass-through nodes, and the whole
-// factor-apply pipeline plus an end-to-end tsqr-scheme analysis are checked
-// against serial ground truth. tests/CMakeLists.txt re-runs this suite with
-// OMP_NUM_THREADS=4.
+// tree has several levels *and* odd pass-through nodes, and the R factor
+// plus an end-to-end qr analysis are checked against serial ground truth.
+// tests/CMakeLists.txt re-runs this suite with OMP_NUM_THREADS=4.
 TEST(TsqrTreeRegression, RowBlockTreeWithFourThreads) {
   Rng rng(0x7C4EEULL);
   // 11 blocks of 128 rows (odd count at multiple levels: 11 -> 6 -> 3 -> 2
   // -> 1) with a ragged last block.
-  const int m = 128 * 11 + 37, n = 24, k = 9;
+  const int m = 128 * 11 + 37, n = 24;
+  ASSERT_GE(tsqr_nblocks(m, n), 11);
   const Matrix A = Matrix::random_normal(m, n, rng);
   Matrix qr_ref = A, qr_tsqr = A;
   Vector beta_ref;
-  {
-    ScopedBackend ref(Backend::kReference);
-    qr_factor_in_place(qr_ref, beta_ref);
-  }
+  qr_factor_in_place(qr_ref, beta_ref);
   Workspace ws;
-  TsqrFactor f;
-  tsqr_factor_in_place(qr_tsqr, f, &ws);
-  ASSERT_GE(f.nblocks(), 11);
+  tsqr_factor_r_in_place(qr_tsqr, &ws);
   Matrix R_ref = top_r(qr_ref), R_tsqr = top_r(qr_tsqr);
   normalize_r_signs(R_ref);
   normalize_r_signs(R_tsqr);
   ASSERT_LE(rel_err(R_tsqr, R_ref), 1e-10) << "tree R";
 
-  // Apply pipeline under the same thread count.
-  Matrix QRprod;
-  tsqr_apply_q(qr_tsqr, f, top_r(qr_tsqr), QRprod, &ws);
-  ASSERT_LE(rel_err(QRprod, A), 1e-10) << "QR = A";
-  const Matrix Z = Matrix::random_normal(n, k, rng);
-  Matrix C, Z2;
-  tsqr_apply_q(qr_tsqr, f, Z, C, &ws);
-  tsqr_apply_qt(qr_tsqr, f, C, Z2, &ws);
-  ASSERT_LE(rel_err(Z2, Z), 1e-10) << "round trip";
-
-  // End-to-end: a forced-tsqr ensemble-space analysis against the blocked
-  // scheme on the same draws (the tree feeds the triangular solves).
+  // End-to-end: an ensemble-space analysis whose stacked panel splits into
+  // many row blocks, against the svd reference on the same draws (the tree
+  // feeds the triangular solves).
   const int nstate = 96, N = 16, mobs = 1500;
+  ASSERT_GE(tsqr_nblocks(mobs + N, N), 11);
   Matrix X(nstate, N), HX(mobs, N);
   for (int c = 0; c < N; ++c) {
     for (int i = 0; i < nstate; ++i) X(i, c) = rng.normal();
@@ -711,45 +591,16 @@ TEST(TsqrTreeRegression, RowBlockTreeWithFourThreads) {
   EnKFOptions opt;
   opt.path = SolverPath::kEnsembleSpace;
   opt.factorization = Factorization::kQr;
-  opt.qr_scheme = QrScheme::kTsqr;
   Matrix Xt = X;
   Rng r1(77);
-  const auto st = wfire::enkf::enkf_analysis(Xt, HX, d, r_std, r1, opt);
-  EXPECT_EQ(st.qr_scheme_used, QrScheme::kTsqr);
-  opt.qr_scheme = QrScheme::kBlocked;
-  Matrix Xb = X;
+  wfire::enkf::enkf_analysis(Xt, HX, d, r_std, r1, opt);
+  opt.factorization = Factorization::kSvd;
+  Matrix Xs = X;
   Rng r2(77);
-  const auto sb = wfire::enkf::enkf_analysis(Xb, HX, d, r_std, r2, opt);
-  EXPECT_EQ(sb.qr_scheme_used, QrScheme::kBlocked);
+  wfire::enkf::enkf_analysis(Xs, HX, d, r_std, r2, opt);
   Matrix inc(nstate, N);
   for (int c = 0; c < N; ++c)
-    for (int i = 0; i < nstate; ++i) inc(i, c) = Xb(i, c) - X(i, c);
+    for (int i = 0; i < nstate; ++i) inc(i, c) = Xs(i, c) - X(i, c);
   const double scale = std::max(frobenius_norm(inc), 1e-12);
-  ASSERT_LE(max_abs_diff(Xt, Xb) / scale, 1e-8) << "tsqr vs blocked analysis";
-}
-
-TEST(TsqrScheme, ProcessDefaultDrivesAutoResolution) {
-  // EnKFOptions::kAuto follows the process default (itself WFIRE_QR_SCHEME
-  // at startup): forcing it via ScopedQrScheme must flip the scheme the
-  // analysis resolves, without touching the options.
-  Rng rng(0x5C4E3EULL);
-  const int nstate = 40, N = 8, mobs = 700;
-  Matrix X(nstate, N), HX(mobs, N);
-  for (int c = 0; c < N; ++c) {
-    for (int i = 0; i < nstate; ++i) X(i, c) = rng.normal();
-    for (int i = 0; i < mobs; ++i)
-      HX(i, c) = X(i % nstate, c) + 0.1 * rng.normal();
-  }
-  Vector d(static_cast<std::size_t>(mobs), 0.5);
-  Vector r_std(static_cast<std::size_t>(mobs), 0.8);
-  EnKFOptions opt;
-  opt.path = SolverPath::kEnsembleSpace;
-  opt.factorization = Factorization::kQr;
-  for (const QrScheme forced : {QrScheme::kBlocked, QrScheme::kTsqr}) {
-    ScopedQrScheme scope(forced);
-    Matrix Xa = X;
-    Rng r(3);
-    const auto s = wfire::enkf::enkf_analysis(Xa, HX, d, r_std, r, opt);
-    EXPECT_EQ(s.qr_scheme_used, forced) << "process default not honored";
-  }
+  ASSERT_LE(max_abs_diff(Xt, Xs) / scale, 1e-8) << "qr vs svd analysis";
 }

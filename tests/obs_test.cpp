@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 
@@ -126,6 +127,28 @@ TEST(StateFile, TruncatedFileFailsCleanly) {
   }
   // The untouched original still reads.
   EXPECT_EQ(StateFile::read(path).size(), 2u);
+}
+
+TEST(StateFile, CorruptSectionCountFailsCleanly) {
+  // A header whose u64 double count claims 2^60 values (8 EiB) must be
+  // rejected against the file size before anything is allocated or skipped,
+  // by every reader.
+  TmpDir tmp;
+  const std::string path = std::string(kTmp) + "/huge.wfst";
+  StateFile::write(path, {{"psi", {1, 2, 3}}, {"tig", {4}}});
+  {
+    // Layout: magic(4) version(4) nsections(4) | name_len(4) "psi"(3) count(8)
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(4 + 4 + 4 + 4 + 3);
+    const std::uint64_t huge = std::uint64_t{1} << 60;
+    io.write(reinterpret_cast<const char*>(&huge), sizeof huge);
+  }
+  EXPECT_THROW(StateFile::read(path), std::runtime_error);
+  EXPECT_THROW(StateFile::list_sections(path), std::runtime_error);
+  EXPECT_THROW(StateFile::extract(path, "psi"), std::runtime_error);
+  EXPECT_THROW(StateFile::extract(path, "tig"), std::runtime_error);
+  EXPECT_THROW(StateFile::replace(path, "tig", std::vector<double>{5}),
+               std::runtime_error);
 }
 
 TEST(StateFile, TempPathPredicate) {

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <fstream>
 #include <new>
 
@@ -444,15 +445,33 @@ TEST(ScenarioServer, FuelScalesPerturbTheTrajectory) {
   const fire::FireState a = solo_state(fast, 30.0);
   const fire::FireState b = solo_state(slow, 30.0);
   EXPECT_FALSE(a.psi == b.psi);
+}
 
-  // Invalid scales are rejected at admission.
-  ScenarioSpec bad = small_spec(34);
-  bad.fuel_moisture_scale = 0.0;
+TEST(ScenarioServer, AdmitRejectsNonFiniteOrNonPositiveSpecFields) {
+  // At least one bad value per validated field; NaN and infinity must not
+  // slip past comparisons that a plain `<= 0` check would let through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const ScenarioSpec good = small_spec(36);
+  std::vector<std::pair<const char*, ScenarioSpec>> cases;
+  const auto bad = [&](const char* field) -> ScenarioSpec& {
+    cases.emplace_back(field, good);
+    return cases.back().second;
+  };
+  bad("nx").nx = 0;
+  bad("ny").ny = 1;
+  bad("dx").dx = nan;
+  bad("dy").dy = -6.0;
+  bad("dt").dt = nan;
+  bad("fuel_moisture_scale").fuel_moisture_scale = inf;
+  bad("fuel_moisture_scale").fuel_moisture_scale = 0.0;
+  bad("burn_time_scale").burn_time_scale = nan;
+  bad("burn_time_scale").burn_time_scale = -2.0;
   ScenarioServer server;
-  EXPECT_THROW(server.admit(bad), std::invalid_argument);
-  bad.fuel_moisture_scale = 1.0;
-  bad.burn_time_scale = -2.0;
-  EXPECT_THROW(server.admit(bad), std::invalid_argument);
+  for (const auto& [field, spec] : cases)
+    EXPECT_THROW(server.admit(spec), std::invalid_argument) << field;
+  // Nothing was admitted, and a valid spec still is.
+  EXPECT_EQ(server.admit(good), 0);
 }
 
 TEST(ScenarioServer, FuelScalesRoundTripThroughCheckpoints) {
