@@ -22,15 +22,6 @@ void compute_tendencies(const grid::Grid3D& g, const AmbientProfile& amb,
                         const DynamicsParams& p, const AtmosState& s,
                         const util::Array3D<double>* theta_src,
                         const util::Array3D<double>* qv_src, Tendencies& t) {
-  compute_tendencies(
-      g, amb, p, s, ForcingView{theta_src ? theta_src->data() : nullptr, 1},
-      ForcingView{qv_src ? qv_src->data() : nullptr, 1}, t);
-}
-
-void compute_tendencies(const grid::Grid3D& g, const AmbientProfile& amb,
-                        const DynamicsParams& p, const AtmosState& s,
-                        ForcingView theta_src, ForcingView qv_src,
-                        Tendencies& t) {
   const int nx = g.nx, ny = g.ny, nz = g.nz;
   if (t.du.empty() || t.du.nx() != nx) t = Tendencies(g);
   const double ihx = 1.0 / g.dx, ihy = 1.0 / g.dy, ihz = 1.0 / g.dz;
@@ -39,7 +30,7 @@ void compute_tendencies(const grid::Grid3D& g, const AmbientProfile& amb,
 
   // ---- scalar advection in flux form + diffusion + sources ----
   auto scalar_tendency = [&](const util::Array3D<double>& f,
-                             const ForcingView src,
+                             const util::Array3D<double>* src,
                              util::Array3D<double>& out) {
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     for (int k = 0; k < nz; ++k) {
@@ -73,9 +64,7 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
                (k < nz - 1 ? f(i, j, k + 1) : c)) *
                   ihz * ihz;
           double val = adv + kappa * lap;
-          if (src.base)
-            val += src.base[((static_cast<std::size_t>(k) * ny + j) * nx + i) *
-                            src.stride];
+          if (src) val += (*src)(i, j, k);
           // Sponge relaxes perturbations to zero aloft.
           const double z = g.zc(k);
           if (z > sponge_z0) {

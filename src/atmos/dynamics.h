@@ -38,27 +38,11 @@ struct Tendencies {
         dqv(g.nx, g.ny, g.nz, 0.0) {}
 };
 
-// Strided read-only view of a per-cell source field, so one member's lane
-// of a batched structure-of-arrays forcing buffer can feed the scalar
-// tendency evaluation without a copy: value(i, j, k) =
-// base[((k * ny + j) * nx + i) * stride]. A stride-1 view over
-// Array3D::data() reads the exact same doubles as the Array3D itself.
-struct ForcingView {
-  const double* base = nullptr;  // nullptr = no forcing
-  std::ptrdiff_t stride = 1;
-};
-
 // Computes all tendencies. `theta_src`/`qv_src` may be null (no fire).
 void compute_tendencies(const grid::Grid3D& g, const AmbientProfile& amb,
                         const DynamicsParams& p, const AtmosState& s,
                         const util::Array3D<double>* theta_src,
                         const util::Array3D<double>* qv_src, Tendencies& t);
-
-// Same evaluation with strided forcing views (batched-ensemble lanes).
-void compute_tendencies(const grid::Grid3D& g, const AmbientProfile& amb,
-                        const DynamicsParams& p, const AtmosState& s,
-                        ForcingView theta_src, ForcingView qv_src,
-                        Tendencies& t);
 
 // state += dt * tendencies (w boundary faces stay pinned at 0).
 void apply_tendencies(const grid::Grid3D& g, const Tendencies& t, double dt,

@@ -52,14 +52,6 @@ class WrfLite {
   // (also called internally after each RK stage).
   SolveStats project();
 
-  // Projection warm start: phi of the last solve seeds the next one, and is
-  // part of the reproducible solver state. Exposed so the batched coupled
-  // ensemble (coupling/coupled_batch) can round-trip it — and the clock —
-  // bitwise across load/store.
-  [[nodiscard]] const Field3& projection_potential() const { return phi_; }
-  void set_projection_potential(const Field3& phi) { phi_ = phi; }
-  void set_time(double t) { time_ = t; }
-
  private:
   grid::Grid3D grid_;
   AmbientProfile amb_;

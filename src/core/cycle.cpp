@@ -112,11 +112,8 @@ FallbackReason AssimilationCycle::batch_blocker() const {
 }
 
 void AssimilationCycle::advance_to(double time) {
-  const AdvanceMode mode = opt_.advance == AdvanceMode::kAuto
-                               ? default_advance_mode()
-                               : opt_.advance;
   bool batched = false;
-  if (mode == AdvanceMode::kBatched) {
+  if (opt_.advance == AdvanceMode::kBatched) {
     const FallbackReason blocker = batch_blocker();
     batched = blocker == FallbackReason::kNone;
     last_fallback_reason_ = blocker;
@@ -128,13 +125,9 @@ void AssimilationCycle::advance_to(double time) {
   if (batched) {
     runner_.run_batch_phase("advance", [&] {
       if (!batch_) {
-        EnsembleBatchOptions bopt;
-        if (opt_.band_cells >= 0)
-          bopt.band_cells = opt_.band_cells;
-        else
-          bopt.band_cells = default_band_cells();
-        batch_ = std::make_unique<EnsembleBatch>(grid_, fuel_, terrain_,
-                                                 fire_opt_, members(), bopt);
+        batch_ = std::make_unique<EnsembleBatch>(
+            grid_, fuel_, terrain_, fire_opt_, members(),
+            EnsembleBatchOptions{.band_cells = opt_.band_cells});
       }
       for (int k = 0; k < members(); ++k)
         batch_->set_member_wind(k, member_wind_[k].first,

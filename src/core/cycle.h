@@ -67,13 +67,14 @@ struct CycleOptions {
   bool file_exchange = false;
   std::string exchange_dir = "/tmp/wfire_exchange";
   int threads = 0;               // 0 = hardware concurrency
-  // Forward-model path: kAuto follows WFIRE_ADVANCE (default batched). The
-  // batched SoA advance falls back to the per-member reference path when
-  // members are out of lockstep or hold delayed ignitions.
-  AdvanceMode advance = AdvanceMode::kAuto;
-  // Narrow-band half width in cells for the batched path; < 0 follows
-  // WFIRE_BAND_CELLS (default 8), 0 disables the band.
-  int band_cells = -1;
+  // Forward-model path. The batched SoA advance falls back to the
+  // per-member reference path when members are out of lockstep; kReference
+  // selects that path outright (the oracle the batched path is tested
+  // against).
+  AdvanceMode advance = AdvanceMode::kBatched;
+  // Narrow-band half width in cells for the batched path; 0 disables the
+  // band.
+  int band_cells = 8;
   // Dense-LA scratch arena for the analysis. When null the cycle owns one,
   // so a cycling driver is allocation-free in steady state either way; pass
   // a pointer to share one arena across several cycles/filters.

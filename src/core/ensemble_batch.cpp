@@ -4,10 +4,7 @@
 #include "util/omp_compat.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -15,63 +12,33 @@ namespace wfire::core {
 
 namespace {
 
-AdvanceMode advance_mode_from_env() {
-  const char* s = std::getenv("WFIRE_ADVANCE");
-  if (!s || std::strcmp(s, "batched") == 0) return AdvanceMode::kBatched;
-  if (std::strcmp(s, "reference") == 0) return AdvanceMode::kReference;
-  // A typo here would silently invalidate advance-path comparisons — say so.
-  std::fprintf(stderr,
-               "wfire: unrecognized WFIRE_ADVANCE='%s' "
-               "(expected 'batched' or 'reference'); using batched\n",
-               s);
-  return AdvanceMode::kBatched;
-}
+// Member-lane padding: the stride is members rounded up to a multiple of
+// this (4 doubles = one AVX2 vector).
+constexpr int kSimdPad = 4;
 
-std::atomic<AdvanceMode>& advance_flag() {
-  static std::atomic<AdvanceMode> m{advance_mode_from_env()};
-  return m;
-}
-
-int band_cells_from_env() {
-  const char* s = std::getenv("WFIRE_BAND_CELLS");
-  if (s) {
-    const int n = std::atoi(s);
-    if (n >= 0) return n;
-  }
-  return 8;
-}
+// With the band on, psi is also redistanced once the front has traveled this
+// fraction of the band width since the last reinitialization — a safety
+// trigger on top of the reference's reinit_interval step cadence. At 1.0 it
+// fires only when the front outruns the step cadence entirely, so a
+// well-chosen reinit_interval behaves exactly as in the reference.
+constexpr double kReinitTravelFrac = 1.0;
 
 int round_up(int n, int pad) { return ((n + pad - 1) / pad) * pad; }
 
 }  // namespace
 
-AdvanceMode default_advance_mode() {
-  return advance_flag().load(std::memory_order_relaxed);
-}
-
-void set_default_advance_mode(AdvanceMode m) {
-  if (m == AdvanceMode::kAuto) m = advance_mode_from_env();
-  advance_flag().store(m, std::memory_order_relaxed);
-}
-
-int default_band_cells() {
-  static const int n = band_cells_from_env();
-  return n;
-}
-
 EnsembleBatch::EnsembleBatch(const grid::Grid2D& g, const fire::FuelMap& fuel,
                              const util::Array2D<double>& terrain,
                              fire::FireModelOptions opt, int members,
                              EnsembleBatchOptions bopt)
-    : grid_(g), opt_(opt), bopt_(bopt), members_(members) {
+    : grid_(g), opt_(opt), members_(members) {
   if (members_ < 1)
     throw std::invalid_argument("EnsembleBatch: members < 1");
   if (fuel.index.nx() != g.nx || fuel.index.ny() != g.ny)
     throw std::invalid_argument("EnsembleBatch: fuel map does not match grid");
   if (terrain.nx() != g.nx || terrain.ny() != g.ny)
     throw std::invalid_argument("EnsembleBatch: terrain does not match grid");
-  const int pad = std::max(1, bopt_.simd_pad);
-  lay_ = levelset::BatchLayout{g.nx, g.ny, round_up(members_, pad)};
+  lay_ = levelset::BatchLayout{g.nx, g.ny, round_up(members_, kSimdPad)};
 
   tables_ = fire::SpreadTables::build(fuel);
   fire::terrain_gradient(grid_, terrain, dzdx_, dzdy_);
@@ -85,9 +52,9 @@ EnsembleBatch::EnsembleBatch(const grid::Grid2D& g, const fire::FuelMap& fuel,
   pending_.assign(static_cast<std::size_t>(members_), {});
   band_pos_.assign(lay_.cells(), -1);
 
-  if (bopt_.band_cells > 0) {
+  if (bopt.band_cells > 0) {
     const double h = std::max(g.dx, g.dy);
-    band_width_m_ = std::max(bopt_.band_cells, 4) * h;
+    band_width_m_ = std::max(bopt.band_cells, 4) * h;
     // Rebuild before the front can get within ~2 cells of the band edge;
     // under the level set CFL bound a step travels at most one cell.
     rebuild_margin_m_ = band_width_m_ - 2.0 * h;
@@ -104,17 +71,11 @@ void EnsembleBatch::set_member_wind(int k, double u, double v) {
 
 void EnsembleBatch::load(
     const std::vector<std::unique_ptr<fire::FireModel>>& models) {
-  std::vector<fire::FireModel*> raw(models.size());
-  for (std::size_t k = 0; k < models.size(); ++k) raw[k] = models[k].get();
-  load(raw);
-}
-
-void EnsembleBatch::load(const std::vector<fire::FireModel*>& models) {
   if (static_cast<int>(models.size()) != members_)
     throw std::invalid_argument("EnsembleBatch: load with wrong member count");
   time_ = models.front()->state().time;
   steps_since_reinit_ = models.front()->steps_since_reinit();
-  for (const auto* m : models) {
+  for (const auto& m : models) {
     if (std::abs(m->state().time - time_) > 1e-9)
       throw std::invalid_argument(
           "EnsembleBatch: members must share the model time");
@@ -217,21 +178,6 @@ void EnsembleBatch::advance_to(double time, double dt) {
 }
 
 void EnsembleBatch::step(double dt) {
-  advance_fields(dt, wind_u_.data(), wind_v_.data(), /*field_wind=*/false);
-  maybe_reinit();
-}
-
-void EnsembleBatch::coupled_step(double dt, const double* wind_u_field,
-                                 const double* wind_v_field,
-                                 double* sensible_flux, double* latent_flux) {
-  const double t_before = time_;
-  advance_fields(dt, wind_u_field, wind_v_field, /*field_wind=*/true);
-  accumulate_fluxes(t_before, dt, sensible_flux, latent_flux);
-  maybe_reinit();
-}
-
-void EnsembleBatch::advance_fields(double dt, const double* wind_u,
-                                   const double* wind_v, bool field_wind) {
   const int stride = lay_.stride;
   const double h = std::max(grid_.dx, grid_.dy);
   if (apply_due_ignitions() && band_width_m_ > 0) rebuild_band();
@@ -239,16 +185,9 @@ void EnsembleBatch::advance_fields(double dt, const double* wind_u,
   const int nband = static_cast<int>(band_.size());
   const int* band = band_.data();
 
-  const double smax =
-      field_wind
-          ? fire::spread_field_batch_field_wind(
-                grid_, lay_, psi_.data(), fuel_.data(), wind_u, wind_v,
-                tables_, dzdx_, dzdy_, opt_.min_fuel_frac, band, nband,
-                speed_.data())
-          : fire::spread_field_batch(grid_, lay_, psi_.data(), fuel_.data(),
-                                     wind_u, wind_v, tables_, dzdx_, dzdy_,
-                                     opt_.min_fuel_frac, band, nband,
-                                     speed_.data());
+  const double smax = fire::spread_field_batch(
+      grid_, lay_, psi_.data(), fuel_.data(), wind_u_.data(), wind_v_.data(),
+      tables_, dzdx_, dzdy_, opt_.min_fuel_frac, band, nband, speed_.data());
 
   // Pre-step psi on the band (the ignition-time crossing reference).
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
@@ -302,62 +241,18 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(max : max_drop))
 
   step_travel_ = std::max(smax * dt, max_drop);
   travel_ += step_travel_;
-}
-
-// The fluxes of FireModel::step_into's post-frontal heat-release loop as a
-// full-grid cells x members sweep: identical per-lane arithmetic, reading
-// only tig and the step times, and refreshing the fuel fraction everywhere a
-// lane burns (the reference does this every step too).
-void EnsembleBatch::accumulate_fluxes(double t_before, double dt,
-                                      double* sensible, double* latent) {
-  const std::size_t cells = lay_.cells();
-  const int stride = lay_.stride;
-  const double time_now = time_;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
-  for (std::ptrdiff_t c = 0; c < static_cast<std::ptrdiff_t>(cells); ++c) {
-    double* so = sensible + static_cast<std::size_t>(c) * stride;
-    double* lo = latent + static_cast<std::size_t>(c) * stride;
-    if (!tables_.burnable[c]) {
-      for (int k = 0; k < stride; ++k) {
-        so[k] = 0.0;
-        lo[k] = 0.0;
-      }
-      continue;
-    }
-    const double tau = tables_.tau[c], w0 = tables_.w0[c],
-                 heat_c = tables_.h[c], lf = tables_.latent_fraction[c];
-    const double* tg = &tig_[static_cast<std::size_t>(c) * stride];
-    double* ff = &fuel_[static_cast<std::size_t>(c) * stride];
-    for (int k = 0; k < stride; ++k) {
-      const double ti = tg[k];
-      if (ti == fire::kNotIgnited || ti > time_now) {
-        so[k] = 0.0;
-        lo[k] = 0.0;
-        continue;
-      }
-      const double age_now = time_now - ti;
-      const double age_before = std::max(t_before - ti, 0.0);
-      const double f_before = std::exp(-age_before / tau);
-      const double f_now = std::exp(-age_now / tau);
-      ff[k] = f_now;
-      const double burned_mass = w0 * (f_before - f_now);  // [kg/m^2]
-      const double heat = burned_mass * heat_c / dt;       // [W/m^2]
-      so[k] = heat * (1.0 - lf);
-      lo[k] = heat * lf;
-    }
-  }
+  maybe_reinit();
 }
 
 void EnsembleBatch::maybe_reinit() {
   if (opt_.reinit_interval <= 0) return;
   bool due = ++steps_since_reinit_ >= opt_.reinit_interval;
-  if (band_width_m_ > 0 && bopt_.reinit_travel_frac > 0) {
+  if (band_width_m_ > 0) {
     // Band cadence: also redistance once the front has eaten a set fraction
     // of the band width, so a front outrunning the step cadence cannot
     // stale the frozen far field no matter how reinit_interval was picked.
     travel_since_reinit_ += step_travel_;
-    due = due ||
-          travel_since_reinit_ >= bopt_.reinit_travel_frac * band_width_m_;
+    due = due || travel_since_reinit_ >= kReinitTravelFrac * band_width_m_;
   }
   if (due) {
     reinitialize_members();
@@ -385,12 +280,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
 
 void EnsembleBatch::store(
     std::vector<std::unique_ptr<fire::FireModel>>& models) const {
-  std::vector<fire::FireModel*> raw(models.size());
-  for (std::size_t k = 0; k < models.size(); ++k) raw[k] = models[k].get();
-  store(raw);
-}
-
-void EnsembleBatch::store(const std::vector<fire::FireModel*>& models) const {
   if (static_cast<int>(models.size()) != members_)
     throw std::invalid_argument("EnsembleBatch: store with wrong member count");
   const std::size_t cells = lay_.cells();
@@ -410,20 +299,6 @@ void EnsembleBatch::store(const std::vector<fire::FireModel*>& models) const {
     models[k]->set_steps_since_reinit(steps_since_reinit_);
     models[k]->set_pending_ignitions(pending_[k]);
   }
-}
-
-util::Array2D<double> EnsembleBatch::psi_of(int k) const {
-  util::Array2D<double> out(grid_.nx, grid_.ny);
-  const std::size_t cells = lay_.cells();
-  for (std::size_t c = 0; c < cells; ++c) out.data()[c] = psi_[c * lay_.stride + k];
-  return out;
-}
-
-util::Array2D<double> EnsembleBatch::tig_of(int k) const {
-  util::Array2D<double> out(grid_.nx, grid_.ny);
-  const std::size_t cells = lay_.cells();
-  for (std::size_t c = 0; c < cells; ++c) out.data()[c] = tig_[c * lay_.stride + k];
-  return out;
 }
 
 }  // namespace wfire::core

@@ -17,13 +17,15 @@
 // rounding while the far field lags between redistancing calls.
 //
 // Redistancing cadence: with the band on, reinitialization also fires when
-// the accumulated front travel since the last redistancing reaches
-// reinit_travel_frac * band width — at the latest every reinit_interval
-// steps like the reference, earlier when the front outruns that. The
-// band/reference agreement therefore no longer depends on picking
-// reinit_interval conservatively for the spread rate. At band_cells = 0
-// only the step-count cadence runs, keeping the sweep bitwise-equal to the
-// reference.
+// the accumulated front travel since the last redistancing reaches one band
+// width — at the latest every reinit_interval steps like the reference,
+// earlier when the front outruns that. The band/reference agreement
+// therefore no longer depends on picking reinit_interval conservatively for
+// the spread rate. At band_cells = 0 only the step-count cadence runs,
+// keeping the sweep bitwise-equal to the reference.
+//
+// The member stride is padded to a multiple of 4 lanes (one AVX2 vector of
+// doubles); padding lanes carry benign values through the same arithmetic.
 //
 // Steady state allocates nothing: the SoA fields are sized at construction
 // and the compact band scratch reuses its high-water capacity across
@@ -39,54 +41,17 @@
 
 namespace wfire::core {
 
-// How AssimilationCycle::advance_to propagates the ensemble (env knob
-// WFIRE_ADVANCE=batched|reference at first use; kAuto follows the process
-// default). The per-member scalar path stays as the property-tested
-// reference.
-enum class AdvanceMode { kAuto, kBatched, kReference };
-
-[[nodiscard]] AdvanceMode default_advance_mode();
-void set_default_advance_mode(AdvanceMode m);
-
-// RAII override for tests.
-class ScopedAdvanceMode {
- public:
-  explicit ScopedAdvanceMode(AdvanceMode m) : prev_(default_advance_mode()) {
-    set_default_advance_mode(m);
-  }
-  ~ScopedAdvanceMode() { set_default_advance_mode(prev_); }
-  ScopedAdvanceMode(const ScopedAdvanceMode&) = delete;
-  ScopedAdvanceMode& operator=(const ScopedAdvanceMode&) = delete;
-
- private:
-  AdvanceMode prev_;
-};
+// How AssimilationCycle::advance_to propagates the ensemble. The per-member
+// scalar path stays as the property-tested reference.
+enum class AdvanceMode { kBatched, kReference };
 
 struct EnsembleBatchOptions {
   // Narrow-band half width in cells (distance from the nearest member
   // front); 0 disables the band (full-grid sweeps, bitwise-equal to the
   // reference path). Values 1..3 are clamped to 4: the band needs room for
-  // the 2-cell rebuild slack plus the stencil. Env default: WFIRE_BAND_CELLS.
+  // the 2-cell rebuild slack plus the stencil.
   int band_cells = 8;
-  // Member-lane padding: the stride is members rounded up to a multiple of
-  // this (4 doubles = one AVX2 vector). Padding lanes carry benign values
-  // through the same arithmetic.
-  int simd_pad = 4;
-  // With the band on, additionally redistance psi once the front has
-  // traveled this fraction of the band width since the last
-  // reinitialization — a safety trigger on top of the reference's
-  // reinit_interval step cadence (<= 0 disables it). At the default 1.0 it
-  // fires only when the front outruns the step cadence entirely (a full
-  // band width between redistancings), so a well-chosen reinit_interval
-  // behaves exactly as in the reference. Ignored at band_cells = 0, where
-  // the step-count cadence alone keeps the sweep bitwise-equal to the
-  // reference.
-  double reinit_travel_frac = 1.0;
 };
-
-// Band-cell default from the environment (WFIRE_BAND_CELLS, >= 0; unset =
-// 8). Exposed so benches/tests can report the effective width.
-[[nodiscard]] int default_band_cells();
 
 class EnsembleBatch {
  public:
@@ -100,7 +65,6 @@ class EnsembleBatch {
   [[nodiscard]] int members() const { return members_; }
   [[nodiscard]] double time() const { return time_; }
   [[nodiscard]] int band_size() const { return static_cast<int>(band_.size()); }
-  [[nodiscard]] const EnsembleBatchOptions& options() const { return bopt_; }
   [[nodiscard]] const levelset::BatchLayout& layout() const { return lay_; }
 
   // Per-member uniform wind forcing [m/s] (the assimilation-cycle regime).
@@ -112,7 +76,6 @@ class EnsembleBatch {
   // in-batch: each member's queue is applied inside step() when its time
   // arrives, with the reference path's min-merge arithmetic.
   void load(const std::vector<std::unique_ptr<fire::FireModel>>& models);
-  void load(const std::vector<fire::FireModel*>& models);
 
   // Advances all members to `time` in steps of `dt` (the last step is
   // shortened to land exactly). Matches FireModel::step semantics: spread
@@ -121,42 +84,20 @@ class EnsembleBatch {
   // redistancing.
   void advance_to(double time, double dt);
 
-  // One coupled step: per-member wind *fields* in the SoA layout
-  // (cell * stride + member, fire-mesh node winds sampled from each
-  // member's atmosphere) instead of uniform member rows, plus a full-grid
-  // heat-flux pass that writes each member's sensible/latent flux [W/m^2]
-  // into the SoA outputs (cell * stride + member, zero where not burning —
-  // FireModel::step_into's flux arithmetic per lane). The caller owns the
-  // stepping loop, interleaving atmosphere advances between fire steps
-  // (coupling/coupled_batch).
-  void coupled_step(double dt, const double* wind_u_field,
-                    const double* wind_v_field, double* sensible_flux,
-                    double* latent_flux);
-
   // Writes the advanced states back through FireModel::set_state (which
   // refreshes each model's fuel fraction from tig) and restores any
   // still-pending delayed ignitions.
   void store(std::vector<std::unique_ptr<fire::FireModel>>& models) const;
-  void store(const std::vector<fire::FireModel*>& models) const;
-
-  // Test access: copies member k's field out of the SoA storage.
-  [[nodiscard]] util::Array2D<double> psi_of(int k) const;
-  [[nodiscard]] util::Array2D<double> tig_of(int k) const;
 
  private:
   void step(double dt);
-  void advance_fields(double dt, const double* wind_u, const double* wind_v,
-                      bool field_wind);
   bool apply_due_ignitions();
-  void accumulate_fluxes(double t_before, double dt, double* sensible,
-                         double* latent);
   void maybe_reinit();
   void rebuild_band();
   void reinitialize_members();
 
   grid::Grid2D grid_;
   fire::FireModelOptions opt_;
-  EnsembleBatchOptions bopt_;
   levelset::BatchLayout lay_;
   int members_ = 0;
   double time_ = 0;

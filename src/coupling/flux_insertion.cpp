@@ -48,34 +48,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   }
 }
 
-void FluxInserter::insert_batch(int stride, const double* sensible,
-                                const double* latent, double* theta_src,
-                                double* qv_src) const {
-  const double inv_rhocp = 1.0 / (p_.rho * p_.cp);
-  const double inv_rholv = 1.0 / (p_.rho * p_.Lv);
-  const int nx = g_.nx, ny = g_.ny;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
-  for (int k = 0; k < g_.nz; ++k) {
-    const double wk = w_[k];
-    for (int j = 0; j < ny; ++j)
-      for (int i = 0; i < nx; ++i) {
-        const std::size_t col =
-            (static_cast<std::size_t>(j) * nx + i) * stride;
-        const std::size_t cell =
-            ((static_cast<std::size_t>(k) * ny + j) * nx + i) * stride;
-        const double* se = sensible + col;
-        const double* la = latent + col;
-        double* th = theta_src + cell;
-        double* qv = qv_src + cell;
-        WFIRE_PRAGMA_OMP(omp simd)
-        for (int m = 0; m < stride; ++m) {
-          th[m] = se[m] * wk * inv_rhocp;
-          qv[m] = la[m] * wk * inv_rholv;
-        }
-      }
-  }
-}
-
 void insert_single_cell(const grid::Grid3D& g, const FluxInsertionParams& p,
                         const util::Array2D<double>& sensible,
                         const util::Array2D<double>& latent,

@@ -37,13 +37,6 @@ class FluxInserter {
               util::Array3D<double>& theta_src,
               util::Array3D<double>& qv_src) const;
 
-  // Member-contiguous path for batched ensembles: inputs are SoA surface
-  // maps (value(i, j, m) = data[(j * nx + i) * stride + m]), outputs SoA
-  // volumetric tendencies (((k * ny + j) * nx + i) * stride + m), sized by
-  // the caller. Per lane the arithmetic is exactly insert()'s.
-  void insert_batch(int stride, const double* sensible, const double* latent,
-                    double* theta_src, double* qv_src) const;
-
   // Column weights W(z_k) [1/m]; sum_k W(z_k) * dz = 1. Exposed for tests
   // and for the flux-insertion ablation bench.
   [[nodiscard]] const std::vector<double>& weights() const { return w_; }

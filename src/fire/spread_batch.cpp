@@ -17,9 +17,6 @@ SpreadTables SpreadTables::build(const FuelMap& fuel) {
   t.d.resize(n);
   t.Smax.resize(n);
   t.tau.resize(n);
-  t.w0.resize(n);
-  t.h.resize(n);
-  t.latent_fraction.resize(n);
   t.burnable.resize(n);
   const int nx = fuel.index.nx(), ny = fuel.index.ny();
   for (int j = 0; j < ny; ++j)
@@ -29,7 +26,6 @@ SpreadTables SpreadTables::build(const FuelMap& fuel) {
       if (cat == nullptr) {
         t.burnable[c] = 0;
         t.R0[c] = t.a[c] = t.b[c] = t.d[c] = t.Smax[c] = 0.0;
-        t.w0[c] = t.h[c] = t.latent_fraction[c] = 0.0;
         t.tau[c] = 1.0;
         continue;
       }
@@ -40,27 +36,18 @@ SpreadTables SpreadTables::build(const FuelMap& fuel) {
       t.d[c] = cat->d;
       t.Smax[c] = cat->Smax;
       t.tau[c] = cat->tau;
-      t.w0[c] = cat->w0;
-      t.h[c] = cat->h;
-      t.latent_fraction[c] = cat->latent_fraction;
     }
   return t;
 }
 
-namespace {
-
-// Shared cells x members sweep; kFieldWind selects whether wind_u/wind_v are
-// member rows (length stride) or full SoA fields (cell * stride + member).
-template <bool kFieldWind>
-double spread_field_batch_impl(const grid::Grid2D& g,
-                               const levelset::BatchLayout& lay,
-                               const double* psi, const double* fuel_frac,
-                               const double* wind_u, const double* wind_v,
-                               const SpreadTables& tables,
-                               const util::Array2D<double>& dzdx,
-                               const util::Array2D<double>& dzdy,
-                               double min_fuel_frac, const int* band,
-                               int nband, double* speed) {
+double spread_field_batch(const grid::Grid2D& g,
+                          const levelset::BatchLayout& lay, const double* psi,
+                          const double* fuel_frac, const double* wind_u,
+                          const double* wind_v, const SpreadTables& tables,
+                          const util::Array2D<double>& dzdx,
+                          const util::Array2D<double>& dzdy,
+                          double min_fuel_frac, const int* band, int nband,
+                          double* speed) {
   if (tables.R0.size() != lay.cells())
     throw std::invalid_argument("spread_field_batch: tables/layout mismatch");
   const int nx = lay.nx, ny = lay.ny, stride = lay.stride;
@@ -86,10 +73,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(max : smax_band))
     const double* pyl = psi + static_cast<std::size_t>(yl) * stride;
     const double* pyr = psi + static_cast<std::size_t>(yr) * stride;
     const double* ff = fuel_frac + static_cast<std::size_t>(cell) * stride;
-    const double* wu =
-        kFieldWind ? wind_u + static_cast<std::size_t>(cell) * stride : wind_u;
-    const double* wv =
-        kFieldWind ? wind_v + static_cast<std::size_t>(cell) * stride : wind_v;
     const double R0 = tables.R0[cell], a = tables.a[cell], b = tables.b[cell],
                  d = tables.d[cell], Smax = tables.Smax[cell];
     const double zx = dzdx(i, j), zy = dzdy(i, j);
@@ -108,7 +91,7 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(max : smax_band))
         nxv = gx / mag;
         nyv = gy / mag;
       }
-      const double vn = wu[k] * nxv + wv[k] * nyv;
+      const double vn = wind_u[k] * nxv + wind_v[k] * nyv;
       const double wind_term = vn > 0 ? a * std::pow(vn, b) : 0.0;
       const double slope_n = zx * nxv + zy * nyv;
       const double s = std::clamp(R0 + wind_term + d * slope_n, 0.0, Smax);
@@ -119,32 +102,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(max : smax_band))
   }
   (void)ny;
   return smax_band;
-}
-
-}  // namespace
-
-double spread_field_batch(const grid::Grid2D& g,
-                          const levelset::BatchLayout& lay, const double* psi,
-                          const double* fuel_frac, const double* wind_u,
-                          const double* wind_v, const SpreadTables& tables,
-                          const util::Array2D<double>& dzdx,
-                          const util::Array2D<double>& dzdy,
-                          double min_fuel_frac, const int* band, int nband,
-                          double* speed) {
-  return spread_field_batch_impl<false>(g, lay, psi, fuel_frac, wind_u,
-                                        wind_v, tables, dzdx, dzdy,
-                                        min_fuel_frac, band, nband, speed);
-}
-
-double spread_field_batch_field_wind(
-    const grid::Grid2D& g, const levelset::BatchLayout& lay, const double* psi,
-    const double* fuel_frac, const double* wind_u, const double* wind_v,
-    const SpreadTables& tables, const util::Array2D<double>& dzdx,
-    const util::Array2D<double>& dzdy, double min_fuel_frac, const int* band,
-    int nband, double* speed) {
-  return spread_field_batch_impl<true>(g, lay, psi, fuel_frac, wind_u, wind_v,
-                                       tables, dzdx, dzdy, min_fuel_frac, band,
-                                       nband, speed);
 }
 
 }  // namespace wfire::fire

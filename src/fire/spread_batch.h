@@ -17,9 +17,6 @@ namespace wfire::fire {
 struct SpreadTables {
   std::vector<double> R0, a, b, d, Smax;
   std::vector<double> tau;  // mass-loss e-folding time, for the fuel decay
-  // Fuel-bed load / heat content / latent split, for the batched heat-flux
-  // pass of the coupled ensemble (FireModel::step_into flux arithmetic).
-  std::vector<double> w0, h, latent_fraction;
   std::vector<unsigned char> burnable;  // 0 where the fuel index is -1
 
   [[nodiscard]] static SpreadTables build(const FuelMap& fuel);
@@ -39,17 +36,5 @@ double spread_field_batch(const grid::Grid2D& g,
                           const util::Array2D<double>& dzdy,
                           double min_fuel_frac, const int* band, int nband,
                           double* speed);
-
-// Same evaluation with per-member wind *fields* in the SoA layout
-// (wind_u/wind_v indexed cell * stride + member, like psi) — the coupled
-// path, where each member samples its own atmosphere onto the fire mesh.
-// Per lane the arithmetic is identical to spread_field_batch with that
-// member's wind values, hence to the scalar spread_field.
-double spread_field_batch_field_wind(
-    const grid::Grid2D& g, const levelset::BatchLayout& lay, const double* psi,
-    const double* fuel_frac, const double* wind_u, const double* wind_v,
-    const SpreadTables& tables, const util::Array2D<double>& dzdx,
-    const util::Array2D<double>& dzdy, double min_fuel_frac, const int* band,
-    int nband, double* speed);
 
 }  // namespace wfire::fire

@@ -18,6 +18,9 @@ namespace {
 constexpr double kCkptVersion = 2.0;  // v2 appended the fuel scales
 constexpr std::size_t kMetaCount = 22;
 constexpr std::size_t kIgnitionStride = 7;  // [type, 6 shape/time params]
+// OpenMP width inside pooled jobs. Scenario-level concurrency owns the
+// cores; 1 keeps P pooled scenarios from fanning into P x omp threads.
+constexpr int kPooledOmpThreads = 1;
 
 long env_inline_threshold(long fallback) {
   const char* s = std::getenv("WFIRE_SERVE_INLINE");
@@ -58,6 +61,9 @@ levelset::Ignition unpack_ignition(const double* in) {
 // and positive; each test is written so that a NaN fails it.
 void validate(const ScenarioSpec& spec) {
   const auto positive = [](double v) { return std::isfinite(v) && v > 0; };
+  const auto non_negative = [](double v) {
+    return std::isfinite(v) && v >= 0;
+  };
   if (spec.nx < 2 || spec.ny < 2)
     throw std::invalid_argument("ScenarioSpec: nx and ny must be >= 2");
   if (!positive(spec.dx) || !positive(spec.dy))
@@ -65,9 +71,44 @@ void validate(const ScenarioSpec& spec) {
         "ScenarioSpec: dx and dy must be finite and > 0");
   if (!positive(spec.dt))
     throw std::invalid_argument("ScenarioSpec: dt must be finite and > 0");
+  if (spec.fuel_category < 0 ||
+      spec.fuel_category >= static_cast<int>(fire::fuel_catalog().size()))
+    throw std::invalid_argument("ScenarioSpec: unknown fuel_category");
+  if (!std::isfinite(spec.wind_u) || !std::isfinite(spec.wind_v) ||
+      !non_negative(spec.wind_jitter))
+    throw std::invalid_argument(
+        "ScenarioSpec: winds must be finite and wind_jitter >= 0");
   if (!positive(spec.fuel_moisture_scale) || !positive(spec.burn_time_scale))
     throw std::invalid_argument(
         "ScenarioSpec: fuel scales must be finite and > 0");
+  if (!non_negative(spec.realtime_speedup))
+    throw std::invalid_argument(
+        "ScenarioSpec: realtime_speedup must be finite and >= 0");
+  switch (spec.fire.scheme) {
+    case levelset::UpwindScheme::kPaperRule:
+    case levelset::UpwindScheme::kStandardGodunov:
+    case levelset::UpwindScheme::kCentral:
+      break;
+    default:
+      throw std::invalid_argument("ScenarioSpec: unknown fire.scheme");
+  }
+  if (spec.fire.reinit_interval < 0)
+    throw std::invalid_argument("ScenarioSpec: fire.reinit_interval < 0");
+  if (!(spec.fire.min_fuel_frac >= 0 && spec.fire.min_fuel_frac < 1))
+    throw std::invalid_argument(
+        "ScenarioSpec: fire.min_fuel_frac must be in [0, 1)");
+}
+
+// A checkpoint is untrusted bytes. A meta slot that becomes an integer or
+// an enum must hold an integral value in [lo, hi] before it is converted:
+// casting a NaN or out-of-range double is undefined behaviour.
+double meta_integer(const std::vector<double>& m, std::size_t slot, double lo,
+                    double hi) {
+  const double v = m[slot];
+  if (!(v >= lo && v <= hi) || v != std::floor(v))
+    throw std::runtime_error("ScenarioServer: corrupt checkpoint meta slot " +
+                             std::to_string(slot));
+  return v;
 }
 
 }  // namespace
@@ -154,30 +195,55 @@ ScenarioId ScenarioServer::restore(const std::string& checkpoint_path) {
   if (m[0] != kCkptVersion)
     throw std::runtime_error("ScenarioServer: unsupported checkpoint version");
 
+  constexpr double kIntMax = std::numeric_limits<int>::max();
+  constexpr double kU32Max = 4294967295.0;
   ScenarioSpec spec;
-  spec.nx = static_cast<int>(m[1]);
-  spec.ny = static_cast<int>(m[2]);
+  spec.nx = static_cast<int>(meta_integer(m, 1, 0, kIntMax));
+  spec.ny = static_cast<int>(meta_integer(m, 2, 0, kIntMax));
   spec.dx = m[3];
   spec.dy = m[4];
   spec.dt = m[5];
-  spec.fuel_category = static_cast<int>(m[6]);
+  spec.fuel_category = static_cast<int>(meta_integer(m, 6, 0, kIntMax));
   spec.wind_u = m[7];
   spec.wind_v = m[8];
   spec.wind_jitter = m[9];
-  spec.seed = static_cast<std::uint64_t>(m[10]) |
-              (static_cast<std::uint64_t>(m[11]) << 32);
+  spec.seed =
+      static_cast<std::uint64_t>(meta_integer(m, 10, 0, kU32Max)) |
+      (static_cast<std::uint64_t>(meta_integer(m, 11, 0, kU32Max)) << 32);
   spec.realtime_speedup = m[12];
   spec.fuel_moisture_scale = m[20];
   spec.burn_time_scale = m[21];
-  spec.fire.reinit_interval = static_cast<int>(m[16]);
-  spec.fire.use_heun = m[17] != 0.0;
+  spec.fire.reinit_interval = static_cast<int>(meta_integer(m, 16, 0, kIntMax));
+  spec.fire.use_heun = meta_integer(m, 17, 0, 1) != 0.0;
   spec.fire.min_fuel_frac = m[18];
-  spec.fire.scheme = static_cast<levelset::UpwindScheme>(static_cast<int>(m[19]));
+  spec.fire.scheme = static_cast<levelset::UpwindScheme>(
+      static_cast<int>(meta_integer(m, 19, 0, kIntMax)));
+  // admit() validates the rest of the spec. Clock and step counters: the
+  // model's redistancing phase is always below its interval (0 when
+  // redistancing is off).
+  const double time = m[13];
+  if (!(time >= 0 && std::isfinite(time)))
+    throw std::runtime_error("ScenarioServer: corrupt checkpoint time");
+  const long steps = static_cast<long>(meta_integer(m, 14, 0, 0x1p53));
+  const int steps_since_reinit = static_cast<int>(meta_integer(
+      m, 15, 0, std::max(spec.fire.reinit_interval - 1, 0)));
 
   const std::size_t n =
       static_cast<std::size_t>(spec.nx) * static_cast<std::size_t>(spec.ny);
   if (psi_it->second.size() != n || tig_it->second.size() != n)
     throw std::runtime_error("ScenarioServer: checkpoint field size mismatch");
+  std::vector<levelset::Ignition> pending;
+  if (const auto pend_it = sec.find("pending"); pend_it != sec.end()) {
+    const std::vector<double>& p = pend_it->second;
+    if (p.size() % kIgnitionStride != 0)
+      throw std::runtime_error("ScenarioServer: corrupt pending ignitions");
+    pending.reserve(p.size() / kIgnitionStride);
+    for (std::size_t k = 0; k < p.size(); k += kIgnitionStride) {
+      if (p[k] != 0.0 && p[k] != 1.0)
+        throw std::runtime_error("ScenarioServer: corrupt pending ignitions");
+      pending.push_back(unpack_ignition(&p[k]));
+    }
+  }
 
   const ScenarioId id = admit(spec);
   Scenario& s = at(id);
@@ -187,22 +253,14 @@ ScenarioId ScenarioServer::restore(const std::string& checkpoint_path) {
   st.tig = util::Array2D<double>(spec.nx, spec.ny);
   std::copy(psi_it->second.begin(), psi_it->second.end(), st.psi.begin());
   std::copy(tig_it->second.begin(), tig_it->second.end(), st.tig.begin());
-  st.time = m[13];
+  st.time = time;
   s.model->set_state(std::move(st));
-  s.steps = static_cast<long>(m[14]);
-  s.model->set_steps_since_reinit(static_cast<int>(m[15]));
-  if (const auto pend_it = sec.find("pending"); pend_it != sec.end()) {
-    const std::vector<double>& p = pend_it->second;
-    std::vector<levelset::Ignition> pending;
-    pending.reserve(p.size() / kIgnitionStride);
-    for (std::size_t k = 0; k + kIgnitionStride <= p.size();
-         k += kIgnitionStride)
-      pending.push_back(unpack_ignition(&p[k]));
-    s.model->set_pending_ignitions(std::move(pending));
-  }
+  s.steps = steps;
+  s.model->set_steps_since_reinit(steps_since_reinit);
+  s.model->set_pending_ignitions(std::move(pending));
   if (opt_.checkpoint_interval > 0)
     s.next_checkpoint =
-        (std::floor(st.time / opt_.checkpoint_interval) + 1.0) *
+        (std::floor(time / opt_.checkpoint_interval) + 1.0) *
         opt_.checkpoint_interval;
   return id;
 }
@@ -272,7 +330,7 @@ void ScenarioServer::run_scenario(Scenario& s, bool pooled) {
   std::unique_lock<std::mutex> lock(s.mu);
   try {
     if (pooled) {
-      util::ScopedOmpNumThreads narrow(opt_.pooled_omp_threads);
+      util::ScopedOmpNumThreads narrow(kPooledOmpThreads);
       drain_requests(s, lock);
     } else {
       drain_requests(s, lock);

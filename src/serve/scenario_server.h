@@ -90,9 +90,6 @@ struct ServerOptions {
   long inline_cell_steps = 250000;
   int max_scenarios = 4096;
   int request_capacity = 64;     // per-scenario request ring slots
-  // OpenMP width inside pooled jobs. Scenario-level concurrency owns the
-  // cores; 1 keeps P pooled scenarios from fanning into P x omp threads.
-  int pooled_omp_threads = 1;
   std::string checkpoint_dir;    // empty: checkpointing off
   double checkpoint_interval = 0;  // sim seconds between periodic writes
 };

@@ -1,21 +1,16 @@
 // Batched SoA forward-model tests: the batched ensemble advance against the
 // per-member reference path (bitwise with the band disabled, front/ignition
 // agreement with the narrow band on), degenerate ensemble shapes, the
-// counter-based RNG streams, thread-count invariance of the assimilation
-// cycle, and the batched RD / Poisson kernels against their scalar
-// counterparts.
+// counter-based RNG streams, and thread-count invariance of the assimilation
+// cycle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
 #include <vector>
 
-#include "atmos/poisson.h"
-#include "atmos/poisson_batch.h"
 #include "core/cycle.h"
 #include "core/ensemble_batch.h"
-#include "fire/rd_batch.h"
-#include "fire/reaction_diffusion.h"
 #include "fire/terrain.h"
 #include "util/rng.h"
 
@@ -480,130 +475,4 @@ TEST(ThreadInvariance, ReferencePathAlsoInvariant) {
     for (std::size_t c = 0; c < one.psi[k].size(); ++c)
       ASSERT_EQ(one.psi[k].data()[c], four.psi[k].data()[c])
           << "psi member " << k;
-}
-
-// --- batched reaction-diffusion ensemble ---
-
-TEST(RdBatch, BitwiseMatchesScalarModels) {
-  const grid::Grid2D g(33, 33, 10.0, 10.0);
-  fire::RdFireParams p;
-  const std::vector<std::pair<double, double>> winds = {
-      {1.0, 0.0}, {-0.5, 0.8}, {0.0, 0.0}};
-  const std::vector<std::pair<double, double>> hot = {
-      {160, 160}, {120, 180}, {200, 140}};
-
-  std::vector<fire::RdFireModel> scalar;
-  fire::RdFireBatch batch(g, p, 3);
-  for (int k = 0; k < 3; ++k) {
-    scalar.emplace_back(g, p);
-    scalar[k].ignite(hot[k].first, hot[k].second, 30.0);
-    batch.ignite_member(k, hot[k].first, hot[k].second, 30.0);
-    batch.set_member_wind(k, winds[k].first, winds[k].second);
-  }
-  const double dt = 0.9 * scalar[0].stable_dt();
-  for (int s = 0; s < 25; ++s) {
-    for (int k = 0; k < 3; ++k)
-      scalar[k].step(dt, winds[k].first, winds[k].second);
-    batch.step(dt);
-  }
-  for (int k = 0; k < 3; ++k) {
-    const util::Array2D<double> T = batch.T_of(k);
-    const util::Array2D<double> beta = batch.beta_of(k);
-    for (std::size_t c = 0; c < T.size(); ++c) {
-      ASSERT_EQ(scalar[k].state().T.data()[c], T.data()[c]) << "member " << k;
-      ASSERT_EQ(scalar[k].state().beta.data()[c], beta.data()[c]);
-    }
-    // The wave actually moved (the test isn't comparing two frozen fields).
-    EXPECT_GT(scalar[k].max_temperature(), 500.0);
-  }
-}
-
-TEST(RdBatch, RejectsUnstableDt) {
-  const grid::Grid2D g(17, 17, 10.0, 10.0);
-  fire::RdFireBatch batch(g, {}, 2);
-  EXPECT_THROW(batch.step(batch.stable_dt() * 2.0), std::invalid_argument);
-}
-
-// --- batched Poisson smoother / residual / solver ---
-
-namespace {
-
-// Fills per-member rhs with decorrelated zero-mean fields.
-void fill_rhs(const wfire::grid::Grid3D& g, int members, int stride,
-              std::vector<double>& rhs) {
-  rhs.assign(static_cast<std::size_t>(g.nx) * g.ny * g.nz * stride, 0.0);
-  for (int m = 0; m < members; ++m) {
-    util::Rng rng = util::Rng::stream(77, static_cast<std::uint64_t>(m));
-    double mean = 0;
-    const std::size_t cells = rhs.size() / stride;
-    std::vector<double> f(cells);
-    for (auto& v : f) {
-      v = rng.normal();
-      mean += v;
-    }
-    mean /= static_cast<double>(cells);
-    for (std::size_t c = 0; c < cells; ++c) rhs[c * stride + m] = f[c] - mean;
-  }
-}
-
-}  // namespace
-
-TEST(PoissonBatch, SweepBitwiseMatchesScalar) {
-  const wfire::grid::Grid3D g(12, 10, 6, 60.0, 60.0, 100.0);
-  const int members = 3, stride = 4;
-  std::vector<double> rhs;
-  fill_rhs(g, members, stride, rhs);
-  std::vector<double> phi(rhs.size(), 0.0);
-
-  for (int it = 0; it < 10; ++it)
-    atmos::rbgs_sweep_batch(g, stride, rhs.data(), phi.data(), 1.7);
-
-  for (int m = 0; m < members; ++m) {
-    atmos::Field3 srhs(g.nx, g.ny, g.nz), sphi(g.nx, g.ny, g.nz, 0.0);
-    for (int k = 0; k < g.nz; ++k)
-      for (int j = 0; j < g.ny; ++j)
-        for (int i = 0; i < g.nx; ++i)
-          srhs(i, j, k) =
-              rhs[((static_cast<std::size_t>(k) * g.ny + j) * g.nx + i) *
-                      stride +
-                  m];
-    for (int it = 0; it < 10; ++it) atmos::rbgs_sweep(g, srhs, sphi, 1.7);
-    for (int k = 0; k < g.nz; ++k)
-      for (int j = 0; j < g.ny; ++j)
-        for (int i = 0; i < g.nx; ++i)
-          ASSERT_EQ(sphi(i, j, k),
-                    phi[((static_cast<std::size_t>(k) * g.ny + j) * g.nx + i) *
-                            stride +
-                        m])
-              << "member " << m;
-  }
-}
-
-TEST(PoissonBatch, SolveConvergesPerMember) {
-  const wfire::grid::Grid3D g(12, 10, 6, 60.0, 60.0, 100.0);
-  const int members = 3, stride = 4;
-  std::vector<double> rhs;
-  fill_rhs(g, members, stride, rhs);
-  std::vector<double> phi(rhs.size(), 0.0);
-
-  atmos::SorOptions opt;
-  opt.tol = 1e-7;
-  const std::vector<atmos::SolveStats> stats =
-      atmos::solve_sor_batch(g, members, stride, rhs.data(), phi.data(), opt);
-  ASSERT_EQ(stats.size(), 3u);
-  std::vector<double> r(rhs.size()), max_r(stride);
-  atmos::residual_batch(g, stride, phi.data(), rhs.data(), r.data(),
-                        max_r.data());
-  for (int m = 0; m < members; ++m) {
-    EXPECT_TRUE(stats[m].converged) << "member " << m;
-    EXPECT_LT(max_r[m], opt.tol * 1.01) << "member " << m;
-    // Zero-mean subspace per member.
-    double mean = 0;
-    const std::size_t cells = rhs.size() / stride;
-    for (std::size_t c = 0; c < cells; ++c) mean += phi[c * stride + m];
-    EXPECT_LT(std::abs(mean / static_cast<double>(cells)), 1e-10);
-  }
-  // Padding lane untouched and finite.
-  for (std::size_t c = 0; c < rhs.size() / stride; ++c)
-    ASSERT_EQ(phi[c * stride + members], 0.0);
 }

@@ -1,8 +1,7 @@
 // Observation framework tests: state-file round trips and in-place
 // subvector replacement (the paper's disk-file exchange), the weather
 // station operator (biquadratic sampling, fireline check, temperature
-// nudge), image observation vectors, and the file-based observation
-// function.
+// nudge), and the file-based observation function.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,7 +9,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "obs/image_obs.h"
 #include "obs/obs_function.h"
 #include "obs/statefile.h"
 #include "obs/weather_station.h"
@@ -242,37 +240,6 @@ TEST(WeatherStation, NudgeMovesModelTowardObservation) {
   // Distant nodes untouched.
   EXPECT_DOUBLE_EQ(T(0, 0), 300.0);
   EXPECT_DOUBLE_EQ(T(20, 20), 300.0);
-}
-
-TEST(ImageObs, StrideSubsamplesAndErrorsScale) {
-  util::Array2D<double> img(8, 8, 0.0);
-  img(0, 0) = 100.0;
-  ImageObsOptions opt;
-  opt.stride = 2;
-  opt.error_floor = 1.0;
-  opt.rel_error = 0.1;
-  const ImageObsVector obs = image_to_obs(img, opt);
-  EXPECT_EQ(obs.values.size(), 16u);
-  EXPECT_DOUBLE_EQ(obs.values[0], 100.0);
-  EXPECT_DOUBLE_EQ(obs.errors[0], 1.0 + 10.0);
-  EXPECT_DOUBLE_EQ(obs.errors[1], 1.0);
-  EXPECT_THROW(image_to_obs(img, ImageObsOptions{.stride = 0}),
-               std::invalid_argument);
-}
-
-TEST(ImageObs, SampleLikeExtractsSamePixels) {
-  util::Array2D<double> a(6, 6, 0.0), b(6, 6, 0.0);
-  for (int j = 0; j < 6; ++j)
-    for (int i = 0; i < 6; ++i) b(i, j) = i + 10 * j;
-  ImageObsOptions opt;
-  opt.stride = 3;
-  const ImageObsVector pattern = image_to_obs(a, opt);
-  const std::vector<double> synth = sample_like(b, pattern);
-  ASSERT_EQ(synth.size(), pattern.values.size());
-  EXPECT_DOUBLE_EQ(synth[0], 0.0);
-  EXPECT_DOUBLE_EQ(synth[1], 3.0);
-  util::Array2D<double> small(3, 3, 0.0);
-  EXPECT_THROW(sample_like(small, pattern), std::invalid_argument);
 }
 
 TEST(ObsFunction, HeatFluxImageMatchesFuelDecay) {

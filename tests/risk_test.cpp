@@ -1,12 +1,14 @@
 // Risk-layer tests: the order-free burn-probability reduction, sweep
 // determinism across pool widths (the product is a pure function of
 // (base, perturbation) — execution knobs are bitwise-irrelevant), the
-// single-flight product cache, and risk::score() on hand-constructed grids
-// with known confusion matrices.
+// single-flight product cache, risk::score() on hand-constructed grids
+// with known confusion matrices, and the scenario-spec schema pinned across
+// admit validation, checkpoints and product keys.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <memory>
 #include <thread>
@@ -14,6 +16,7 @@
 
 #include "core/data_pool.h"
 #include "fire/terrain.h"
+#include "obs/statefile.h"
 #include "risk/product_cache.h"
 #include "risk/sweep.h"
 
@@ -286,6 +289,118 @@ TEST(Sweep, ProductKeyTracksProductNotExecution) {
   serve::ScenarioSpec windier = base;
   windier.wind_u += 0.25;
   EXPECT_NE(product_key(windier, pert, opt), key);
+}
+
+// ---------------------------------------------------------------------------
+// The ScenarioSpec field list is written down three times: admit()
+// validation, the checkpoint meta, and product_key(). Perturbing each
+// trajectory field in turn must stay admissible, change the product key,
+// be recorded in the checkpoint, and survive checkpoint -> restore.
+
+namespace {
+
+const char* kSchemaTmp = "/tmp/wfire_risk_schema_test";
+
+struct CheckpointTrip {
+  obs::Sections written;    // checkpoint of the admitted scenario at t = 3 s
+  obs::Sections rewritten;  // that checkpoint restored, then written again
+  fire::FireState uninterrupted, resumed;  // both advanced on to t = 6 s
+};
+
+CheckpointTrip checkpoint_trip(const serve::ScenarioSpec& spec) {
+  serve::ServerOptions opt;
+  opt.threads = 1;
+  opt.inline_cell_steps = 1L << 40;
+  opt.checkpoint_dir = kSchemaTmp;
+  serve::ScenarioServer server(opt);
+  const serve::ScenarioId id = server.admit(spec);
+  server.request_advance(id, 3.0);
+  server.wait(id);
+  server.checkpoint_now(id);
+  CheckpointTrip trip;
+  trip.written = obs::StateFile::read(server.checkpoint_path(id));
+  const serve::ScenarioId rid = server.restore(server.checkpoint_path(id));
+  server.checkpoint_now(rid);
+  trip.rewritten = obs::StateFile::read(server.checkpoint_path(rid));
+  server.request_advance(id, 6.0);
+  server.request_advance(rid, 6.0);
+  server.wait_all();
+  trip.uninterrupted = server.state(id);
+  trip.resumed = server.state(rid);
+  return trip;
+}
+
+}  // namespace
+
+TEST(SpecSchema, EveryTrajectoryFieldKeysAndRoundTrips) {
+  std::filesystem::remove_all(kSchemaTmp);
+  const serve::ScenarioSpec base = sweep_base();
+  const PerturbationSpec pert = sweep_pert();
+  SweepOptions opt;
+  opt.members = 4;
+  opt.horizon = 30.0;
+  const std::uint64_t key = product_key(base, pert, opt);
+  const CheckpointTrip ref = checkpoint_trip(base);
+
+  // in_meta: the field is stored in the meta section. Ignitions are not;
+  // they live on in psi (lit) and in the pending section (delayed).
+  struct Case {
+    const char* field;
+    bool in_meta;
+    serve::ScenarioSpec spec;
+  };
+  std::vector<Case> cases;
+  const auto perturb = [&](const char* field,
+                           bool in_meta = true) -> serve::ScenarioSpec& {
+    cases.push_back({field, in_meta, base});
+    return cases.back().spec;
+  };
+  perturb("nx").nx = 23;
+  perturb("ny").ny = 19;
+  perturb("dx").dx = 6.5;
+  perturb("dy").dy = 5.5;
+  perturb("dt").dt = 0.25;
+  perturb("fuel_category").fuel_category = fire::kFuelTallGrass;
+  perturb("wind_u").wind_u = 2.5;
+  perturb("wind_v").wind_v = -0.5;
+  perturb("wind_jitter").wind_jitter = 0.9;
+  perturb("seed").seed = base.seed | (std::uint64_t{1} << 40);  // high half
+  perturb("fuel_moisture_scale").fuel_moisture_scale = 1.3;
+  perturb("burn_time_scale").burn_time_scale = 0.6;
+  perturb("fire.scheme").fire.scheme = levelset::UpwindScheme::kStandardGodunov;
+  perturb("fire.use_heun").fire.use_heun = false;
+  perturb("fire.reinit_interval").fire.reinit_interval = 5;
+  perturb("fire.min_fuel_frac").fire.min_fuel_frac = 0.05;
+  perturb("ignition moved", false).ignitions = {
+      levelset::Ignition{levelset::CircleIgnition{66.0, 60.0, 15.0, 0.0}}};
+  perturb("ignition delayed", false)
+      .ignitions.push_back(levelset::Ignition{
+          levelset::CircleIgnition{100.0, 100.0, 10.0, 20.0}});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    EXPECT_NE(product_key(c.spec, pert, opt), key);
+    const CheckpointTrip trip = checkpoint_trip(c.spec);  // admit validates
+    if (c.in_meta) {
+      EXPECT_FALSE(trip.written.at("meta") == ref.written.at("meta"));
+    } else {
+      EXPECT_FALSE(trip.written.at("psi") == ref.written.at("psi") &&
+                   trip.written.at("pending") == ref.written.at("pending"));
+    }
+    EXPECT_TRUE(trip.rewritten == trip.written);
+    EXPECT_TRUE(trip.resumed.psi == trip.uninterrupted.psi);
+    EXPECT_TRUE(trip.resumed.tig == trip.uninterrupted.tig);
+  }
+
+  // realtime_speedup only scores deadlines: the product does not depend on
+  // it, but a restored scenario keeps it.
+  serve::ScenarioSpec paced = base;
+  paced.realtime_speedup = 4.0;
+  EXPECT_EQ(product_key(paced, pert, opt), key);
+  const CheckpointTrip trip = checkpoint_trip(paced);
+  EXPECT_FALSE(trip.written.at("meta") == ref.written.at("meta"));
+  EXPECT_TRUE(trip.rewritten == trip.written);
+  std::filesystem::remove_all(kSchemaTmp);
 }
 
 TEST(Sweep, DriverRejectsDegenerateOptions) {

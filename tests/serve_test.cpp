@@ -6,9 +6,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 #include <fstream>
+#include <limits>
+#include <map>
 #include <new>
+#include <string>
 
 #include "serve/scenario_server.h"
 
@@ -39,16 +41,19 @@ thread_local bool t_count_allocs = false;
 thread_local long t_alloc_count = 0;
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Out of line, so gcc's -Wmismatched-new-delete never sees the malloc
+// inside operator new paired with a delete at an inlined call site; every
+// delete forwards to the one free().
+[[gnu::noinline]] void* operator new(std::size_t n) {
   if (t_count_allocs) ++t_alloc_count;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 #endif
 
 namespace {
@@ -467,11 +472,103 @@ TEST(ScenarioServer, AdmitRejectsNonFiniteOrNonPositiveSpecFields) {
   bad("fuel_moisture_scale").fuel_moisture_scale = 0.0;
   bad("burn_time_scale").burn_time_scale = nan;
   bad("burn_time_scale").burn_time_scale = -2.0;
+  bad("fuel_category").fuel_category = -1;
+  bad("fuel_category").fuel_category =
+      static_cast<int>(fire::fuel_catalog().size());
+  bad("wind_u").wind_u = nan;
+  bad("wind_v").wind_v = -inf;
+  bad("wind_jitter").wind_jitter = -0.5;
+  bad("realtime_speedup").realtime_speedup = nan;
+  bad("realtime_speedup").realtime_speedup = -1.0;
+  bad("fire.scheme").fire.scheme = static_cast<levelset::UpwindScheme>(7);
+  bad("fire.reinit_interval").fire.reinit_interval = -1;
+  bad("fire.min_fuel_frac").fire.min_fuel_frac = nan;
+  bad("fire.min_fuel_frac").fire.min_fuel_frac = 1.0;
+  bad("fire.min_fuel_frac").fire.min_fuel_frac = -0.01;
   ScenarioServer server;
   for (const auto& [field, spec] : cases)
     EXPECT_THROW(server.admit(spec), std::invalid_argument) << field;
   // Nothing was admitted, and a valid spec still is.
   EXPECT_EQ(server.admit(good), 0);
+}
+
+TEST(ScenarioServer, CorruptCheckpointMetaFailsCleanly) {
+  // Every meta slot of a golden checkpoint rewritten to NaN, +-infinity and
+  // slot-specific out-of-range values (huge, negative, fractional where an
+  // integer is stored, unknown enum values): restore must throw every time
+  // and never admit a scenario with the wrong numerics.
+  TmpDir tmp;
+  ServerOptions opt;
+  opt.threads = 1;
+  opt.checkpoint_dir = kTmp;
+  ScenarioServer server(opt);
+  ScenarioSpec spec = small_spec(37);
+  spec.ignitions.push_back(
+      levelset::Ignition{levelset::CircleIgnition{90.0, 90.0, 10.0, 20.0}});
+  const ScenarioId id = server.admit(spec);
+  server.request_advance(id, 3.0);
+  server.wait(id);
+  server.checkpoint_now(id);
+  const obs::Sections golden = obs::StateFile::read(server.checkpoint_path(id));
+  const std::size_t meta_count = golden.at("meta").size();
+  ASSERT_EQ(meta_count, 22u);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double huge = 1e300;
+  // Slot layout: see ScenarioServer::write_checkpoint_locked.
+  const std::map<std::size_t, std::vector<double>> out_of_range = {
+      {0, {1.0, 3.0}},                        // version
+      {1, {1.0, 20.5, huge, -huge}},          // nx
+      {2, {0.0, -1.0, huge}},                 // ny
+      {3, {0.0, -6.0}},                       // dx
+      {4, {-1.0}},                            // dy
+      {5, {0.0, -0.5}},                       // dt
+      {6, {-1.0, 13.0, 2.5, huge}},           // fuel_category
+      {9, {-0.5}},                            // wind_jitter
+      {10, {-1.0, 4294967296.0, 0.5}},        // seed, low half
+      {11, {-1.0, huge}},                     // seed, high half
+      {12, {-1.0}},                           // realtime_speedup
+      {13, {-1.0, -huge}},                    // sim time
+      {14, {-1.0, 0.5, huge}},                // step counter
+      {15, {-1.0, 8.0, 1.5, huge}},           // redistancing phase
+      {16, {-1.0, 2.5, huge}},                // fire.reinit_interval
+      {17, {-1.0, 0.5, 2.0}},                 // fire.use_heun
+      {18, {1.0, -0.01, huge}},               // fire.min_fuel_frac
+      {19, {-1.0, 3.0, 7.0, huge}},           // fire.scheme
+      {20, {0.0, -1.0}},                      // fuel_moisture_scale
+      {21, {0.0, -2.0}},                      // burn_time_scale
+  };
+  const std::string mutant = std::string(kTmp) + "/mutant.wfst";
+  const auto expect_rejected = [&](const obs::Sections& sections,
+                                   const std::string& what) {
+    obs::StateFile::write(mutant, sections);
+    EXPECT_THROW(server.restore(mutant), std::exception) << what;
+  };
+  for (std::size_t slot = 0; slot < meta_count; ++slot) {
+    std::vector<double> values = {nan, inf, -inf};
+    if (const auto it = out_of_range.find(slot); it != out_of_range.end())
+      values.insert(values.end(), it->second.begin(), it->second.end());
+    for (const double v : values) {
+      obs::Sections bad = golden;
+      bad.at("meta")[slot] = v;
+      expect_rejected(
+          bad, (testing::Message() << "meta slot " << slot << " = " << v)
+                   .GetString());
+    }
+  }
+  // The pending-ignition section: an unknown shape type, a torn record.
+  ASSERT_EQ(golden.at("pending").size(), 7u);
+  obs::Sections bad_type = golden;
+  bad_type.at("pending")[0] = 2.0;
+  expect_rejected(bad_type, "pending shape type");
+  obs::Sections torn = golden;
+  torn.at("pending").pop_back();
+  expect_rejected(torn, "torn pending record");
+
+  // Only the original scenario exists; the golden file itself restores.
+  EXPECT_EQ(server.scenarios(), 1);
+  EXPECT_NO_THROW(server.restore(server.checkpoint_path(id)));
 }
 
 TEST(ScenarioServer, FuelScalesRoundTripThroughCheckpoints) {

@@ -1,5 +1,5 @@
 // Unit tests for the util module: containers, RNG statistics, config
-// parsing, CSV/image output.
+// parsing, image output.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,9 +10,7 @@
 #include "util/array2d.h"
 #include "util/array3d.h"
 #include "util/config.h"
-#include "util/csv.h"
 #include "util/image_io.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -168,23 +166,6 @@ TEST(Config, ParsesFileWithComments) {
   std::filesystem::remove(path);
 }
 
-TEST(Csv, WritesHeaderAndRows) {
-  const std::string path = "/tmp/wfire_csv_test.csv";
-  {
-    wu::CsvWriter csv(path, {"t", "x"});
-    csv.row({0.0, 1.0});
-    csv.row({1.0, 2.5});
-    EXPECT_THROW(csv.row({1.0}), std::invalid_argument);
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "t,x");
-  std::getline(in, line);
-  EXPECT_EQ(line, "0,1");
-  std::filesystem::remove(path);
-}
-
 TEST(ImageIo, WritesPgmAndPpm) {
   wu::Array2D<double> img(8, 4, 0.5);
   const std::string pgm = "/tmp/wfire_test.pgm";
@@ -206,16 +187,6 @@ TEST(ImageIo, ColormapEndpoints) {
   EXPECT_EQ(hi.r, 255);
   EXPECT_EQ(hi.g, 255);
   EXPECT_EQ(hi.b, 255);
-}
-
-TEST(Log, LevelGatesOutput) {
-  const wu::LogLevel before = wu::log_level();
-  wu::set_log_level(wu::LogLevel::kError);
-  EXPECT_EQ(wu::log_level(), wu::LogLevel::kError);
-  // Suppressed and emitted calls must both be safe.
-  WFIRE_LOG_DEBUG("suppressed %d", 1);
-  WFIRE_LOG_ERROR("emitted %s", "ok");
-  wu::set_log_level(before);
 }
 
 TEST(Stopwatch, MeasuresElapsed) {
