@@ -1,7 +1,5 @@
 #include "atmos/dynamics.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -32,7 +30,6 @@ void compute_tendencies(const grid::Grid3D& g, const AmbientProfile& amb,
   auto scalar_tendency = [&](const util::Array3D<double>& f,
                              const util::Array3D<double>* src,
                              util::Array3D<double>& out) {
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     for (int k = 0; k < nz; ++k) {
       for (int j = 0; j < ny; ++j) {
         for (int i = 0; i < nx; ++i) {
@@ -80,7 +77,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   scalar_tendency(s.qv, qv_src, t.dqv);
 
   // ---- u momentum (x-faces) ----
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 0; k < nz; ++k) {
     const double z = g.zc(k);
     const double uamb = amb.wind_u * amb.wind_profile(z);
@@ -127,7 +123,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   }
 
   // ---- v momentum (y-faces) ----
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 0; k < nz; ++k) {
     const double z = g.zc(k);
     const double vamb = amb.wind_v * amb.wind_profile(z);
@@ -171,7 +166,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   }
 
   // ---- w momentum (z-faces, interior only) ----
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 1; k < nz; ++k) {
     const double zf = k * g.dz;  // face height
     for (int j = 0; j < ny; ++j) {
@@ -225,7 +219,6 @@ void apply_tendencies(const grid::Grid3D& g, const Tendencies& t, double dt,
     const double* a = src.data();
     double* b = dst.data();
     const std::size_t n = dst.size();
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i)
       b[i] += dt * a[i];
   };

@@ -1,7 +1,5 @@
 #include "atmos/model.h"
 
-#include "util/omp_compat.h"
-
 #include <cmath>
 
 namespace wfire::atmos {
@@ -30,7 +28,6 @@ void WrfLite::set_forcing(const util::Array3D<double>* theta_src,
 SolveStats WrfLite::project() {
   const int nx = grid_.nx, ny = grid_.ny, nz = grid_.nz;
   // rhs = div(u*) ; the dt factor is absorbed into phi.
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 0; k < nz; ++k)
     for (int j = 0; j < ny; ++j)
       for (int i = 0; i < nx; ++i)
@@ -38,7 +35,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   remove_mean(rhs_);
   const SolveStats stats = mg_->solve(rhs_, phi_);
   // u -= grad(phi): x-face i sits between cells i-1 and i.
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 0; k < nz; ++k) {
     for (int j = 0; j < ny; ++j) {
       for (int i = 0; i < nx; ++i) {
@@ -49,7 +45,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
       }
     }
   }
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 1; k < nz; ++k)
     for (int j = 0; j < ny; ++j)
       for (int i = 0; i < nx; ++i)

@@ -1,7 +1,5 @@
 #include "atmos/multigrid.h"
 
-#include "util/omp_compat.h"
-
 #include <cmath>
 
 namespace wfire::atmos {
@@ -15,7 +13,6 @@ bool can_coarsen(const grid::Grid3D& g) {
 
 void mg_restrict(const Field3& fine, Field3& coarse) {
   const int nx = coarse.nx(), ny = coarse.ny(), nz = coarse.nz();
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 0; k < nz; ++k)
     for (int j = 0; j < ny; ++j)
       for (int i = 0; i < nx; ++i) {
@@ -30,7 +27,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
 
 void mg_prolong_add(const Field3& coarse, Field3& fine) {
   const int nx = fine.nx(), ny = fine.ny(), nz = fine.nz();
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 0; k < nz; ++k)
     for (int j = 0; j < ny; ++j)
       for (int i = 0; i < nx; ++i)

@@ -1,7 +1,5 @@
 #include "atmos/poisson.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -18,7 +16,6 @@ void apply_laplacian(const grid::Grid3D& g, const Field3& phi, Field3& out) {
   const double cx = 1.0 / (g.dx * g.dx);
   const double cy = 1.0 / (g.dy * g.dy);
   const double cz = 1.0 / (g.dz * g.dz);
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 0; k < nz; ++k) {
     for (int j = 0; j < ny; ++j) {
       for (int i = 0; i < nx; ++i) {
@@ -41,7 +38,6 @@ double residual(const grid::Grid3D& g, const Field3& phi, const Field3& rhs,
                 Field3& r) {
   apply_laplacian(g, phi, r);
   double worst = 0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(max : worst))
   for (int k = 0; k < g.nz; ++k)
     for (int j = 0; j < g.ny; ++j)
       for (int i = 0; i < g.nx; ++i) {
@@ -65,7 +61,6 @@ void rbgs_sweep(const grid::Grid3D& g, const Field3& rhs, Field3& phi,
   const double cy = 1.0 / (g.dy * g.dy);
   const double cz = 1.0 / (g.dz * g.dz);
   for (int color = 0; color < 2; ++color) {
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     for (int k = 0; k < nz; ++k) {
       for (int j = 0; j < ny; ++j) {
         for (int i = 0; i < nx; ++i) {

@@ -1,7 +1,5 @@
 #include "atmos/state.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -42,7 +40,6 @@ double cell_divergence(const grid::Grid3D& g, const AtmosState& s, int i,
 
 double max_divergence(const grid::Grid3D& g, const AtmosState& s) {
   double worst = 0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(max : worst))
   for (int k = 0; k < g.nz; ++k)
     for (int j = 0; j < g.ny; ++j)
       for (int i = 0; i < g.nx; ++i)

@@ -112,6 +112,9 @@ FallbackReason AssimilationCycle::batch_blocker() const {
 }
 
 void AssimilationCycle::advance_to(double time) {
+  // A cycle starts here, so the phase log holds this cycle's phases only
+  // and a long-running driver does not grow it without bound.
+  runner_.clear_timings();
   bool batched = false;
   if (opt_.advance == AdvanceMode::kBatched) {
     const FallbackReason blocker = batch_blocker();

@@ -99,7 +99,8 @@ class AssimilationCycle {
   // "random perturbation of the comparison solution").
   void initialize(const std::vector<levelset::Ignition>& base);
 
-  // Advances all members to `time` (member-parallel).
+  // Advances all members to `time` (member-parallel). Starts a new cycle:
+  // clears the runner's phase log first.
   void advance_to(double time);
 
   // One analysis with the given observation image.

@@ -1,7 +1,5 @@
 #include "coupling/flux_insertion.h"
 
-#include "util/omp_compat.h"
-
 #include <cmath>
 #include <stdexcept>
 
@@ -37,7 +35,6 @@ void FluxInserter::insert(const util::Array2D<double>& sensible,
 
   const double inv_rhocp = 1.0 / (p_.rho * p_.cp);
   const double inv_rholv = 1.0 / (p_.rho * p_.Lv);
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int k = 0; k < g_.nz; ++k) {
     const double wk = w_[k];
     for (int j = 0; j < g_.ny; ++j)

@@ -1,7 +1,5 @@
 #include "coupling/wind_sample.h"
 
-#include "util/omp_compat.h"
-
 #include <stdexcept>
 
 #include "grid/interp.h"
@@ -40,7 +38,6 @@ void sample_ground_wind(const grid::Grid3D& g, const atmos::AtmosState& s,
     fire_u = util::Array2D<double>(pair.fire.nx, pair.fire.ny);
     fire_v = util::Array2D<double>(pair.fire.nx, pair.fire.ny);
   }
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < pair.fire.ny; ++j) {
     for (int i = 0; i < pair.fire.nx; ++i) {
       const double px = pair.fire.x(i);

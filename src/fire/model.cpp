@@ -1,7 +1,5 @@
 #include "fire/model.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -66,7 +64,6 @@ void FireModel::apply_pending_ignitions() {
 
 void FireModel::update_ignition_times(const util::Array2D<double>& psi_before,
                                       double t_before, double dt) {
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < grid_.ny; ++j) {
     for (int i = 0; i < grid_.nx; ++i) {
       if (state_.tig(i, j) != kNotIgnited) continue;
@@ -131,7 +128,6 @@ void FireModel::step_into(double dt, const util::Array2D<double>& wind_u,
   out.sensible_flux.fill(0.0);
   out.latent_flux.fill(0.0);
   double total_sens = 0, total_lat = 0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(+ : total_sens, total_lat))
   for (int j = 0; j < grid_.ny; ++j) {
     for (int i = 0; i < grid_.nx; ++i) {
       const double ti = state_.tig(i, j);

@@ -1,7 +1,5 @@
 #include "fire/reaction_diffusion.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -46,7 +44,6 @@ void RdFireModel::step(double dt, double vx, double vy) {
   const double ihx = 1.0 / grid_.dx, ihy = 1.0 / grid_.dy;
   const double ihx2 = ihx * ihx, ihy2 = ihy * ihy;
 
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < grid_.ny; ++j) {
     for (int i = 0; i < grid_.nx; ++i) {
       const double Tc = state_.T(i, j);

@@ -1,7 +1,5 @@
 #include "fire/spread.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -38,7 +36,6 @@ void spread_field(const grid::Grid2D& g, const util::Array2D<double>& psi,
   util::Array2D<double>& ny_f = scratch.ny_f;
   levelset::normals(g, psi, nx_f, ny_f);
 
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < g.ny; ++j) {
     for (int i = 0; i < g.nx; ++i) {
       const FuelCategory* cat = fuel.at(i, j);

@@ -1,7 +1,5 @@
 #include "grid/transfer.h"
 
-#include "util/omp_compat.h"
-
 #include <stdexcept>
 
 #include "grid/interp.h"
@@ -14,7 +12,6 @@ void restrict_average(const util::Array2D<double>& fine, int ratio,
   if (fine.nx() != coarse.nx() * ratio || fine.ny() != coarse.ny() * ratio)
     throw std::invalid_argument("restrict_average: dims mismatch");
   const double inv = 1.0 / (ratio * ratio);
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int J = 0; J < coarse.ny(); ++J) {
     for (int I = 0; I < coarse.nx(); ++I) {
       double s = 0;
@@ -29,7 +26,6 @@ void prolong_bilinear(const util::Array2D<double>& coarse, int ratio,
                       util::Array2D<double>& fine) {
   if (ratio < 1) throw std::invalid_argument("prolong_bilinear: ratio < 1");
   const double inv = 1.0 / ratio;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < fine.ny(); ++j) {
     for (int i = 0; i < fine.nx(); ++i) {
       const double fi = i * inv;

@@ -1,7 +1,5 @@
 #include "levelset/front.h"
 
-#include "util/omp_compat.h"
-
 #include <cmath>
 #include <limits>
 
@@ -76,7 +74,6 @@ double burned_area(const grid::Grid2D& g, const util::Array2D<double>& psi) {
   // accumulate the negative fraction, which is second-order accurate and
   // smooth under front motion.
   double cells = 0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(+ : cells))
   for (int j = 0; j < g.ny - 1; ++j) {
     for (int i = 0; i < g.nx - 1; ++i) {
       const double v00 = psi(i, j), v10 = psi(i + 1, j);

@@ -1,7 +1,5 @@
 #include "levelset/godunov.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -34,7 +32,6 @@ void gradient_magnitude(const grid::Grid2D& g,
   if (!gradmag.same_shape(psi)) gradmag = util::Array2D<double>(nx, ny);
   const double ihx = 1.0 / g.dx, ihy = 1.0 / g.dy;
 
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < ny; ++j) {
     for (int i = 0; i < nx; ++i) {
       // One-sided differences with clamped (copy-out) boundary values: the
@@ -83,7 +80,6 @@ void normals(const grid::Grid2D& g, const util::Array2D<double>& psi,
   if (!ny_out.same_shape(psi)) ny_out = util::Array2D<double>(nx, ny);
   const double ihx = 0.5 / g.dx, ihy = 0.5 / g.dy;
 
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < ny; ++j) {
     for (int i = 0; i < nx; ++i) {
       const double gx = (psi.at_clamped(i + 1, j) - psi.at_clamped(i - 1, j)) * ihx;

@@ -1,7 +1,5 @@
 #include "levelset/initialize.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -46,7 +44,6 @@ void initialize_signed_distance(const grid::Grid2D& g,
                                 util::Array2D<double>& psi) {
   psi = util::Array2D<double>(g.nx, g.ny);
   const double far = std::max(g.width(), g.height()) + g.dx;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < g.ny; ++j) {
     for (int i = 0; i < g.nx; ++i) {
       double d = far;

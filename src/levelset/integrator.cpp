@@ -1,7 +1,5 @@
 #include "levelset/integrator.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <stdexcept>
 
@@ -30,7 +28,6 @@ StepStats step_euler(const grid::Grid2D& g, const util::Array2D<double>& speed,
   if (!speed.same_shape(psi))
     throw std::invalid_argument("step_euler: speed/psi shape mismatch");
   gradient_magnitude(g, psi, scheme, scratch.k1);
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < g.ny; ++j)
     for (int i = 0; i < g.nx; ++i)
       psi(i, j) -= dt * speed(i, j) * scratch.k1(i, j);
@@ -56,13 +53,11 @@ StepStats step_heun(const grid::Grid2D& g, const util::Array2D<double>& speed,
 
   if (!predictor.same_shape(psi))
     predictor = util::Array2D<double>(g.nx, g.ny);
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < g.ny; ++j)
     for (int i = 0; i < g.nx; ++i)
       predictor(i, j) = psi(i, j) - dt * speed(i, j) * k1(i, j);
 
   gradient_magnitude(g, predictor, scheme, k2);
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < g.ny; ++j)
     for (int i = 0; i < g.nx; ++i)
       psi(i, j) -= 0.5 * dt * speed(i, j) * (k1(i, j) + k2(i, j));

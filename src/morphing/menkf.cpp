@@ -51,18 +51,22 @@ MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
   std::vector<Mapping> T(static_cast<std::size_t>(N));
   std::vector<std::vector<util::Array2D<double>>> R(
       static_cast<std::size_t>(N));
-  double reg_res = 0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic) reduction(+ : reg_res))
+  // Per-member slots summed in member order below: a reduction clause under
+  // a dynamic schedule would make the mean depend on the thread schedule.
+  std::vector<double> reg_res(static_cast<std::size_t>(N));
+WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
   for (int k = 0; k < N; ++k) {
     RegistrationResult reg =
         register_fields(members[k].fields[0], u0[0], opt_.reg);
-    reg_res += reg.data_term;
+    reg_res[k] = reg.data_term;
     T[k] = std::move(reg.T);
     R[k].resize(nfields);
     for (std::size_t f = 0; f < nfields; ++f)
       R[k][f] = morph_residual(members[k].fields[f], u0[f], T[k]);
   }
-  stats.mean_registration_residual = reg_res / N;
+  double reg_sum = 0;
+  for (const double r : reg_res) reg_sum += r;
+  stats.mean_registration_residual = reg_sum / N;
   for (int k = 0; k < N; ++k)
     stats.max_mapping_norm = std::max(stats.max_mapping_norm, T[k].max_norm());
 

@@ -1,7 +1,5 @@
 #include "morphing/registration.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -20,7 +18,6 @@ double objective(const util::Array2D<double>& u,
   const int nx = u.nx(), ny = u.ny();
   warp(u0, T, warped);
   double data = 0, reg1 = 0, reg2 = 0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(+ : data, reg1, reg2))
   for (int j = 0; j < ny; ++j) {
     for (int i = 0; i < nx; ++i) {
       const double e = warped(i, j) - u(i, j);
@@ -48,7 +45,6 @@ void gauss_newton_sweep(const util::Array2D<double>& u,
                         const util::Array2D<double>& warped, double alpha,
                         double max_step, Mapping& T) {
   const int nx = u.nx(), ny = u.ny();
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < ny; ++j) {
     for (int i = 0; i < nx; ++i) {
       const double e = warped(i, j) - u(i, j);
@@ -73,7 +69,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
 void smooth_mapping(double lambda, Mapping& T, Mapping& scratch) {
   const int nx = T.nx(), ny = T.ny();
   if (!scratch.same_shape(T)) scratch = Mapping(nx, ny);
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < ny; ++j) {
     for (int i = 0; i < nx; ++i) {
       const double ax = 0.25 * (T.tx.at_clamped(i - 1, j) +
@@ -169,7 +164,6 @@ util::Array2D<double> gaussian_smooth(const util::Array2D<double>& u,
   for (double& v : k) v /= sum;
 
   util::Array2D<double> tmp(u.nx(), u.ny()), out(u.nx(), u.ny());
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < u.ny(); ++j)
     for (int i = 0; i < u.nx(); ++i) {
       double s = 0;
@@ -177,7 +171,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
         s += k[a + radius] * u.at_clamped(i + a, j);
       tmp(i, j) = s;
     }
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < u.ny(); ++j)
     for (int i = 0; i < u.nx(); ++i) {
       double s = 0;

@@ -1,7 +1,5 @@
 #include "morphing/warp.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 
@@ -20,7 +18,6 @@ double Mapping::max_norm() const {
 void warp(const util::Array2D<double>& u, const Mapping& T,
           util::Array2D<double>& out) {
   if (!out.same_shape(u)) out = util::Array2D<double>(u.nx(), u.ny());
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < u.ny(); ++j)
     for (int i = 0; i < u.nx(); ++i)
       out(i, j) = grid::bilinear_frac(u, i + T.tx(i, j), j + T.ty(i, j));
@@ -28,7 +25,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
 
 Mapping compose(const Mapping& T1, const Mapping& T2) {
   Mapping S(T1.nx(), T1.ny());
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < S.ny(); ++j)
     for (int i = 0; i < S.nx(); ++i) {
       const double xi = i + T2.tx(i, j);
@@ -43,7 +39,6 @@ Mapping invert(const Mapping& T, int iters, double relax) {
   Mapping inv(T.nx(), T.ny());
   Mapping next(T.nx(), T.ny());
   for (int it = 0; it < iters; ++it) {
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     for (int j = 0; j < T.ny(); ++j)
       for (int i = 0; i < T.nx(); ++i) {
         const double xi = i + inv.tx(i, j);

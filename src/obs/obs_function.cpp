@@ -1,7 +1,5 @@
 #include "obs/obs_function.h"
 
-#include "util/omp_compat.h"
-
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
@@ -14,7 +12,6 @@ util::Array2D<double> heat_flux_image(const fire::FuelMap& fuel,
                                       const util::Array2D<double>& tig,
                                       double time) {
   util::Array2D<double> flux(tig.nx(), tig.ny(), 0.0);
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < tig.ny(); ++j)
     for (int i = 0; i < tig.nx(); ++i) {
       const double ti = tig(i, j);
@@ -32,7 +29,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
 
 util::Array2D<double> median3x3(const util::Array2D<double>& f) {
   util::Array2D<double> out(f.nx(), f.ny());
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < f.ny(); ++j) {
     double window[9];
     for (int i = 0; i < f.nx(); ++i) {

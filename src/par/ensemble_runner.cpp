@@ -3,22 +3,12 @@
 #include "util/omp_compat.h"
 #include "util/stopwatch.h"
 
-#include <algorithm>
-
 namespace wfire::par {
 
 void EnsembleRunner::run_phase(const std::string& name, int members,
                                const std::function<void(int)>& task) {
   util::Stopwatch sw;
-  // Member-level parallelism owns the cores in this phase: split the OpenMP
-  // width across the concurrently running members so their nested
-  // cell-level regions don't multiply into members x max_threads threads.
-  const int active = std::max(1, std::min(members, pool_.size()));
-  const int inner = std::max(1, pool_.size() / active);
-  pool_.parallel_for(members, [&](int k) {
-    util::ScopedOmpNumThreads scoped(inner);
-    task(k);
-  });
+  pool_.parallel_for(members, task);
   timings_.push_back({name, sw.seconds()});
 }
 

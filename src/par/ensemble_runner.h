@@ -24,10 +24,9 @@ class EnsembleRunner {
 
   [[nodiscard]] int threads() const { return pool_.size(); }
 
-  // Runs task(k) for each member k in parallel; records the phase wall time
-  // under `name`. Each member task's nested OpenMP regions are narrowed to
-  // pool_size / min(members, pool_size) threads so member-level and
-  // cell-level parallelism compose instead of oversubscribing.
+  // Runs task(k) for each member k on the pool; records the phase wall time
+  // under `name`. Member tasks run serial kernels, so the pool alone owns
+  // the cores in this phase.
   void run_phase(const std::string& name, int members,
                  const std::function<void(int)>& task);
 
@@ -36,8 +35,8 @@ class EnsembleRunner {
                         const std::function<void()>& task);
 
   // Runs a fused batched phase (e.g. the SoA ensemble advance) on the
-  // calling thread with cell-level OpenMP widened to the pool width — the
-  // inverse decomposition of run_phase.
+  // calling thread with its OpenMP team widened to the pool width: one team
+  // spans all members while the pool sits idle.
   void run_batch_phase(const std::string& name,
                        const std::function<void()>& task);
 

@@ -1,7 +1,8 @@
 // Fixed-size thread pool. The paper's parallel structure (Fig. 2) assigns
 // ensemble members to subsets of processors; at laptop scale the same
-// decomposition is expressed as member tasks on a pool. Stencil-level
-// parallelism inside each member uses OpenMP instead (see DESIGN.md).
+// decomposition is expressed as member tasks on a pool. The pool owns the
+// cores: the single-grid kernels a member task runs are serial, so no task
+// opens an OpenMP team (policy in docs/ARCHITECTURE.md).
 //
 // The pool is also the execution substrate of the scenario server
 // (serve/scenario_server): long-lived, with three priority classes so

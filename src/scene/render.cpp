@@ -50,7 +50,6 @@ util::Array2D<double> Renderer::flame_irradiance(
     const int jc = static_cast<int>((s.y - fire_grid.y0) / fire_grid.dy + 0.5);
     const int j0 = std::max(jc - by, 0), j1 = std::min(jc + by, fire_grid.ny - 1);
     const int i0 = std::max(ic - bx, 0), i1 = std::min(ic + bx, fire_grid.nx - 1);
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     for (int j = j0; j <= j1; ++j) {
       for (int i = i0; i <= i1; ++i) {
         const double dx = s.x - fire_grid.x(i), dy = s.y - fire_grid.y(j);

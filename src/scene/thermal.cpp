@@ -1,7 +1,5 @@
 #include "scene/thermal.h"
 
-#include "util/omp_compat.h"
-
 #include <cmath>
 #include <stdexcept>
 
@@ -27,7 +25,6 @@ void GroundThermalModel::temperature_map(const util::Array2D<double>& tig,
                                          util::Array2D<double>& T_out) const {
   if (!T_out.same_shape(tig))
     T_out = util::Array2D<double>(tig.nx(), tig.ny());
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int j = 0; j < tig.ny(); ++j)
     for (int i = 0; i < tig.nx(); ++i) {
       const double ti = tig(i, j);

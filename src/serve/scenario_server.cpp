@@ -7,7 +7,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/omp_compat.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 
@@ -18,9 +17,6 @@ namespace {
 constexpr double kCkptVersion = 2.0;  // v2 appended the fuel scales
 constexpr std::size_t kMetaCount = 22;
 constexpr std::size_t kIgnitionStride = 7;  // [type, 6 shape/time params]
-// OpenMP width inside pooled jobs. Scenario-level concurrency owns the
-// cores; 1 keeps P pooled scenarios from fanning into P x omp threads.
-constexpr int kPooledOmpThreads = 1;
 
 long env_inline_threshold(long fallback) {
   const char* s = std::getenv("WFIRE_SERVE_INLINE");
@@ -329,12 +325,7 @@ void ScenarioServer::request_ignite(ScenarioId id,
 void ScenarioServer::run_scenario(Scenario& s, bool pooled) {
   std::unique_lock<std::mutex> lock(s.mu);
   try {
-    if (pooled) {
-      util::ScopedOmpNumThreads narrow(kPooledOmpThreads);
-      drain_requests(s, lock);
-    } else {
-      drain_requests(s, lock);
-    }
+    drain_requests(s, lock);
     // Ring drained: the scenario is about to go idle. The completion hook
     // runs under the lock (contract in the header: no server re-entry) and
     // before `running` flips, so wait() cannot return ahead of it; a

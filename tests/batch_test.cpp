@@ -10,8 +10,10 @@
 #include <vector>
 
 #include "core/cycle.h"
+#include "core/data_pool.h"
 #include "core/ensemble_batch.h"
 #include "fire/terrain.h"
+#include "util/omp_compat.h"
 #include "util/rng.h"
 
 using namespace wfire;
@@ -475,4 +477,66 @@ TEST(ThreadInvariance, ReferencePathAlsoInvariant) {
     for (std::size_t c = 0; c < one.psi[k].size(); ++c)
       ASSERT_EQ(one.psi[k].data()[c], four.psi[k].data()[c])
           << "psi member " << k;
+}
+
+// The analysis half across widths: registration and the member decode run in
+// member-parallel OpenMP loops, the observation function and state update in
+// pool phases. Member states and every AnalysisResult field must match
+// bitwise between (pool 1, OMP 1) and (pool 4, OMP 4) on every repetition.
+TEST(ThreadInvariance, AssimilateIdenticalAcrossPoolAndOmpWidths) {
+  const grid::Grid2D g = small_grid();
+  auto truth = std::make_unique<fire::FireModel>(
+      g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
+      fire::terrain_flat(g));
+  truth->ignite({levelset::Ignition{
+      levelset::CircleIgnition{140.0, 120.0, 20.0, 0.0}}});
+  DataPool source(std::move(truth), {}, util::Rng(9));
+  const ObservationImage obs = source.observe_at(10.0);
+
+  struct Run {
+    CycleStates states;
+    AnalysisResult analysis;
+  };
+  auto run = [&](int width) {
+    util::ScopedOmpNumThreads omp(width);
+    CycleOptions opt;
+    opt.members = 16;
+    opt.threads = width;
+    opt.ignition_jitter = 20.0;
+    opt.filter = FilterKind::kMorphingEnKF;
+    AssimilationCycle cycle(
+        g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
+        fire::terrain_flat(g), {}, opt, 35);
+    cycle.initialize({levelset::Ignition{
+        levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
+    cycle.advance_to(10.0);
+    Run r;
+    r.analysis = cycle.assimilate(obs);
+    cycle.advance_to(15.0);
+    r.states = snapshot(cycle);
+    return r;
+  };
+  const Run one = run(1);
+  for (int rep = 0; rep < 6; ++rep) {
+    const Run four = run(4);
+    const AnalysisResult& a = one.analysis;
+    const AnalysisResult& b = four.analysis;
+    EXPECT_EQ(a.enkf.path_used, b.enkf.path_used);
+    EXPECT_EQ(a.enkf.n, b.enkf.n);
+    EXPECT_EQ(a.enkf.m, b.enkf.m);
+    EXPECT_EQ(a.enkf.N, b.enkf.N);
+    EXPECT_EQ(a.enkf.innovation_rms, b.enkf.innovation_rms) << "rep " << rep;
+    EXPECT_EQ(a.enkf.increment_rms, b.enkf.increment_rms) << "rep " << rep;
+    EXPECT_EQ(a.mean_registration_residual, b.mean_registration_residual)
+        << "rep " << rep;
+    EXPECT_EQ(a.max_mapping_norm, b.max_mapping_norm) << "rep " << rep;
+    for (std::size_t k = 0; k < one.states.psi.size(); ++k) {
+      for (std::size_t c = 0; c < one.states.psi[k].size(); ++c) {
+        ASSERT_EQ(one.states.psi[k].data()[c], four.states.psi[k].data()[c])
+            << "psi member " << k << " rep " << rep;
+        ASSERT_EQ(one.states.tig[k].data()[c], four.states.tig[k].data()[c])
+            << "tig member " << k << " rep " << rep;
+      }
+    }
+  }
 }

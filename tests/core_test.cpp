@@ -5,7 +5,9 @@
 #include <chrono>
 #include <cmath>
 #include <filesystem>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "core/cycle.h"
 #include "core/data_pool.h"
@@ -246,6 +248,32 @@ TEST(RealTime, DriverRecordsCyclesAndDeadlines) {
     EXPECT_FALSE(r.met_deadline);  // 10 us budget is not attainable
     EXPECT_TRUE(std::isfinite(r.position_error));
   }
+}
+
+// The runner's phase log is per cycle: a long-lived driver must not grow it.
+TEST(RealTime, PhaseLogHoldsOnlyTheLastCycle) {
+  const grid::Grid2D g = small_grid();
+  DataPool pool(ignited_model(120.0, 120.0), {}, util::Rng(8));
+  CycleOptions opt;
+  opt.members = 3;
+  opt.threads = 2;
+  opt.ignition_jitter = 20.0;
+  opt.filter = FilterKind::kStandardEnKF;
+  AssimilationCycle cycle(g, fire::uniform_fuel(g.nx, g.ny, 0),
+                          fire::terrain_flat(g), {}, opt, 17);
+  cycle.initialize({levelset::Ignition{
+      levelset::CircleIgnition{110.0, 120.0, 20.0, 0.0}}});
+
+  RealTimeOptions ropt;
+  ropt.cycle_interval = 5.0;
+  ropt.cycles = 5;
+  ropt.pace = false;
+  RealTimeDriver driver(cycle, pool, ropt);
+  ASSERT_EQ(driver.run().size(), 5u);
+  std::vector<std::string> names;
+  for (const auto& p : cycle.runner().timings()) names.push_back(p.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"advance", "obs_function", "enkf",
+                                             "state_update"}));
 }
 
 namespace {
