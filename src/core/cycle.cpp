@@ -11,27 +11,6 @@ namespace wfire::core {
 
 namespace {
 
-// Shifts every ignition shape by (dx, dy).
-levelset::Ignition shifted(const levelset::Ignition& ign, double dx,
-                           double dy) {
-  levelset::Ignition out = ign;
-  std::visit(
-      [&](auto& shape) {
-        using T = std::decay_t<decltype(shape)>;
-        if constexpr (std::is_same_v<T, levelset::CircleIgnition>) {
-          shape.cx += dx;
-          shape.cy += dy;
-        } else {
-          shape.x1 += dx;
-          shape.y1 += dy;
-          shape.x2 += dx;
-          shape.y2 += dy;
-        }
-      },
-      out);
-  return out;
-}
-
 // Caps tig for filtering; the morphing warp needs finite fields.
 util::Array2D<double> capped_tig(const util::Array2D<double>& tig) {
   util::Array2D<double> out = tig;
@@ -80,7 +59,8 @@ void AssimilationCycle::initialize(
     const double dy = opt_.ignition_jitter * mrng.normal();
     std::vector<levelset::Ignition> perturbed;
     perturbed.reserve(base.size());
-    for (const auto& ign : base) perturbed.push_back(shifted(ign, dx, dy));
+    for (const auto& ign : base)
+      perturbed.push_back(levelset::shifted(ign, dx, dy));
     model->ignite(perturbed);
     models_[k] = std::move(model);
     member_wind_[k] = {opt_.wind_u + opt_.wind_jitter * mrng.normal(),

@@ -28,18 +28,6 @@ util::Array2D<double> terrain_hill(const grid::Grid2D& g, double cx, double cy,
   return z;
 }
 
-util::Array2D<double> terrain_ridge(const grid::Grid2D& g, double cx,
-                                    double height, double halfwidth) {
-  util::Array2D<double> z(g.nx, g.ny);
-  const double inv2w2 = 1.0 / (2.0 * halfwidth * halfwidth);
-  for (int j = 0; j < g.ny; ++j)
-    for (int i = 0; i < g.nx; ++i) {
-      const double dx = g.x(i) - cx;
-      z(i, j) = height * std::exp(-dx * dx * inv2w2);
-    }
-  return z;
-}
-
 util::Array2D<double> terrain_random(const grid::Grid2D& g, int n,
                                      double height, double radius,
                                      util::Rng& rng) {

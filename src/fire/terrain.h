@@ -21,11 +21,6 @@ namespace wfire::fire {
                                                  double cx, double cy,
                                                  double height, double radius);
 
-// Ridge along y at x = cx with Gaussian cross-section.
-[[nodiscard]] util::Array2D<double> terrain_ridge(const grid::Grid2D& g,
-                                                  double cx, double height,
-                                                  double halfwidth);
-
 // Smooth random terrain: sum of `n` random Gaussian bumps.
 [[nodiscard]] util::Array2D<double> terrain_random(const grid::Grid2D& g,
                                                    int n, double height,

@@ -3,7 +3,6 @@
 // grid with dx = dy = 6 m.
 #pragma once
 
-#include <cmath>
 #include <stdexcept>
 
 namespace wfire::grid {
@@ -34,12 +33,6 @@ struct Grid2D {
   // Fractional index of a physical point; callers clamp as needed.
   [[nodiscard]] double fx(double px) const { return (px - x0) / dx; }
   [[nodiscard]] double fy(double py) const { return (py - y0) / dy; }
-
-  [[nodiscard]] bool same_geometry(const Grid2D& o, double tol = 1e-12) const {
-    return nx == o.nx && ny == o.ny && std::abs(x0 - o.x0) < tol &&
-           std::abs(y0 - o.y0) < tol && std::abs(dx - o.dx) < tol &&
-           std::abs(dy - o.dy) < tol;
-  }
 };
 
 }  // namespace wfire::grid

@@ -24,10 +24,6 @@ double dot(const Vector& x, const Vector& y) {
 
 double nrm2(const Vector& x) { return std::sqrt(dot(x, x)); }
 
-void scal(double alpha, Vector& x) {
-  for (double& v : x) v *= alpha;
-}
-
 void gemv(double alpha, const Matrix& A, const Vector& x, double beta,
           Vector& y) {
   if (static_cast<int>(x.size()) != A.cols() ||

@@ -14,7 +14,6 @@ void axpy(double alpha, const Vector& x, Vector& y);
 
 [[nodiscard]] double dot(const Vector& x, const Vector& y);
 [[nodiscard]] double nrm2(const Vector& x);
-void scal(double alpha, Vector& x);
 
 // y = alpha * A * x + beta * y  (A: m x n, x: n, y: m)
 void gemv(double alpha, const Matrix& A, const Vector& x, double beta,

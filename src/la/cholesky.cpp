@@ -206,10 +206,4 @@ Matrix cholesky_solve(const Matrix& L, const Matrix& B) {
   return X;
 }
 
-double cholesky_logdet(const Matrix& L) {
-  double s = 0;
-  for (int i = 0; i < L.rows(); ++i) s += std::log(L(i, i));
-  return 2.0 * s;
-}
-
 }  // namespace wfire::la

@@ -40,7 +40,4 @@ void cholesky_solve_in_place(const Matrix& L, Matrix& B);
 // Solves A X = B; returns X (copy of B, then in-place solve).
 [[nodiscard]] Matrix cholesky_solve(const Matrix& L, const Matrix& B);
 
-// log(det(A)) from the factor (used by likelihood diagnostics).
-[[nodiscard]] double cholesky_logdet(const Matrix& L);
-
 }  // namespace wfire::la

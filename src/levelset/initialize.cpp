@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 namespace wfire::levelset {
 
@@ -37,6 +38,23 @@ double signed_distance(const Ignition& ign, double px, double py) {
 
 double ignition_time(const Ignition& ign) {
   return std::visit([](const auto& shape) { return shape.time; }, ign);
+}
+
+void validate(const Ignition& ign) {
+  bool ok = true;
+  for_each_param(ign, [&ok](double v, ParamRole role) {
+    ok = ok && std::isfinite(v) && (role != ParamRole::kSize || v > 0);
+  });
+  if (!ok) throw std::invalid_argument("Ignition: non-finite or size <= 0");
+}
+
+Ignition shifted(const Ignition& ign, double dx, double dy) {
+  Ignition out = ign;
+  for_each_param(out, [dx, dy](double& v, ParamRole role) {
+    if (role == ParamRole::kX) v += dx;
+    if (role == ParamRole::kY) v += dy;
+  });
+  return out;
 }
 
 void initialize_signed_distance(const grid::Grid2D& g,

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <variant>
 #include <vector>
 
 #include "util/hash.h"
@@ -41,68 +40,19 @@ serve::ScenarioSpec perturb_member(const serve::ScenarioSpec& base,
   for (levelset::Ignition& ign : spec.ignitions) {
     const double jx = pert.ignition_jitter * rng.normal();
     const double jy = pert.ignition_jitter * rng.normal();
-    if (auto* c = std::get_if<levelset::CircleIgnition>(&ign)) {
-      c->cx += jx;
-      c->cy += jy;
-    } else {
-      auto& l = std::get<levelset::LineIgnition>(ign);
-      l.x1 += jx;
-      l.y1 += jy;
-      l.x2 += jx;
-      l.y2 += jy;
-    }
+    ign = levelset::shifted(ign, jx, jy);
   }
 
   spec.seed = base.seed ^ rng.next_u64();
   return spec;
 }
 
-namespace {
-
-void hash_ignition(util::Fnv1a& h, const levelset::Ignition& ign) {
-  if (const auto* c = std::get_if<levelset::CircleIgnition>(&ign)) {
-    h.i32(0);
-    h.f64(c->cx);
-    h.f64(c->cy);
-    h.f64(c->r);
-    h.f64(c->time);
-  } else {
-    const auto& l = std::get<levelset::LineIgnition>(ign);
-    h.i32(1);
-    h.f64(l.x1);
-    h.f64(l.y1);
-    h.f64(l.x2);
-    h.f64(l.y2);
-    h.f64(l.w);
-    h.f64(l.time);
-  }
-}
-
-}  // namespace
-
 std::uint64_t product_key(const serve::ScenarioSpec& base,
                           const PerturbationSpec& pert,
                           const SweepOptions& opt) {
   util::Fnv1a h;
   h.str("wfire.burn_probability.v1");
-  h.i32(base.nx);
-  h.i32(base.ny);
-  h.f64(base.dx);
-  h.f64(base.dy);
-  h.f64(base.dt);
-  h.i32(base.fuel_category);
-  h.f64(base.wind_u);
-  h.f64(base.wind_v);
-  h.f64(base.wind_jitter);
-  h.u64(base.seed);
-  h.f64(base.fuel_moisture_scale);
-  h.f64(base.burn_time_scale);
-  h.u64(base.ignitions.size());
-  for (const levelset::Ignition& ign : base.ignitions) hash_ignition(h, ign);
-  h.i32(static_cast<int>(base.fire.scheme));
-  h.b(base.fire.use_heun);
-  h.i32(base.fire.reinit_interval);
-  h.f64(base.fire.min_fuel_frac);
+  serve::hash_spec(h, base);
   h.f64(pert.wind_speed_sigma);
   h.f64(pert.wind_dir_sigma);
   h.f64(pert.moisture_sigma);

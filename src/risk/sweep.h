@@ -55,9 +55,9 @@ struct SweepOptions {
     const serve::ScenarioSpec& base, const PerturbationSpec& pert, int k);
 
 // Content hash of everything that determines the product bitwise: the base
-// spec's trajectory fields (grid, winds, seed, fuel, ignitions, fire
-// options), the perturbation, K and the horizon. Execution knobs (threads,
-// admission threshold, realtime pacing) are deliberately excluded.
+// spec's keyed fields (serve::hash_spec), the perturbation, K and the
+// horizon. Execution knobs (threads, admission threshold, realtime pacing)
+// are deliberately excluded.
 [[nodiscard]] std::uint64_t product_key(const serve::ScenarioSpec& base,
                                         const PerturbationSpec& pert,
                                         const SweepOptions& opt);

@@ -14,9 +14,13 @@ namespace wfire::serve {
 
 namespace {
 
+// Meta layout: slot 0 the version, 13 the clock, 14 the step counter, 15
+// the redistancing phase; every other slot is a spec field (serve/spec.cpp).
 constexpr double kCkptVersion = 2.0;  // v2 appended the fuel scales
 constexpr std::size_t kMetaCount = 22;
-constexpr std::size_t kIgnitionStride = 7;  // [type, 6 shape/time params]
+// A pending ignition's record: its shape's index in levelset::Ignition,
+// then the shape's parameter list, zero-padded to the longest (a line's 6).
+constexpr std::size_t kRecord = 7;
 
 long env_inline_threshold(long fallback) {
   const char* s = std::getenv("WFIRE_SERVE_INLINE");
@@ -24,87 +28,6 @@ long env_inline_threshold(long fallback) {
   char* end = nullptr;
   const long v = std::strtol(s, &end, 10);
   return (end != nullptr && *end == '\0' && v >= 0) ? v : fallback;
-}
-
-// Ignition <-> 7 doubles, for the checkpoint's "pending" section.
-void pack_ignition(const levelset::Ignition& ign, double* out) {
-  std::fill(out, out + kIgnitionStride, 0.0);
-  if (const auto* c = std::get_if<levelset::CircleIgnition>(&ign)) {
-    out[0] = 0;
-    out[1] = c->cx;
-    out[2] = c->cy;
-    out[3] = c->r;
-    out[4] = c->time;
-  } else {
-    const auto& l = std::get<levelset::LineIgnition>(ign);
-    out[0] = 1;
-    out[1] = l.x1;
-    out[2] = l.y1;
-    out[3] = l.x2;
-    out[4] = l.y2;
-    out[5] = l.w;
-    out[6] = l.time;
-  }
-}
-
-levelset::Ignition unpack_ignition(const double* in) {
-  if (in[0] == 0.0)
-    return levelset::CircleIgnition{in[1], in[2], in[3], in[4]};
-  return levelset::LineIgnition{in[1], in[2], in[3], in[4], in[5], in[6]};
-}
-
-// Rejects a spec the model cannot run. Every size and rate must be finite
-// and positive; each test is written so that a NaN fails it.
-void validate(const ScenarioSpec& spec) {
-  const auto positive = [](double v) { return std::isfinite(v) && v > 0; };
-  const auto non_negative = [](double v) {
-    return std::isfinite(v) && v >= 0;
-  };
-  if (spec.nx < 2 || spec.ny < 2)
-    throw std::invalid_argument("ScenarioSpec: nx and ny must be >= 2");
-  if (!positive(spec.dx) || !positive(spec.dy))
-    throw std::invalid_argument(
-        "ScenarioSpec: dx and dy must be finite and > 0");
-  if (!positive(spec.dt))
-    throw std::invalid_argument("ScenarioSpec: dt must be finite and > 0");
-  if (spec.fuel_category < 0 ||
-      spec.fuel_category >= static_cast<int>(fire::fuel_catalog().size()))
-    throw std::invalid_argument("ScenarioSpec: unknown fuel_category");
-  if (!std::isfinite(spec.wind_u) || !std::isfinite(spec.wind_v) ||
-      !non_negative(spec.wind_jitter))
-    throw std::invalid_argument(
-        "ScenarioSpec: winds must be finite and wind_jitter >= 0");
-  if (!positive(spec.fuel_moisture_scale) || !positive(spec.burn_time_scale))
-    throw std::invalid_argument(
-        "ScenarioSpec: fuel scales must be finite and > 0");
-  if (!non_negative(spec.realtime_speedup))
-    throw std::invalid_argument(
-        "ScenarioSpec: realtime_speedup must be finite and >= 0");
-  switch (spec.fire.scheme) {
-    case levelset::UpwindScheme::kPaperRule:
-    case levelset::UpwindScheme::kStandardGodunov:
-    case levelset::UpwindScheme::kCentral:
-      break;
-    default:
-      throw std::invalid_argument("ScenarioSpec: unknown fire.scheme");
-  }
-  if (spec.fire.reinit_interval < 0)
-    throw std::invalid_argument("ScenarioSpec: fire.reinit_interval < 0");
-  if (!(spec.fire.min_fuel_frac >= 0 && spec.fire.min_fuel_frac < 1))
-    throw std::invalid_argument(
-        "ScenarioSpec: fire.min_fuel_frac must be in [0, 1)");
-}
-
-// A checkpoint is untrusted bytes. A meta slot that becomes an integer or
-// an enum must hold an integral value in [lo, hi] before it is converted:
-// casting a NaN or out-of-range double is undefined behaviour.
-double meta_integer(const std::vector<double>& m, std::size_t slot, double lo,
-                    double hi) {
-  const double v = m[slot];
-  if (!(v >= lo && v <= hi) || v != std::floor(v))
-    throw std::runtime_error("ScenarioServer: corrupt checkpoint meta slot " +
-                             std::to_string(slot));
-  return v;
 }
 
 }  // namespace
@@ -184,45 +107,20 @@ ScenarioId ScenarioServer::restore(const std::string& checkpoint_path) {
   const auto psi_it = sec.find("psi");
   const auto tig_it = sec.find("tig");
   if (meta_it == sec.end() || psi_it == sec.end() || tig_it == sec.end() ||
-      meta_it->second.size() < kMetaCount)
+      meta_it->second.size() != kMetaCount)
     throw std::runtime_error("ScenarioServer: not a checkpoint: " +
                              checkpoint_path);
   const std::vector<double>& m = meta_it->second;
   if (m[0] != kCkptVersion)
     throw std::runtime_error("ScenarioServer: unsupported checkpoint version");
-
-  constexpr double kIntMax = std::numeric_limits<int>::max();
-  constexpr double kU32Max = 4294967295.0;
-  ScenarioSpec spec;
-  spec.nx = static_cast<int>(meta_integer(m, 1, 0, kIntMax));
-  spec.ny = static_cast<int>(meta_integer(m, 2, 0, kIntMax));
-  spec.dx = m[3];
-  spec.dy = m[4];
-  spec.dt = m[5];
-  spec.fuel_category = static_cast<int>(meta_integer(m, 6, 0, kIntMax));
-  spec.wind_u = m[7];
-  spec.wind_v = m[8];
-  spec.wind_jitter = m[9];
-  spec.seed =
-      static_cast<std::uint64_t>(meta_integer(m, 10, 0, kU32Max)) |
-      (static_cast<std::uint64_t>(meta_integer(m, 11, 0, kU32Max)) << 32);
-  spec.realtime_speedup = m[12];
-  spec.fuel_moisture_scale = m[20];
-  spec.burn_time_scale = m[21];
-  spec.fire.reinit_interval = static_cast<int>(meta_integer(m, 16, 0, kIntMax));
-  spec.fire.use_heun = meta_integer(m, 17, 0, 1) != 0.0;
-  spec.fire.min_fuel_frac = m[18];
-  spec.fire.scheme = static_cast<levelset::UpwindScheme>(
-      static_cast<int>(meta_integer(m, 19, 0, kIntMax)));
-  // admit() validates the rest of the spec. Clock and step counters: the
-  // model's redistancing phase is always below its interval (0 when
-  // redistancing is off).
+  const ScenarioSpec spec = read_meta(m);
+  // Clock and step counters: the model's redistancing phase is always below
+  // its interval (0 when redistancing is off).
   const double time = m[13];
-  if (!(time >= 0 && std::isfinite(time)))
-    throw std::runtime_error("ScenarioServer: corrupt checkpoint time");
-  const long steps = static_cast<long>(meta_integer(m, 14, 0, 0x1p53));
-  const int steps_since_reinit = static_cast<int>(meta_integer(
-      m, 15, 0, std::max(spec.fire.reinit_interval - 1, 0)));
+  if (!(time >= 0 && std::isfinite(time)) ||
+      !is_integer_in(m[14], 0, 0x1p53) ||
+      !is_integer_in(m[15], 0, std::max(spec.fire.reinit_interval - 1, 0)))
+    throw std::runtime_error("ScenarioServer: corrupt checkpoint counters");
 
   const std::size_t n =
       static_cast<std::size_t>(spec.nx) * static_cast<std::size_t>(spec.ny);
@@ -231,13 +129,19 @@ ScenarioId ScenarioServer::restore(const std::string& checkpoint_path) {
   std::vector<levelset::Ignition> pending;
   if (const auto pend_it = sec.find("pending"); pend_it != sec.end()) {
     const std::vector<double>& p = pend_it->second;
-    if (p.size() % kIgnitionStride != 0)
+    if (p.size() % kRecord != 0)
       throw std::runtime_error("ScenarioServer: corrupt pending ignitions");
-    pending.reserve(p.size() / kIgnitionStride);
-    for (std::size_t k = 0; k < p.size(); k += kIgnitionStride) {
-      if (p[k] != 0.0 && p[k] != 1.0)
+    pending.reserve(p.size() / kRecord);
+    for (std::size_t k = 0; k < p.size(); k += kRecord) {
+      levelset::Ignition ign;  // shape index 0: a circle
+      if (p[k] == 1.0)
+        ign = levelset::LineIgnition{};
+      else if (p[k] != 0.0)
         throw std::runtime_error("ScenarioServer: corrupt pending ignitions");
-      pending.push_back(unpack_ignition(&p[k]));
+      const double* in = &p[k];
+      levelset::for_each_param(ign, [&in](double& v, auto) { v = *++in; });
+      levelset::validate(ign);
+      pending.push_back(ign);
     }
   }
 
@@ -251,8 +155,8 @@ ScenarioId ScenarioServer::restore(const std::string& checkpoint_path) {
   std::copy(tig_it->second.begin(), tig_it->second.end(), st.tig.begin());
   st.time = time;
   s.model->set_state(std::move(st));
-  s.steps = steps;
-  s.model->set_steps_since_reinit(steps_since_reinit);
+  s.steps = static_cast<long>(m[14]);
+  s.model->set_steps_since_reinit(static_cast<int>(m[15]));
   s.model->set_pending_ignitions(std::move(pending));
   if (opt_.checkpoint_interval > 0)
     s.next_checkpoint =
@@ -303,6 +207,7 @@ bool ScenarioServer::request_advance(ScenarioId id, double until) {
 
 void ScenarioServer::request_ignite(ScenarioId id,
                                     const levelset::Ignition& ign) {
+  levelset::validate(ign);
   Scenario& s = at(id);
   std::lock_guard<std::mutex> lock(s.mu);
   if (!accepting_.load())
@@ -407,34 +312,21 @@ void ScenarioServer::write_checkpoint_locked(Scenario& s) {
   std::vector<double>& meta = s.ckpt_sections["meta"];
   meta.resize(kMetaCount);
   meta[0] = kCkptVersion;
-  meta[1] = s.spec.nx;
-  meta[2] = s.spec.ny;
-  meta[3] = s.spec.dx;
-  meta[4] = s.spec.dy;
-  meta[5] = s.spec.dt;
-  meta[6] = s.spec.fuel_category;
-  meta[7] = s.spec.wind_u;
-  meta[8] = s.spec.wind_v;
-  meta[9] = s.spec.wind_jitter;
-  meta[10] = static_cast<double>(s.spec.seed & 0xffffffffULL);
-  meta[11] = static_cast<double>(s.spec.seed >> 32);
-  meta[12] = s.spec.realtime_speedup;
+  write_meta(s.spec, meta);
   meta[13] = st.time;
   meta[14] = static_cast<double>(s.steps);
   meta[15] = s.model->steps_since_reinit();
-  meta[16] = s.spec.fire.reinit_interval;
-  meta[17] = s.spec.fire.use_heun ? 1.0 : 0.0;
-  meta[18] = s.spec.fire.min_fuel_frac;
-  meta[19] = static_cast<double>(static_cast<int>(s.spec.fire.scheme));
-  meta[20] = s.spec.fuel_moisture_scale;
-  meta[21] = s.spec.burn_time_scale;
   s.ckpt_sections["psi"].assign(st.psi.begin(), st.psi.end());
   s.ckpt_sections["tig"].assign(st.tig.begin(), st.tig.end());
   const std::vector<levelset::Ignition>& pending = s.model->pending_ignitions();
   std::vector<double>& packed = s.ckpt_sections["pending"];
-  packed.resize(pending.size() * kIgnitionStride);
-  for (std::size_t k = 0; k < pending.size(); ++k)
-    pack_ignition(pending[k], &packed[k * kIgnitionStride]);
+  packed.assign(pending.size() * kRecord, 0.0);
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    double* out = &packed[k * kRecord];
+    *out = static_cast<double>(pending[k].index());
+    levelset::for_each_param(pending[k],
+                             [&out](double v, auto) { *++out = v; });
+  }
   obs::StateFile::write(s.ckpt_path, s.ckpt_sections);
   ++s.checkpoints;
 }

@@ -6,24 +6,17 @@
 //    platform, SNIPPETS.md #3): an advance request whose estimated cost in
 //    cell-steps is at or below ServerOptions::inline_cell_steps is served
 //    inline on the caller's thread; bigger requests queue to the pool.
-//  - Per-scenario arenas: everything a scenario needs in steady state — the
-//    fire model's stepping scratch, the flux output arrays, the request
-//    ring, the checkpoint section buffers — is allocated at admit(), so the
-//    serving path (request_advance/step/status) performs no heap allocation.
 //  - Crash-recovery checkpoints: periodic (or on-demand) statefiles written
 //    through obs::StateFile's atomic temp-file + fsync + rename, so a
 //    scenario killed mid-checkpoint never leaves a truncated file; restore()
-//    resumes a scenario bitwise-exactly (state, pending ignitions, step
-//    counter, redistancing phase all round-trip).
+//    checks the file against the spec schema (serve/spec.h) and resumes a
+//    scenario bitwise-exactly.
 //  - Request API: ignition and advance requests are accepted while a
 //    scenario is running and batched through a fixed-capacity per-scenario
 //    ring; queries (status) snapshot a running scenario between steps.
 //
-// Reproducibility contract: a scenario's trajectory is a pure function of
-// its spec. Per-step wind gusts come from counter-based streams
-// (util::Rng::stream(seed, step)), so N scenarios served concurrently on any
-// pool width produce trajectories bitwise-identical to running each alone —
-// decorrelated across seeds, reproducible within one.
+// Reproducibility: a scenario's trajectory is a pure function of its spec,
+// bitwise (docs/ARCHITECTURE.md, Determinism).
 //
 // Ownership and threading contract:
 //  - The server owns every scenario it admits for its whole lifetime; ids
@@ -39,48 +32,27 @@
 //    reduction point for fleet workloads (risk::SweepDriver folds finished
 //    members into a burn-probability grid here). A throwing hook marks the
 //    scenario failed, like a throwing advance.
-//  - Allocation: everything a scenario needs in steady state is carved at
+//  - Allocation: everything a scenario needs in steady state (stepping
+//    scratch, flux outputs, request ring, checkpoint buffers) is carved at
 //    admit(); the serving path (request_advance/step/status) touches the
 //    heap only through a user-supplied completion hook, never itself.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "fire/model.h"
-#include "levelset/initialize.h"
 #include "obs/statefile.h"
 #include "par/thread_pool.h"
+#include "serve/spec.h"
 
 namespace wfire::serve {
 
 using ScenarioId = int;
-
-// Everything that defines a scenario's trajectory. Kept deliberately flat so
-// it round-trips through a checkpoint's numeric sections.
-struct ScenarioSpec {
-  int nx = 101, ny = 101;        // fire-mesh nodes
-  double dx = 6.0, dy = 6.0;     // spacing [m] (paper: 6 m)
-  double dt = 0.5;               // step [s]
-  int fuel_category = 0;         // uniform fuel (fire::kFuelShortGrass...)
-  double wind_u = 3.0, wind_v = 0.0;  // ambient wind [m/s]
-  double wind_jitter = 0.0;      // per-step gust std [m/s], 0 = steady wind
-  std::uint64_t seed = 0;        // gust stream seed (util::Rng::stream)
-  // Monte Carlo fuel perturbations (risk::SweepDriver): the whole fuel
-  // catalog's moisture M resp. mass-loss e-folding time tau is scaled at
-  // admit(). Must be > 0; 1 = the catalog as published.
-  double fuel_moisture_scale = 1.0;
-  double burn_time_scale = 1.0;
-  double realtime_speedup = 0;   // > 0: score advances against sim/speedup
-  std::vector<levelset::Ignition> ignitions;  // applied at admit()
-  fire::FireModelOptions fire;
-};
 
 struct ServerOptions {
   int threads = 0;               // pool width (<= 0: hardware concurrency)
@@ -135,7 +107,8 @@ class ScenarioServer {
   bool request_advance(ScenarioId id, double until);
 
   // Queues an ignition; it lights at its own ignition time once the
-  // scenario's clock reaches it. Deterministic (solo-equivalent) whenever
+  // scenario's clock reaches it. Throws std::invalid_argument for a shape
+  // levelset::validate() rejects. Deterministic (solo-equivalent) whenever
   // the request is enqueued before the scenario reaches that time.
   void request_ignite(ScenarioId id, const levelset::Ignition& ign);
 

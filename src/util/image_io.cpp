@@ -43,14 +43,6 @@ Rgb colormap_hot(double t) {
   return Rgb{to_byte(3.0 * t), to_byte(3.0 * t - 1.0), to_byte(3.0 * t - 2.0)};
 }
 
-Rgb colormap_jet(double t) {
-  t = std::clamp(t, 0.0, 1.0);
-  const double r = std::clamp(1.5 - std::abs(4.0 * t - 3.0), 0.0, 1.0);
-  const double g = std::clamp(1.5 - std::abs(4.0 * t - 2.0), 0.0, 1.0);
-  const double b = std::clamp(1.5 - std::abs(4.0 * t - 1.0), 0.0, 1.0);
-  return Rgb{to_byte(r), to_byte(g), to_byte(b)};
-}
-
 void write_false_color(const std::string& path, const Array2D<double>& field,
                        double lo, double hi, Rgb (*cmap)(double)) {
   Array2D<Rgb> img(field.nx(), field.ny());

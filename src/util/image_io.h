@@ -25,9 +25,6 @@ void write_ppm(const std::string& path, const Array2D<Rgb>& img);
 // "Hot iron" false-color map (black->red->yellow->white), t in [0,1].
 [[nodiscard]] Rgb colormap_hot(double t);
 
-// Blue->green->red map for signed/diverging fields, t in [0,1].
-[[nodiscard]] Rgb colormap_jet(double t);
-
 // Renders a scalar field to PPM through a colormap with range [lo, hi].
 void write_false_color(const std::string& path, const Array2D<double>& field,
                        double lo, double hi, Rgb (*cmap)(double) = colormap_hot);

@@ -77,12 +77,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-std::vector<double> Rng::normal_vector(std::size_t n) {
-  std::vector<double> out(n);
-  for (auto& x : out) x = normal();
-  return out;
-}
-
 Rng Rng::spawn() { return Rng(next_u64()); }
 
 Rng Rng::stream(std::uint64_t seed, std::uint64_t stream_id) {

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace wfire::util {
 
@@ -30,9 +29,6 @@ class Rng {
 
   // Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
-
-  // Vector of iid standard normals.
-  std::vector<double> normal_vector(std::size_t n);
 
   // Derive an independent stream (e.g. one per ensemble member). Streams
   // seeded from distinct jumps of SplitMix64 are statistically independent.

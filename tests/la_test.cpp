@@ -134,14 +134,6 @@ TEST(Cholesky, ThrowsOnIndefinite) {
   EXPECT_THROW(cholesky(S, 1), std::runtime_error);
 }
 
-TEST(Cholesky, LogDetMatches) {
-  Matrix S = Matrix::identity(3);
-  S(0, 0) = 2.0;
-  S(1, 1) = 4.0;
-  const CholeskyResult f = cholesky(S);
-  EXPECT_NEAR(cholesky_logdet(f.L), std::log(8.0), 1e-12);
-}
-
 class QrParam : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(QrParam, LeastSquaresMatchesNormalEquations) {

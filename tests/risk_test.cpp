@@ -292,10 +292,10 @@ TEST(Sweep, ProductKeyTracksProductNotExecution) {
 }
 
 // ---------------------------------------------------------------------------
-// The ScenarioSpec field list is written down three times: admit()
-// validation, the checkpoint meta, and product_key(). Perturbing each
-// trajectory field in turn must stay admissible, change the product key,
-// be recorded in the checkpoint, and survive checkpoint -> restore.
+// One field table (serve/spec.cpp) drives admit() validation, the
+// checkpoint meta and product_key(). Perturbing each trajectory field in
+// turn must stay admissible, change the product key, be recorded in the
+// checkpoint, and survive checkpoint -> restore.
 
 namespace {
 

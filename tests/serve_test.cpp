@@ -485,6 +485,25 @@ TEST(ScenarioServer, AdmitRejectsNonFiniteOrNonPositiveSpecFields) {
   bad("fire.min_fuel_frac").fire.min_fuel_frac = nan;
   bad("fire.min_fuel_frac").fire.min_fuel_frac = 1.0;
   bad("fire.min_fuel_frac").fire.min_fuel_frac = -0.01;
+  // Ignitions: every parameter finite, every size (r, w) > 0.
+  using levelset::CircleIgnition;
+  using levelset::LineIgnition;
+  bad("circle cx").ignitions = {CircleIgnition{nan, 60.0, 15.0, 0.0}};
+  bad("circle cy").ignitions = {CircleIgnition{60.0, -inf, 15.0, 0.0}};
+  bad("circle r").ignitions = {CircleIgnition{60.0, 60.0, nan, 0.0}};
+  bad("circle r").ignitions = {CircleIgnition{60.0, 60.0, inf, 0.0}};
+  bad("circle r").ignitions = {CircleIgnition{60.0, 60.0, 0.0, 0.0}};
+  bad("circle r").ignitions = {CircleIgnition{60.0, 60.0, -5.0, 0.0}};
+  bad("circle time").ignitions = {CircleIgnition{60.0, 60.0, 15.0, nan}};
+  bad("circle time")
+      .ignitions.push_back(CircleIgnition{90.0, 90.0, 10.0, inf});
+  bad("line x1").ignitions = {LineIgnition{nan, 30.0, 90.0, 60.0, 3.0, 0.0}};
+  bad("line y2").ignitions = {LineIgnition{30.0, 30.0, 90.0, inf, 3.0, 0.0}};
+  bad("line w").ignitions = {LineIgnition{30.0, 30.0, 90.0, 60.0, 0.0, 0.0}};
+  bad("line w").ignitions = {LineIgnition{30.0, 30.0, 90.0, 60.0, nan, 0.0}};
+  bad("line w").ignitions = {LineIgnition{30.0, 30.0, 90.0, 60.0, -1.0, 0.0}};
+  bad("line time").ignitions = {
+      LineIgnition{30.0, 30.0, 90.0, 60.0, 3.0, -inf}};
   ScenarioServer server;
   for (const auto& [field, spec] : cases)
     EXPECT_THROW(server.admit(spec), std::invalid_argument) << field;
@@ -565,6 +584,22 @@ TEST(ScenarioServer, CorruptCheckpointMetaFailsCleanly) {
   obs::Sections torn = golden;
   torn.at("pending").pop_back();
   expect_rejected(torn, "torn pending record");
+  // Appended pending records the model cannot run: a NaN radius, a time
+  // that never arrives.
+  const std::vector<double> record = golden.at("pending");
+  const auto append_pending = [&](std::size_t param, double v) {
+    obs::Sections bad = golden;
+    std::vector<double>& pending = bad.at("pending");
+    pending.insert(pending.end(), record.begin(), record.end());
+    pending[record.size() + param] = v;
+    return bad;
+  };
+  expect_rejected(append_pending(3, nan), "pending NaN radius");
+  expect_rejected(append_pending(4, inf), "pending infinite time");
+  // A meta section one slot longer than the v2 layout.
+  obs::Sections appended = golden;
+  appended.at("meta").push_back(0.0);
+  expect_rejected(appended, "appended meta slot");
 
   // Only the original scenario exists; the golden file itself restores.
   EXPECT_EQ(server.scenarios(), 1);
@@ -602,4 +637,64 @@ TEST(ScenarioServer, FuelScalesRoundTripThroughCheckpoints) {
   const fire::FireState ref = solo_state(spec, 30.0);
   EXPECT_TRUE(resumed.state(rid).psi == ref.psi);
   EXPECT_TRUE(resumed.state(rid).tig == ref.tig);
+}
+
+TEST(ScenarioServer, RequestIgniteRejectsInvalidShapes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ScenarioServer server;
+  const ScenarioId id = server.admit(small_spec(38));
+  const std::vector<levelset::Ignition> bad = {
+      levelset::CircleIgnition{nan, 60.0, 10.0, 5.0},
+      levelset::CircleIgnition{60.0, 60.0, inf, 5.0},
+      levelset::CircleIgnition{60.0, 60.0, 0.0, 5.0},
+      levelset::CircleIgnition{60.0, 60.0, 10.0, nan},
+      levelset::LineIgnition{30.0, 30.0, 90.0, 60.0, 0.0, 5.0},
+      levelset::LineIgnition{30.0, 30.0, inf, 60.0, 3.0, 5.0},
+  };
+  for (std::size_t k = 0; k < bad.size(); ++k)
+    EXPECT_THROW(server.request_ignite(id, bad[k]), std::invalid_argument)
+        << "shape " << k;
+  // A valid shape is still accepted, and lights at its time.
+  server.request_ignite(id, levelset::CircleIgnition{90.0, 90.0, 10.0, 1.0});
+  server.request_advance(id, 2.0);
+  server.wait(id);
+  EXPECT_LT(server.state(id).psi(15, 15), 0.0);
+}
+
+TEST(ScenarioServer, CheckpointMetaKeepsTheV2SlotLayout) {
+  // The slot of every spec field, pinned, so checkpoints written by earlier
+  // builds keep restoring.
+  TmpDir tmp;
+  ServerOptions opt;
+  opt.threads = 1;
+  opt.checkpoint_dir = kTmp;
+  ScenarioServer server(opt);
+  ScenarioSpec spec = small_spec((std::uint64_t{5} << 32) | 7u);
+  spec.nx = 23;
+  spec.ny = 19;
+  spec.dx = 6.5;
+  spec.dy = 5.5;
+  spec.dt = 0.25;
+  spec.fuel_category = fire::kFuelTallGrass;
+  spec.wind_u = 2.5;
+  spec.wind_v = -0.5;
+  spec.wind_jitter = 0.9;
+  spec.realtime_speedup = 4.0;
+  spec.fire.reinit_interval = 5;
+  spec.fire.use_heun = false;
+  spec.fire.min_fuel_frac = 0.05;
+  spec.fire.scheme = levelset::UpwindScheme::kStandardGodunov;
+  spec.fuel_moisture_scale = 1.3;
+  spec.burn_time_scale = 0.6;
+  const ScenarioId id = server.admit(spec);
+  server.checkpoint_now(id);
+  const std::vector<double> want = {
+      2.0,                                // version
+      23, 19, 6.5, 5.5, 0.25, 2,          // nx, ny, dx, dy, dt, fuel
+      2.5, -0.5, 0.9, 7, 5, 4.0,          // winds, gusts, seed, pacing
+      0.0, 0, 0,                          // clock, steps, phase
+      5, 0, 0.05, 1, 1.3, 0.6};           // fire options, fuel scales
+  EXPECT_EQ(obs::StateFile::read(server.checkpoint_path(id)).at("meta"),
+            want);
 }
