@@ -114,9 +114,11 @@ static void BM_Registration_MorphEncodeDecode(benchmark::State& state) {
   const util::Array2D<double> u0 = fire_like_blob(n, n / 2.0, n / 2.0);
   const util::Array2D<double> u =
       fire_like_blob(n, n / 2.0 - 12.0, n / 2.0 - 5.0);
+  util::Array2D<double> r(n, n), back;
   for (auto _ : state) {
-    const MorphRep rep = morph_encode(u, u0, {});
-    const util::Array2D<double> back = morph_decode(u0, rep);
+    const RegistrationResult reg = register_fields(u, u0, {});
+    morph_residual(u, u0, invert(reg.T), r.span());
+    morph_decode(u0, r.span(), reg.T, back);
     benchmark::DoNotOptimize(back.data());
   }
 }

@@ -3,12 +3,32 @@
 #include "util/omp_compat.h"
 
 #include <algorithm>
-#include <cmath>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 namespace wfire::morphing {
 
 namespace {
+
+// The one input check of both analyses, run before any parallel region (a
+// throw inside one would terminate the process): at least one member, every
+// member with the same number (>= 1) of fields, every field shaped like the
+// data image.
+void check_members(const std::vector<MorphMember>& members,
+                   const util::Array2D<double>& data, const char* who) {
+  const auto fail = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (members.empty()) fail("no members");
+  const std::size_t nfields = members.front().fields.size();
+  if (nfields == 0) fail("members have no fields");
+  for (const auto& m : members) {
+    if (m.fields.size() != nfields) fail("ragged members");
+    for (const auto& f : m.fields)
+      if (!f.same_shape(data)) fail("field shape differs from the data image");
+  }
+}
 
 // Ensemble mean of one field index across members.
 util::Array2D<double> field_mean(const std::vector<MorphMember>& members,
@@ -28,96 +48,72 @@ util::Array2D<double> field_mean(const std::vector<MorphMember>& members,
 MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
                                     const util::Array2D<double>& data,
                                     util::Rng& rng, la::Workspace* ws) {
+  check_members(members, data, "MorphingEnKF");
   la::Workspace& arena = ws ? *ws : ws_;
-  if (members.empty()) throw std::invalid_argument("MorphingEnKF: no members");
   const std::size_t nfields = members.front().fields.size();
-  for (const auto& m : members)
-    if (m.fields.size() != nfields)
-      throw std::invalid_argument("MorphingEnKF: ragged members");
   const int N = static_cast<int>(members.size());
-  const int nx = data.nx(), ny = data.ny();
-  if (!members.front().fields[0].same_shape(data))
-    throw std::invalid_argument("MorphingEnKF: data shape mismatch");
-  const int npix = nx * ny;
-
-  MorphingStats stats;
-
-  // References: per-field ensemble means.
-  std::vector<util::Array2D<double>> u0(nfields);
-  for (std::size_t f = 0; f < nfields; ++f) u0[f] = field_mean(members, f);
-
-  // Encode members: register field 0, compute residuals for all fields with
-  // the member's mapping.
-  std::vector<Mapping> T(static_cast<std::size_t>(N));
-  std::vector<std::vector<util::Array2D<double>>> R(
-      static_cast<std::size_t>(N));
-  // Per-member slots summed in member order below: a reduction clause under
-  // a dynamic schedule would make the mean depend on the thread schedule.
-  std::vector<double> reg_res(static_cast<std::size_t>(N));
-WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
-  for (int k = 0; k < N; ++k) {
-    RegistrationResult reg =
-        register_fields(members[k].fields[0], u0[0], opt_.reg);
-    reg_res[k] = reg.data_term;
-    T[k] = std::move(reg.T);
-    R[k].resize(nfields);
-    for (std::size_t f = 0; f < nfields; ++f)
-      R[k][f] = morph_residual(members[k].fields[f], u0[f], T[k]);
-  }
-  double reg_sum = 0;
-  for (const double r : reg_res) reg_sum += r;
-  stats.mean_registration_residual = reg_sum / N;
-  for (int k = 0; k < N; ++k)
-    stats.max_mapping_norm = std::max(stats.max_mapping_norm, T[k].max_norm());
-
-  // Data image in the same representation.
-  RegistrationResult dreg = register_fields(data, u0[0], opt_.reg);
-  stats.data_registration_residual = dreg.data_term;
-  const util::Array2D<double> rd = morph_residual(data, u0[0], dreg.T);
-
-  // Extended state: [r_f0, r_f1, ..., w*Tx, w*Ty], observation selects
-  // [r_f0, w*Tx, w*Ty].
-  const int n_state = static_cast<int>(nfields) * npix + 2 * npix;
-  const int m_obs = 3 * npix;
+  const std::size_t npix = data.size();
   const double w = opt_.t_weight;
 
-  la::Matrix& X = arena.mat("menkf.X", n_state, N);
-  la::Matrix& HX = arena.mat("menkf.HX", m_obs, N);
+  // References: per-field ensemble means; field 0's registration pyramid is
+  // built once for all N + 1 images.
+  std::vector<util::Array2D<double>> u0(nfields);
+  for (std::size_t f = 0; f < nfields; ++f) u0[f] = field_mean(members, f);
+  const RegistrationReference ref(u0[0], opt_.reg);
+
+  // Extended state: [r_f0, r_f1, ..., w*Tx, w*Ty]; the observation selects
+  // [r_f0, w*Tx, w*Ty], the layout of the data vector d.
+  const std::size_t t_row = nfields * npix;
+  la::Matrix& X = arena.mat("menkf.X", static_cast<int>(t_row + 2 * npix), N);
+  la::Matrix& HX = arena.mat("menkf.HX", static_cast<int>(3 * npix), N);
+  la::Vector& d = arena.vec("menkf.d", 3 * npix);
+  la::Vector& r_std = arena.vec("menkf.r", 3 * npix);
+
+  // Encode images 0..N-1 (the members, into X's columns) and image N (the
+  // data image, into d): register field 0, invert its mapping once, and
+  // write every field's residual and w*T. Per-image slots are reduced in
+  // image order below, so the stats do not depend on the thread schedule.
+  std::vector<double> reg_res(static_cast<std::size_t>(N) + 1);
+  std::vector<double> map_norm(static_cast<std::size_t>(N) + 1);
+WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
+  for (int k = 0; k <= N; ++k) {
+    const bool is_data = k == N;
+    const auto image = [&](std::size_t f) -> const util::Array2D<double>& {
+      return is_data ? data : members[k].fields[f];
+    };
+    const std::size_t nf = is_data ? 1 : nfields;
+    const std::span<double> col = is_data ? std::span<double>(d) : X.col(k);
+
+    const RegistrationResult reg = register_fields(image(0), ref, opt_.reg);
+    reg_res[k] = reg.data_term;
+    map_norm[k] = reg.T.max_norm();
+    const Mapping Tinv = invert(reg.T);
+    for (std::size_t f = 0; f < nf; ++f)
+      morph_residual(image(f), u0[f], Tinv, col.subspan(f * npix, npix));
+    const std::span<const double> tx = reg.T.tx.span(), ty = reg.T.ty.span();
+    for (std::size_t p = 0; p < npix; ++p) {
+      col[nf * npix + p] = w * tx[p];
+      col[(nf + 1) * npix + p] = w * ty[p];
+    }
+  }
+
+  MorphingStats stats;
+  double reg_sum = 0;
   for (int k = 0; k < N; ++k) {
-    auto xc = X.col(k);
-    std::size_t pos = 0;
-    for (std::size_t f = 0; f < nfields; ++f)
-      for (const double v : R[k][f]) xc[pos++] = v;
-    for (const double v : T[k].tx) xc[pos++] = w * v;
-    for (const double v : T[k].ty) xc[pos++] = w * v;
-
-    auto hc = HX.col(k);
-    pos = 0;
-    for (const double v : R[k][0]) hc[pos++] = v;
-    for (const double v : T[k].tx) hc[pos++] = w * v;
-    for (const double v : T[k].ty) hc[pos++] = w * v;
+    reg_sum += reg_res[k];
+    stats.max_mapping_norm = std::max(stats.max_mapping_norm, map_norm[k]);
   }
+  stats.mean_registration_residual = reg_sum / N;
+  stats.data_registration_residual = reg_res[N];
 
-  la::Vector& d = arena.vec("menkf.d", static_cast<std::size_t>(m_obs));
-  la::Vector& r_std = arena.vec("menkf.r", static_cast<std::size_t>(m_obs));
-  {
-    std::size_t pos = 0;
-    for (const double v : rd) {
-      d[pos] = v;
-      r_std[pos] = opt_.sigma_r;
-      ++pos;
-    }
-    for (const double v : dreg.T.tx) {
-      d[pos] = w * v;
-      r_std[pos] = w * opt_.sigma_T;
-      ++pos;
-    }
-    for (const double v : dreg.T.ty) {
-      d[pos] = w * v;
-      r_std[pos] = w * opt_.sigma_T;
-      ++pos;
-    }
+  for (int k = 0; k < N; ++k) {
+    const auto xc = X.col(k);
+    const auto hc = HX.col(k);
+    std::copy_n(xc.begin(), npix, hc.begin());
+    std::copy_n(xc.begin() + t_row, 2 * npix, hc.begin() + npix);
   }
+  std::fill_n(r_std.begin(), npix, opt_.sigma_r);
+  std::fill(r_std.begin() + npix, r_std.end(), w * opt_.sigma_T);
 
   enkf::EnKFOptions eopt;
   eopt.inflation = opt_.inflation;
@@ -125,25 +121,17 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
   eopt.workspace = &arena;
   stats.enkf = enkf::enkf_analysis(X, HX, d, r_std, rng, eopt);
 
-  // Decode members back to field form.
+  // Decode: each member's analysed mapping, read once, moves all its fields.
 WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
   for (int k = 0; k < N; ++k) {
     const auto xc = X.col(k);
-    std::size_t pos = 0;
-    MorphRep rep;
-    rep.r = util::Array2D<double>(nx, ny);
-    rep.T = Mapping(nx, ny);
-    std::vector<util::Array2D<double>> residuals(nfields);
-    for (std::size_t f = 0; f < nfields; ++f) {
-      residuals[f] = util::Array2D<double>(nx, ny);
-      for (double& v : residuals[f]) v = xc[pos++];
+    Mapping T(data.nx(), data.ny());
+    for (std::size_t p = 0; p < npix; ++p) {
+      T.tx.data()[p] = xc[t_row + p] / w;
+      T.ty.data()[p] = xc[t_row + npix + p] / w;
     }
-    for (double& v : rep.T.tx) v = xc[pos++] / w;
-    for (double& v : rep.T.ty) v = xc[pos++] / w;
-    for (std::size_t f = 0; f < nfields; ++f) {
-      rep.r = residuals[f];
-      members[k].fields[f] = morph_decode(u0[f], rep);
-    }
+    for (std::size_t f = 0; f < nfields; ++f)
+      morph_decode(u0[f], xc.subspan(f * npix, npix), T, members[k].fields[f]);
   }
   return stats;
 }
@@ -152,8 +140,7 @@ enkf::EnKFStats standard_enkf_on_fields(std::vector<MorphMember>& members,
                                         const util::Array2D<double>& data,
                                         double sigma_obs, double inflation,
                                         util::Rng& rng, la::Workspace* ws) {
-  if (members.empty())
-    throw std::invalid_argument("standard_enkf_on_fields: no members");
+  check_members(members, data, "standard_enkf_on_fields");
   const std::size_t nfields = members.front().fields.size();
   const int N = static_cast<int>(members.size());
   const int npix = data.nx() * data.ny();

@@ -9,11 +9,12 @@
 // time); all fields of a member share the member's mapping T, so a position
 // correction moves the whole fire state coherently.
 //
-// The data image enters in the same representation: it is registered
-// against the same reference, and the observation operator on extended
-// states is the (linear!) selection of the [r_obs, T] block — this is how
-// morphing converts the wildly non-Gaussian "fire in the wrong place"
-// problem into one the EnKF can solve.
+// The data image enters in the same representation: it is image N of the
+// one encode loop over the N + 1 images, registered against the same
+// reference (u0 and its smoothed pyramid, built once per analysis), and the
+// observation operator on extended states is the (linear!) selection of the
+// [r_obs, T] block — this is how morphing converts the wildly non-Gaussian
+// "fire in the wrong place" problem into one the EnKF can solve.
 #pragma once
 
 #include <vector>
@@ -49,12 +50,14 @@ class MorphingEnKF {
  public:
   explicit MorphingEnKF(MorphingEnKFOptions opt = {}) : opt_(opt) {}
 
-  // Analysis step, in place on `members`. `data` is the observed image
-  // (same shape as fields[0]). The reference u0 is the ensemble mean of
-  // each field (a common, self-consistent choice; the companion references
-  // use the same member weights). The extended-state matrices and the inner
-  // EnKF scratch live in `ws` when given (else in a filter-owned arena), so
-  // repeated analyses allocate nothing once warm.
+  // Analysis step, in place on `members`. `data` is the observed image;
+  // every member needs the same number (>= 1) of fields, each shaped like
+  // `data` (std::invalid_argument otherwise, before any work). The reference
+  // u0 is the ensemble mean of each field (a common, self-consistent choice;
+  // the companion references use the same member weights). The
+  // extended-state matrices and the inner EnKF scratch live in `ws` when
+  // given (else in a filter-owned arena), so repeated analyses allocate
+  // nothing in them once warm.
   MorphingStats analyze(std::vector<MorphMember>& members,
                         const util::Array2D<double>& data, util::Rng& rng,
                         la::Workspace* ws = nullptr);
@@ -69,7 +72,8 @@ class MorphingEnKF {
 // Standard-EnKF baseline on raw fields (what Fig. 4(c) does): stacks the
 // member fields directly into state vectors and assimilates the data image
 // pixelwise. Provided here so the Fig. 4 bench can compare both filters
-// through one interface. `ws` as in MorphingEnKF::analyze.
+// through one interface. Inputs are checked and `ws` is used as in
+// MorphingEnKF::analyze.
 enkf::EnKFStats standard_enkf_on_fields(std::vector<MorphMember>& members,
                                         const util::Array2D<double>& data,
                                         double sigma_obs, double inflation,

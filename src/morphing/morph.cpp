@@ -2,49 +2,30 @@
 
 #include <stdexcept>
 
+#include "grid/interp.h"
+
 namespace wfire::morphing {
 
-util::Array2D<double> morph_residual(const util::Array2D<double>& u,
-                                     const util::Array2D<double>& u0,
-                                     const Mapping& T) {
-  if (!u.same_shape(u0))
+void morph_residual(const util::Array2D<double>& u,
+                    const util::Array2D<double>& u0, const Mapping& Tinv,
+                    std::span<double> r) {
+  if (!u.same_shape(u0) || !Tinv.tx.same_shape(u0) || r.size() != u0.size())
     throw std::invalid_argument("morph_residual: shape mismatch");
-  const Mapping Tinv = invert(T);
-  util::Array2D<double> warped;
-  warp(u, Tinv, warped);  // u o (I+T)^{-1}
+  std::size_t p = 0;
   for (int j = 0; j < u.ny(); ++j)
-    for (int i = 0; i < u.nx(); ++i) warped(i, j) -= u0(i, j);
-  return warped;
+    for (int i = 0; i < u.nx(); ++i, ++p)
+      r[p] = grid::bilinear_frac(u, i + Tinv.tx(i, j), j + Tinv.ty(i, j)) -
+             u0(i, j);
 }
 
-MorphRep morph_encode(const util::Array2D<double>& u,
-                      const util::Array2D<double>& u0,
-                      const RegistrationOptions& opt) {
-  RegistrationResult reg = register_fields(u, u0, opt);
-  MorphRep rep;
-  rep.r = morph_residual(u, u0, reg.T);
-  rep.T = std::move(reg.T);
-  return rep;
-}
-
-util::Array2D<double> morph_decode(const util::Array2D<double>& u0,
-                                   const MorphRep& rep) {
-  return morph_lambda(u0, rep, 1.0);
-}
-
-util::Array2D<double> morph_lambda(const util::Array2D<double>& u0,
-                                   const MorphRep& rep, double lambda) {
-  if (!u0.same_shape(rep.r))
-    throw std::invalid_argument("morph_lambda: shape mismatch");
-  util::Array2D<double> base(u0.nx(), u0.ny());
-  for (int j = 0; j < u0.ny(); ++j)
-    for (int i = 0; i < u0.nx(); ++i)
-      base(i, j) = u0(i, j) + lambda * rep.r(i, j);
-  Mapping lt = rep.T;
-  lt.scale(lambda);
-  util::Array2D<double> out;
-  warp(base, lt, out);
-  return out;
+void morph_decode(const util::Array2D<double>& u0, std::span<const double> r,
+                  const Mapping& T, util::Array2D<double>& out) {
+  if (!T.tx.same_shape(u0) || r.size() != u0.size())
+    throw std::invalid_argument("morph_decode: shape mismatch");
+  util::Array2D<double> base = u0;
+  std::size_t p = 0;
+  for (double& v : base) v += r[p++];
+  warp(base, T, out);
 }
 
 }  // namespace wfire::morphing

@@ -4,43 +4,36 @@
 //
 //     r = u o (I + T)^{-1} - u0
 //
-// turns u into the additive representation [r, T], and intermediate states
-// along the morphing path are
+// turns u into the additive representation [r, T] (encode), and
+//
+//     u = (u0 + r) o (I + T)
+//
+// turns it back (decode). Intermediate states along the morphing path,
 //
 //     u_lambda = (u0 + lambda r) o (I + lambda T),   0 <= lambda <= 1,
 //
-// with u_0 = u0 and u_1 = u (up to interpolation error). The morphing EnKF
-// makes *linear combinations* of [r, T] representations meaningful: they
-// move the fire, not just scale it.
+// are decodes of [lambda r, lambda T], with u_0 = u0 and u_1 = u (up to
+// interpolation error). The morphing EnKF makes *linear combinations* of
+// [r, T] representations meaningful: they move the fire, not just scale it.
+// Fields are exchanged as flat spans in Array2D storage order, so both
+// kernels read and write extended-state columns directly.
 #pragma once
+
+#include <span>
 
 #include "morphing/registration.h"
 #include "morphing/warp.h"
 
 namespace wfire::morphing {
 
-// A field in morphing representation relative to some reference u0.
-struct MorphRep {
-  util::Array2D<double> r;  // amplitude residual
-  Mapping T;                // position mapping
-};
+// Encode: r = u o (I+T)^{-1} - u0, given the inverse mapping
+// Tinv = invert(T), so one inversion serves every field that shares T.
+void morph_residual(const util::Array2D<double>& u,
+                    const util::Array2D<double>& u0, const Mapping& Tinv,
+                    std::span<double> r);
 
-// Computes r = u o (I+T)^{-1} - u0 for a given registration mapping.
-[[nodiscard]] util::Array2D<double> morph_residual(
-    const util::Array2D<double>& u, const util::Array2D<double>& u0,
-    const Mapping& T);
-
-// Full encode: register u against u0, then compute the residual.
-[[nodiscard]] MorphRep morph_encode(const util::Array2D<double>& u,
-                                    const util::Array2D<double>& u0,
-                                    const RegistrationOptions& opt = {});
-
-// Decode: u = (u0 + r) o (I + T).
-[[nodiscard]] util::Array2D<double> morph_decode(
-    const util::Array2D<double>& u0, const MorphRep& rep);
-
-// Intermediate state u_lambda = (u0 + lambda r) o (I + lambda T).
-[[nodiscard]] util::Array2D<double> morph_lambda(
-    const util::Array2D<double>& u0, const MorphRep& rep, double lambda);
+// Decode: out = (u0 + r) o (I + T).
+void morph_decode(const util::Array2D<double>& u0, std::span<const double> r,
+                  const Mapping& T, util::Array2D<double>& out);
 
 }  // namespace wfire::morphing

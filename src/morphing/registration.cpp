@@ -137,6 +137,19 @@ Mapping upsample(const Mapping& coarse, int nx, int ny) {
   return fine;
 }
 
+// Gaussian-smoothed box pyramid of u (level 0 = finest), at most
+// `max_levels` deep; the coarsest level keeps >= 16 px so compact features
+// are not aliased away.
+std::vector<util::Array2D<double>> smoothed_pyramid(
+    const util::Array2D<double>& u, int max_levels, double sigma) {
+  std::vector<util::Array2D<double>> p{u};
+  while (static_cast<int>(p.size()) < max_levels && p.back().nx() >= 32 &&
+         p.back().ny() >= 32)
+    p.push_back(downsample2(p.back()));
+  for (util::Array2D<double>& level : p) level = gaussian_smooth(level, sigma);
+  return p;
+}
+
 }  // namespace
 
 util::Array2D<double> downsample2(const util::Array2D<double>& u) {
@@ -181,30 +194,28 @@ util::Array2D<double> gaussian_smooth(const util::Array2D<double>& u,
   return out;
 }
 
+RegistrationReference::RegistrationReference(util::Array2D<double> u0_in,
+                                             const RegistrationOptions& opt)
+    : u0(std::move(u0_in)),
+      levels(smoothed_pyramid(u0, opt.max_levels, opt.presmooth_sigma)) {}
+
 RegistrationResult register_fields(const util::Array2D<double>& u,
-                                   const util::Array2D<double>& u0,
+                                   const RegistrationReference& ref,
                                    const RegistrationOptions& opt) {
+  const util::Array2D<double>& u0 = ref.u0;
   if (!u.same_shape(u0))
     throw std::invalid_argument("register_fields: shape mismatch");
-
-  // Build pyramids (level 0 = finest); the coarsest level keeps >= 16 px so
-  // compact features are not aliased away.
-  std::vector<util::Array2D<double>> pu{u}, pu0{u0};
-  while (static_cast<int>(pu.size()) < opt.max_levels &&
-         pu.back().nx() >= 32 && pu.back().ny() >= 32) {
-    pu.push_back(downsample2(pu.back()));
-    pu0.push_back(downsample2(pu0.back()));
-  }
+  // u's pyramid is as deep as the reference's (equal for equal options).
+  const std::vector<util::Array2D<double>> pu = smoothed_pyramid(
+      u, static_cast<int>(ref.levels.size()), opt.presmooth_sigma);
 
   RegistrationResult res;
   res.levels = static_cast<int>(pu.size());
   Mapping T;
 
   for (int level = res.levels - 1; level >= 0; --level) {
-    const util::Array2D<double> ul =
-        gaussian_smooth(pu[level], opt.presmooth_sigma);
-    const util::Array2D<double> u0l =
-        gaussian_smooth(pu0[level], opt.presmooth_sigma);
+    const util::Array2D<double>& ul = pu[level];
+    const util::Array2D<double>& u0l = ref.levels[level];
     const int nx = ul.nx(), ny = ul.ny();
     if (level == res.levels - 1) {
       T = Mapping(nx, ny);

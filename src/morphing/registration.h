@@ -12,6 +12,8 @@
 // the "fire in a different location" case the morphing EnKF exists for.
 #pragma once
 
+#include <vector>
+
 #include "morphing/warp.h"
 
 namespace wfire::morphing {
@@ -34,10 +36,27 @@ struct RegistrationResult {
   int iterations = 0;       // total over all levels
 };
 
-// Registers u against the reference u0 (both same shape).
+// The reference side of a registration: u0 and its Gaussian-smoothed box
+// pyramid (level 0 = finest). Build it once and register any number of
+// images against it with the same options.
+struct RegistrationReference {
+  explicit RegistrationReference(util::Array2D<double> u0,
+                                 const RegistrationOptions& opt);
+  util::Array2D<double> u0;
+  std::vector<util::Array2D<double>> levels;
+};
+
+// Registers u against the reference (same shape as its u0).
 [[nodiscard]] RegistrationResult register_fields(
+    const util::Array2D<double>& u, const RegistrationReference& ref,
+    const RegistrationOptions& opt);
+
+// Registers u against u0 (both same shape).
+[[nodiscard]] inline RegistrationResult register_fields(
     const util::Array2D<double>& u, const util::Array2D<double>& u0,
-    const RegistrationOptions& opt = {});
+    const RegistrationOptions& opt = {}) {
+  return register_fields(u, RegistrationReference(u0, opt), opt);
+}
 
 // Pyramid helpers (exposed for tests).
 [[nodiscard]] util::Array2D<double> downsample2(

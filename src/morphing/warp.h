@@ -22,11 +22,6 @@ struct Mapping {
     return tx.same_shape(o.tx) && ty.same_shape(o.ty);
   }
 
-  void scale(double s) {
-    for (double& v : tx) v *= s;
-    for (double& v : ty) v *= s;
-  }
-
   // Max displacement magnitude [grid units].
   [[nodiscard]] double max_norm() const;
 };

@@ -188,6 +188,27 @@ TEST(Cycle, AssimilationReducesPositionError) {
   EXPECT_LT(err_after, 0.8 * err_before);
 }
 
+TEST(Cycle, StandardFilterRejectsImagesOfAnotherShape) {
+  // A 41x41 cycle given a 40x40 or a 42x42 image must throw rather than
+  // write member fields past the extended-state columns or analyse stale
+  // rows of the arena.
+  const grid::Grid2D g = small_grid();
+  CycleOptions opt;
+  opt.members = 4;
+  opt.threads = 2;
+  opt.filter = FilterKind::kStandardEnKF;
+  AssimilationCycle cycle(g, fire::uniform_fuel(g.nx, g.ny, 0),
+                          fire::terrain_flat(g), {}, opt, 15);
+  cycle.initialize({levelset::Ignition{
+      levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
+  for (const int n : {40, 42}) {
+    ObservationImage obs;
+    obs.image = util::Array2D<double>(n, n, 0.0);
+    EXPECT_THROW(cycle.assimilate(obs), std::invalid_argument)
+        << n << "x" << n << " image";
+  }
+}
+
 TEST(Cycle, FileExchangeMatchesInMemory) {
   // The Fig. 2 disk-file pipeline must not change the results: run two
   // identical cycles (same seeds), one exchanging state through files.

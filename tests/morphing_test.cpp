@@ -4,7 +4,10 @@
 // a displaced fire toward the data — the paper's core Sec. 3.3 machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "morphing/menkf.h"
 #include "morphing/morph.h"
@@ -43,6 +46,30 @@ double max_field_diff(const Array2D<double>& a, const Array2D<double>& b,
     for (int i = margin; i < a.nx() - margin; ++i)
       m = std::max(m, std::abs(a(i, j) - b(i, j)));
   return m;
+}
+
+// Encodes u against u0: the registration mapping T and the residual r.
+struct Encoded {
+  Array2D<double> r;
+  Mapping T;
+};
+Encoded encode(const Array2D<double>& u, const Array2D<double>& u0) {
+  Encoded e{Array2D<double>(u.nx(), u.ny()), register_fields(u, u0, {}).T};
+  morph_residual(u, u0, invert(e.T), e.r.span());
+  return e;
+}
+
+// The morphing path's state u_lambda: the decode of [lambda r, lambda T].
+Array2D<double> morph_path(const Array2D<double>& u0, const Encoded& e,
+                           double lambda) {
+  Array2D<double> r = e.r;
+  Mapping T = e.T;
+  for (double& v : r) v *= lambda;
+  for (double& v : T.tx) v *= lambda;
+  for (double& v : T.ty) v *= lambda;
+  Array2D<double> out;
+  morph_decode(u0, r.span(), T, out);
+  return out;
 }
 
 }  // namespace
@@ -182,12 +209,13 @@ TEST(Morph, EndpointIdentities) {
   const int n = 64;
   const Array2D<double> u0 = blob(n, n, 30, 32, 7, 50.0);
   const Array2D<double> u = blob(n, n, 38, 33, 8, 60.0);
-  const MorphRep rep = morph_encode(u, u0, {});
+  const Encoded rep = encode(u, u0);
 
-  const Array2D<double> at0 = morph_lambda(u0, rep, 0.0);
+  const Array2D<double> at0 = morph_path(u0, rep, 0.0);
   EXPECT_LT(max_field_diff(at0, u0, 2), 1e-10);
 
-  const Array2D<double> at1 = morph_decode(u0, rep);
+  Array2D<double> at1;
+  morph_decode(u0, rep.r.span(), rep.T, at1);
   // The lambda = 1 endpoint is exact only up to the approximate inverse
   // composed with the forward mapping (first-order in the inversion
   // residual times the image gradient): bound the max pointwise error by
@@ -206,11 +234,11 @@ TEST(Morph, IntermediateStatesMoveMonotonically) {
   const int n = 64;
   const Array2D<double> u0 = blob(n, n, 24, 32, 6, 10.0);
   const Array2D<double> u = blob(n, n, 40, 32, 6, 10.0);
-  const MorphRep rep = morph_encode(u, u0, {});
+  const Encoded rep = encode(u, u0);
 
   double prev_peak_x = -1;
   for (double lambda : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    const Array2D<double> ul = morph_lambda(u0, rep, lambda);
+    const Array2D<double> ul = morph_path(u0, rep, lambda);
     int pi = 0, pj = 0;
     double best = -1;
     for (int j = 0; j < n; ++j)
@@ -233,7 +261,7 @@ TEST(Morph, ResidualSmallWhenOnlyPositionDiffers) {
   const int n = 64;
   const Array2D<double> u0 = blob(n, n, 26, 30, 6, 10.0);
   const Array2D<double> u = blob(n, n, 36, 34, 6, 10.0);
-  const MorphRep rep = morph_encode(u, u0, {});
+  const Encoded rep = encode(u, u0);
   EXPECT_LT(wfire::util::max_value(rep.r), 3.0);  // << amplitude 10
   EXPECT_GT(rep.T.max_norm(), 5.0);               // position carried by T
 }
@@ -340,4 +368,130 @@ TEST(MorphingEnKF, ValidatesInputs) {
   ragged[1].fields.push_back(Array2D<double>(8, 8, 0.0));
   ragged[1].fields.push_back(Array2D<double>(8, 8, 0.0));
   EXPECT_THROW(filter.analyze(ragged, data, rng), std::invalid_argument);
+
+  // Members without fields, a member whose observable is shaped unlike the
+  // others, and companions shaped unlike the data image are all rejected
+  // before the parallel encode (where a throw would end the process).
+  std::vector<MorphMember> fieldless(2);
+  EXPECT_THROW(filter.analyze(fieldless, data, rng), std::invalid_argument);
+  std::vector<MorphMember> misshapen(2);
+  misshapen[0].fields.push_back(Array2D<double>(8, 8, 0.0));
+  misshapen[1].fields.push_back(Array2D<double>(7, 7, 0.0));
+  EXPECT_THROW(filter.analyze(misshapen, data, rng), std::invalid_argument);
+  std::vector<MorphMember> companions(2);
+  for (auto& m : companions) {
+    m.fields.push_back(Array2D<double>(8, 8, 0.0));
+    m.fields.push_back(Array2D<double>(9, 9, 0.0));
+  }
+  EXPECT_THROW(filter.analyze(companions, data, rng), std::invalid_argument);
+
+  // The standard filter runs the same check: fields smaller or larger than
+  // the image, ragged members, and members without fields.
+  std::vector<MorphMember> fields8(2);
+  for (auto& m : fields8) m.fields.push_back(Array2D<double>(8, 8, 0.0));
+  for (const int n : {7, 9})
+    EXPECT_THROW(standard_enkf_on_fields(fields8, Array2D<double>(n, n, 0.0),
+                                         1.0, 1.0, rng),
+                 std::invalid_argument)
+        << n << "x" << n << " image";
+  EXPECT_THROW(standard_enkf_on_fields(ragged, data, 1.0, 1.0, rng),
+               std::invalid_argument);
+  EXPECT_THROW(standard_enkf_on_fields(fieldless, data, 1.0, 1.0, rng),
+               std::invalid_argument);
+}
+
+TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
+  // Bitwise oracle for analyze(), rebuilt from the public pieces: each of
+  // the N members and the data image is registered against the field-0
+  // ensemble mean, its mapping is inverted, every field's residual
+  // r = u o (I+T)^{-1} - u0 goes into the extended state with w*T, the
+  // stochastic EnKF runs on the same column layout, and each member is
+  // decoded as (u0 + r) o (I + T).
+  const int n = 41, N = 8, nf = 3;
+  const int npix = n * n;
+  Rng gen(41);
+  std::vector<MorphMember> members(N);
+  for (auto& m : members) {
+    const double cx = 16 + 2.0 * gen.normal(), cy = 20 + 2.0 * gen.normal();
+    m.fields.push_back(blob(n, n, cx, cy, 4, 10.0));
+    m.fields.push_back(blob(n, n, cx, cy, 7, -20.0));
+    m.fields.push_back(blob(n, n, cx + 1.0, cy - 1.0, 5, 3.0));
+  }
+  const Array2D<double> data = blob(n, n, 24, 21, 4, 10.0);
+  MorphingEnKFOptions mopt;
+  mopt.sigma_r = 0.5;
+  mopt.sigma_T = 0.7;
+  mopt.t_weight = 1.5;
+  mopt.inflation = 1.1;
+  const double w = mopt.t_weight;
+
+  std::vector<Array2D<double>> u0(nf, Array2D<double>(n, n, 0.0));
+  for (int f = 0; f < nf; ++f) {
+    for (const auto& m : members)
+      for (int p = 0; p < npix; ++p) u0[f].data()[p] += m.fields[f].data()[p];
+    for (double& v : u0[f]) v *= 1.0 / N;
+  }
+  // Encodes one image: column = [r_0 .. r_{count-1}, w*Tx, w*Ty].
+  const auto encode = [&](const std::vector<Array2D<double>>& fields,
+                          int count, std::span<double> col) {
+    const RegistrationResult reg = register_fields(fields[0], u0[0], mopt.reg);
+    const Mapping Tinv = invert(reg.T);
+    std::size_t pos = 0;
+    for (int f = 0; f < count; ++f) {
+      Array2D<double> warped;
+      warp(fields[f], Tinv, warped);
+      for (int p = 0; p < npix; ++p)
+        col[pos++] = warped.data()[p] - u0[f].data()[p];
+    }
+    for (const double v : reg.T.tx) col[pos++] = w * v;
+    for (const double v : reg.T.ty) col[pos++] = w * v;
+    return reg;
+  };
+  wfire::la::Matrix X(nf * npix + 2 * npix, N), HX(3 * npix, N);
+  double res_sum = 0, max_norm = 0;
+  for (int k = 0; k < N; ++k) {
+    const RegistrationResult reg = encode(members[k].fields, nf, X.col(k));
+    res_sum += reg.data_term;
+    max_norm = std::max(max_norm, reg.T.max_norm());
+    for (int p = 0; p < 3 * npix; ++p)
+      HX(p, k) = X(p < npix ? p : p + (nf - 1) * npix, k);
+  }
+  wfire::la::Vector d(3 * npix), r_std(3 * npix);
+  const double data_res = encode({data}, 1, d).data_term;
+  for (int p = 0; p < 3 * npix; ++p)
+    r_std[p] = p < npix ? mopt.sigma_r : w * mopt.sigma_T;
+
+  Rng rng_expected(77), rng_actual(77);
+  wfire::la::Workspace ws;
+  wfire::enkf::EnKFOptions eopt;
+  eopt.inflation = mopt.inflation;
+  eopt.path = mopt.path;
+  eopt.workspace = &ws;
+  wfire::enkf::enkf_analysis(X, HX, d, r_std, rng_expected, eopt);
+
+  std::vector<MorphMember> expected = members;
+  for (int k = 0; k < N; ++k) {
+    const auto xc = X.col(k);
+    Mapping T(n, n);
+    for (int p = 0; p < npix; ++p) {
+      T.tx.data()[p] = xc[nf * npix + p] / w;
+      T.ty.data()[p] = xc[nf * npix + npix + p] / w;
+    }
+    for (int f = 0; f < nf; ++f) {
+      Array2D<double> base(n, n);
+      for (int p = 0; p < npix; ++p)
+        base.data()[p] = u0[f].data()[p] + xc[f * npix + p];
+      warp(base, T, expected[k].fields[f]);
+    }
+  }
+
+  MorphingEnKF filter(mopt);
+  const MorphingStats stats = filter.analyze(members, data, rng_actual);
+  EXPECT_EQ(stats.mean_registration_residual, res_sum / N);
+  EXPECT_EQ(stats.data_registration_residual, data_res);
+  EXPECT_EQ(stats.max_mapping_norm, max_norm);
+  for (int k = 0; k < N; ++k)
+    for (int f = 0; f < nf; ++f)
+      EXPECT_TRUE(members[k].fields[f] == expected[k].fields[f])
+          << "member " << k << " field " << f;
 }
