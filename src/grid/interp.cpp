@@ -30,18 +30,6 @@ double bilinear(const Grid2D& g, const util::Array2D<double>& field, double px,
          (1 - c.tx) * c.ty * f01 + c.tx * c.ty * f11;
 }
 
-double bilinear_frac(const util::Array2D<double>& field, double fi,
-                     double fj) {
-  fi = std::clamp(fi, 0.0, static_cast<double>(field.nx() - 1));
-  fj = std::clamp(fj, 0.0, static_cast<double>(field.ny() - 1));
-  const int i = std::min(static_cast<int>(fi), field.nx() - 2);
-  const int j = std::min(static_cast<int>(fj), field.ny() - 2);
-  const double tx = fi - i;
-  const double ty = fj - j;
-  return (1 - tx) * (1 - ty) * field(i, j) + tx * (1 - ty) * field(i + 1, j) +
-         (1 - tx) * ty * field(i, j + 1) + tx * ty * field(i + 1, j + 1);
-}
-
 namespace {
 // 1-D quadratic Lagrange weights for offset t in [-1, 1] relative to the
 // center node of a 3-point stencil.

@@ -5,8 +5,12 @@
 // and the wind coupling.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+
 #include "grid/grid2d.h"
 #include "util/array2d.h"
+#include "util/assert.h"
 
 namespace wfire::grid {
 
@@ -31,9 +35,44 @@ struct CellLocation {
                                  const util::Array2D<double>& field, double px,
                                  double py);
 
+// One bilinear sample point (fi, fj), in fractional index coordinates, of
+// an nx x ny node field (clamped extension): the lower-left node of the
+// containing cell and its four weights. Built once per point, it samples
+// any field of that shape, e.g. both components of a mapping.
+struct BilinearStencil {
+  std::size_t off;          // j * nx + i of the lower-left node (i, j)
+  std::size_t nx;           // row stride
+  double w00, w10, w01, w11;
+
+  BilinearStencil(int nx_nodes, int ny_nodes, double fi, double fj)
+      : nx(static_cast<std::size_t>(nx_nodes)) {
+    WFIRE_ASSERT(nx_nodes >= 2 && ny_nodes >= 2,
+                 "bilinear sampling needs >= 2 nodes per axis");
+    fi = std::clamp(fi, 0.0, static_cast<double>(nx_nodes - 1));
+    fj = std::clamp(fj, 0.0, static_cast<double>(ny_nodes - 1));
+    const int i = std::min(static_cast<int>(fi), nx_nodes - 2);
+    const int j = std::min(static_cast<int>(fj), ny_nodes - 2);
+    const double tx = fi - i;
+    const double ty = fj - j;
+    off = static_cast<std::size_t>(j) * nx + static_cast<std::size_t>(i);
+    w00 = (1 - tx) * (1 - ty);
+    w10 = tx * (1 - ty);
+    w01 = (1 - tx) * ty;
+    w11 = tx * ty;
+  }
+
+  // Sample of the field whose row-major data starts at f.
+  [[nodiscard]] double apply(const double* f) const {
+    const double* p = f + off;
+    return w00 * p[0] + w10 * p[1] + w01 * p[nx] + w11 * p[nx + 1];
+  }
+};
+
 // Bilinear sample using fractional index coordinates (fi, fj) directly;
 // used by warps where the mapping is already in grid units.
-[[nodiscard]] double bilinear_frac(const util::Array2D<double>& field,
-                                   double fi, double fj);
+[[nodiscard]] inline double bilinear_frac(const util::Array2D<double>& field,
+                                          double fi, double fj) {
+  return BilinearStencil(field.nx(), field.ny(), fi, fj).apply(field.data());
+}
 
 }  // namespace wfire::grid

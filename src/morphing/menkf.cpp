@@ -14,7 +14,7 @@ namespace {
 // The one input check of both analyses, run before any parallel region (a
 // throw inside one would terminate the process): at least one member, every
 // member with the same number (>= 1) of fields, every field shaped like the
-// data image.
+// data image, and the data image and every field passing check_image.
 void check_members(const std::vector<MorphMember>& members,
                    const util::Array2D<double>& data, const char* who) {
   const auto fail = [who](const char* what) {
@@ -23,10 +23,13 @@ void check_members(const std::vector<MorphMember>& members,
   if (members.empty()) fail("no members");
   const std::size_t nfields = members.front().fields.size();
   if (nfields == 0) fail("members have no fields");
+  check_image(data, who);
   for (const auto& m : members) {
     if (m.fields.size() != nfields) fail("ragged members");
-    for (const auto& f : m.fields)
+    for (const auto& f : m.fields) {
       if (!f.same_shape(data)) fail("field shape differs from the data image");
+      check_image(f, who);
+    }
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -11,25 +12,33 @@ namespace wfire::morphing {
 
 namespace {
 
-// Objective evaluation (for reporting and the acceptance test).
+// Objective evaluation (for reporting and the acceptance test); fills
+// warped = u0 o (I + T) on the way.
 double objective(const util::Array2D<double>& u,
                  const util::Array2D<double>& u0, const Mapping& T, double c1,
                  double c2, util::Array2D<double>& warped) {
   const int nx = u.nx(), ny = u.ny();
-  warp(u0, T, warped);
   double data = 0, reg1 = 0, reg2 = 0;
   for (int j = 0; j < ny; ++j) {
+    const bool has_up = j + 1 < ny;
+    const double* ur = u.row(j);
+    const double* txr = T.tx.row(j);
+    const double* tyr = T.ty.row(j);
+    const double* txu = T.tx.row(has_up ? j + 1 : j);
+    const double* tyu = T.ty.row(has_up ? j + 1 : j);
+    double* wr = warped.row(j);
     for (int i = 0; i < nx; ++i) {
-      const double e = warped(i, j) - u(i, j);
+      const double tx = txr[i], ty = tyr[i];
+      wr[i] = grid::BilinearStencil(nx, ny, i + tx, j + ty).apply(u0.data());
+      const double e = wr[i] - ur[i];
       data += e * e;
-      const double tx = T.tx(i, j), ty = T.ty(i, j);
       reg1 += tx * tx + ty * ty;
       if (i + 1 < nx) {
-        const double dx1 = T.tx(i + 1, j) - tx, dy1 = T.ty(i + 1, j) - ty;
+        const double dx1 = txr[i + 1] - tx, dy1 = tyr[i + 1] - ty;
         reg2 += dx1 * dx1 + dy1 * dy1;
       }
-      if (j + 1 < ny) {
-        const double dx2 = T.tx(i, j + 1) - tx, dy2 = T.ty(i, j + 1) - ty;
+      if (has_up) {
+        const double dx2 = txu[i] - tx, dy2 = tyu[i] - ty;
         reg2 += dx2 * dx2 + dy2 * dy2;
       }
     }
@@ -40,49 +49,58 @@ double objective(const util::Array2D<double>& u,
 
 // One Gauss-Newton / iterative-warping sweep: linearize
 // u0(x + T + dT) ~ u0(x + T) + grad(u0w) . dT and solve pointwise for the
-// increment that cancels the residual, with Tikhonov damping alpha.
+// increment that cancels the residual, with Tikhonov damping alpha. The
+// gradient is centred, one-sided at the edges (the clamped extension).
 void gauss_newton_sweep(const util::Array2D<double>& u,
                         const util::Array2D<double>& warped, double alpha,
                         double max_step, Mapping& T) {
   const int nx = u.nx(), ny = u.ny();
   for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      const double e = warped(i, j) - u(i, j);
-      const double gx =
-          0.5 * (warped.at_clamped(i + 1, j) - warped.at_clamped(i - 1, j));
-      const double gy =
-          0.5 * (warped.at_clamped(i, j + 1) - warped.at_clamped(i, j - 1));
+    const double* w = warped.row(j);
+    const double* ws = warped.row(std::max(j - 1, 0));
+    const double* wn = warped.row(std::min(j + 1, ny - 1));
+    const double* ur = u.row(j);
+    double* txr = T.tx.row(j);
+    double* tyr = T.ty.row(j);
+    const auto update = [&](int i, double gx) {
+      const double e = w[i] - ur[i];
+      const double gy = 0.5 * (wn[i] - ws[i]);
       const double denom = gx * gx + gy * gy + alpha;
-      double dx = -e * gx / denom;
-      double dy = -e * gy / denom;
       // The linearization is only valid within about a pixel.
-      dx = std::clamp(dx, -max_step, max_step);
-      dy = std::clamp(dy, -max_step, max_step);
-      T.tx(i, j) += dx;
-      T.ty(i, j) += dy;
-    }
+      txr[i] += std::clamp(-e * gx / denom, -max_step, max_step);
+      tyr[i] += std::clamp(-e * gy / denom, -max_step, max_step);
+    };
+    update(0, 0.5 * (w[1] - w[0]));
+    for (int i = 1; i < nx - 1; ++i) update(i, 0.5 * (w[i + 1] - w[i - 1]));
+    update(nx - 1, 0.5 * (w[nx - 1] - w[nx - 2]));
   }
 }
 
-// Diffusion smoothing of the mapping (the ||grad T||^2 term): a weighted
-// Jacobi step toward the 4-neighbor average.
-void smooth_mapping(double lambda, Mapping& T, Mapping& scratch) {
-  const int nx = T.nx(), ny = T.ny();
-  if (!scratch.same_shape(T)) scratch = Mapping(nx, ny);
+// One weighted Jacobi step of one mapping component toward its 4-neighbor
+// average (clamped extension): out = (1 - lambda) in + lambda avg.
+void smooth_component(double lambda, const util::Array2D<double>& in,
+                      util::Array2D<double>& out) {
+  const int nx = in.nx(), ny = in.ny();
+  const double keep = 1.0 - lambda;
   for (int j = 0; j < ny; ++j) {
-    for (int i = 0; i < nx; ++i) {
-      const double ax = 0.25 * (T.tx.at_clamped(i - 1, j) +
-                                T.tx.at_clamped(i + 1, j) +
-                                T.tx.at_clamped(i, j - 1) +
-                                T.tx.at_clamped(i, j + 1));
-      const double ay = 0.25 * (T.ty.at_clamped(i - 1, j) +
-                                T.ty.at_clamped(i + 1, j) +
-                                T.ty.at_clamped(i, j - 1) +
-                                T.ty.at_clamped(i, j + 1));
-      scratch.tx(i, j) = (1.0 - lambda) * T.tx(i, j) + lambda * ax;
-      scratch.ty(i, j) = (1.0 - lambda) * T.ty(i, j) + lambda * ay;
-    }
+    const double* c = in.row(j);
+    const double* s = in.row(std::max(j - 1, 0));
+    const double* n = in.row(std::min(j + 1, ny - 1));
+    double* o = out.row(j);
+    const auto blend = [&](int i, double west, double east) {
+      o[i] = keep * c[i] + lambda * (0.25 * (west + east + s[i] + n[i]));
+    };
+    blend(0, c[0], c[1]);
+    for (int i = 1; i < nx - 1; ++i) blend(i, c[i - 1], c[i + 1]);
+    blend(nx - 1, c[nx - 2], c[nx - 1]);
   }
+}
+
+// Diffusion smoothing of the mapping (the ||grad T||^2 term).
+void smooth_mapping(double lambda, Mapping& T, Mapping& scratch) {
+  if (!scratch.same_shape(T)) scratch = Mapping(T.nx(), T.ny());
+  smooth_component(lambda, T.tx, scratch.tx);
+  smooth_component(lambda, T.ty, scratch.ty);
   std::swap(T.tx, scratch.tx);
   std::swap(T.ty, scratch.ty);
 }
@@ -106,12 +124,22 @@ void global_shift_search(const util::Array2D<double>& u,
   int best_dx = 0, best_dy = 0;
   for (int dy = -range_y; dy <= range_y; ++dy) {
     for (int dx = -range_x; dx <= range_x; ++dx) {
+      // Columns i < lo read u0's column 0 and i >= hi its last column.
+      const int lo = std::clamp(-dx, 0, nx);
+      const int hi = std::clamp(nx - dx, lo, nx);
       double ssd = 0;
-      for (int j = 0; j < ny; ++j)
-        for (int i = 0; i < nx; ++i) {
-          const double e = u0.at_clamped(i + dx, j + dy) - u(i, j);
+      for (int j = 0; j < ny; ++j) {
+        const double* a = u0.row(std::clamp(j + dy, 0, ny - 1));
+        const double* b = u.row(j);
+        const auto add = [&](double v, int i) {
+          const double e = v - b[i];
           ssd += e * e;
-        }
+        };
+        int i = 0;
+        for (; i < lo; ++i) add(a[0], i);
+        for (; i < hi; ++i) add(a[i + dx], i);
+        for (; i < nx; ++i) add(a[nx - 1], i);
+      }
       if (ssd < best) {
         best = ssd;
         best_dx = dx;
@@ -128,12 +156,15 @@ Mapping upsample(const Mapping& coarse, int nx, int ny) {
   Mapping fine(nx, ny);
   const double sx = static_cast<double>(coarse.nx() - 1) / std::max(nx - 1, 1);
   const double sy = static_cast<double>(coarse.ny() - 1) / std::max(ny - 1, 1);
-  for (int j = 0; j < ny; ++j)
+  for (int j = 0; j < ny; ++j) {
+    double* fx = fine.tx.row(j);
+    double* fy = fine.ty.row(j);
     for (int i = 0; i < nx; ++i) {
-      const double ci = i * sx, cj = j * sy;
-      fine.tx(i, j) = grid::bilinear_frac(coarse.tx, ci, cj) / sx;
-      fine.ty(i, j) = grid::bilinear_frac(coarse.ty, ci, cj) / sy;
+      const grid::BilinearStencil s(coarse.nx(), coarse.ny(), i * sx, j * sy);
+      fx[i] = s.apply(coarse.tx.data()) / sx;
+      fy[i] = s.apply(coarse.ty.data()) / sy;
     }
+  }
   return fine;
 }
 
@@ -154,13 +185,17 @@ std::vector<util::Array2D<double>> smoothed_pyramid(
 
 util::Array2D<double> downsample2(const util::Array2D<double>& u) {
   const int nx = std::max(u.nx() / 2, 1), ny = std::max(u.ny() / 2, 1);
+  const int ilast = u.nx() - 1, jlast = u.ny() - 1;
   util::Array2D<double> out(nx, ny);
-  for (int j = 0; j < ny; ++j)
-    for (int i = 0; i < nx; ++i)
-      out(i, j) = 0.25 * (u.at_clamped(2 * i, 2 * j) +
-                          u.at_clamped(2 * i + 1, 2 * j) +
-                          u.at_clamped(2 * i, 2 * j + 1) +
-                          u.at_clamped(2 * i + 1, 2 * j + 1));
+  for (int j = 0; j < ny; ++j) {
+    const double* r0 = u.row(std::min(2 * j, jlast));
+    const double* r1 = u.row(std::min(2 * j + 1, jlast));
+    double* o = out.row(j);
+    for (int i = 0; i < nx; ++i) {
+      const int i0 = std::min(2 * i, ilast), i1 = std::min(2 * i + 1, ilast);
+      o[i] = 0.25 * (r0[i0] + r0[i1] + r1[i0] + r1[i1]);
+    }
+  }
   return out;
 }
 
@@ -176,28 +211,46 @@ util::Array2D<double> gaussian_smooth(const util::Array2D<double>& u,
   }
   for (double& v : k) v /= sum;
 
-  util::Array2D<double> tmp(u.nx(), u.ny()), out(u.nx(), u.ny());
-  for (int j = 0; j < u.ny(); ++j)
-    for (int i = 0; i < u.nx(); ++i) {
+  const int nx = u.nx(), ny = u.ny();
+  util::Array2D<double> tmp(nx, ny), out(nx, ny);
+  // Along x: taps clamp to the row only within `radius` of either end.
+  const int lo = std::min(radius, nx), hi = std::max(lo, nx - radius);
+  for (int j = 0; j < ny; ++j) {
+    const double* in = u.row(j);
+    double* t = tmp.row(j);
+    const auto clamped = [&](int i) {
       double s = 0;
       for (int a = -radius; a <= radius; ++a)
-        s += k[a + radius] * u.at_clamped(i + a, j);
-      tmp(i, j) = s;
-    }
-  for (int j = 0; j < u.ny(); ++j)
-    for (int i = 0; i < u.nx(); ++i) {
+        s += k[a + radius] * in[std::clamp(i + a, 0, nx - 1)];
+      t[i] = s;
+    };
+    for (int i = 0; i < lo; ++i) clamped(i);
+    for (int i = lo; i < hi; ++i) {
       double s = 0;
-      for (int a = -radius; a <= radius; ++a)
-        s += k[a + radius] * tmp.at_clamped(i, j + a);
-      out(i, j) = s;
+      for (int a = -radius; a <= radius; ++a) s += k[a + radius] * in[i + a];
+      t[i] = s;
     }
+    for (int i = hi; i < nx; ++i) clamped(i);
+  }
+  // Along y: each tap is a whole (clamped) row, accumulated tap by tap in
+  // the same order per pixel.
+  for (int j = 0; j < ny; ++j) {
+    double* o = out.row(j);
+    for (int a = -radius; a <= radius; ++a) {
+      const double* t = tmp.row(std::clamp(j + a, 0, ny - 1));
+      const double w = k[a + radius];
+      for (int i = 0; i < nx; ++i) o[i] += w * t[i];
+    }
+  }
   return out;
 }
 
 RegistrationReference::RegistrationReference(util::Array2D<double> u0_in,
                                              const RegistrationOptions& opt)
-    : u0(std::move(u0_in)),
-      levels(smoothed_pyramid(u0, opt.max_levels, opt.presmooth_sigma)) {}
+    : u0(std::move(u0_in)) {
+  check_image(u0, "RegistrationReference");
+  levels = smoothed_pyramid(u0, opt.max_levels, opt.presmooth_sigma);
+}
 
 RegistrationResult register_fields(const util::Array2D<double>& u,
                                    const RegistrationReference& ref,
@@ -205,6 +258,7 @@ RegistrationResult register_fields(const util::Array2D<double>& u,
   const util::Array2D<double>& u0 = ref.u0;
   if (!u.same_shape(u0))
     throw std::invalid_argument("register_fields: shape mismatch");
+  check_image(u, "register_fields");
   // u's pyramid is as deep as the reference's (equal for equal options).
   const std::vector<util::Array2D<double>> pu = smoothed_pyramid(
       u, static_cast<int>(ref.levels.size()), opt.presmooth_sigma);
@@ -212,6 +266,10 @@ RegistrationResult register_fields(const util::Array2D<double>& u,
   RegistrationResult res;
   res.levels = static_cast<int>(pu.size());
   Mapping T;
+  // Sized for the level being solved; level 0's warped is then reused for
+  // the final metrics.
+  util::Array2D<double> warped;
+  Mapping scratch;
 
   for (int level = res.levels - 1; level >= 0; --level) {
     const util::Array2D<double>& ul = pu[level];
@@ -223,18 +281,19 @@ RegistrationResult register_fields(const util::Array2D<double>& u,
     } else {
       T = upsample(T, nx, ny);
     }
+    if (!warped.same_shape(ul)) {
+      warped = util::Array2D<double>(nx, ny);
+      scratch = Mapping(nx, ny);
+    }
 
     // Gauss-Newton damping: scaled by the image dynamic range so the
     // behavior is amplitude-invariant.
     double range = 0;
-    for (int j = 0; j < ny; ++j)
-      for (int i = 0; i < nx; ++i) range = std::max(range, std::abs(ul(i, j)));
+    for (const double v : ul) range = std::max(range, std::abs(v));
     const double alpha = std::max(1e-12, 1e-4 * range * range);
     const double lambda = std::min(0.45, opt.c2);
     const double shrink = 1.0 / (1.0 + opt.c1);
 
-    util::Array2D<double> warped(nx, ny);
-    Mapping scratch(nx, ny);
     double prev = objective(ul, u0l, T, opt.c1, opt.c2, warped);
     for (int it = 0; it < opt.iters_per_level; ++it) {
       gauss_newton_sweep(ul, warped, alpha, opt.initial_step, T);
@@ -249,14 +308,13 @@ RegistrationResult register_fields(const util::Array2D<double>& u,
   }
 
   // Final metrics on the unsmoothed finest level.
-  util::Array2D<double> warped(u.nx(), u.ny());
   res.objective = objective(u, u0, T, opt.c1, opt.c2, warped);
   double data = 0;
-  for (int j = 0; j < u.ny(); ++j)
-    for (int i = 0; i < u.nx(); ++i) {
-      const double e = warped(i, j) - u(i, j);
-      data += e * e;
-    }
+  const std::span<const double> wv = warped.span(), uv = u.span();
+  for (std::size_t p = 0; p < uv.size(); ++p) {
+    const double e = wv[p] - uv[p];
+    data += e * e;
+  }
   res.data_term = data / (static_cast<double>(u.nx()) * u.ny());
   res.T = std::move(T);
   return res;

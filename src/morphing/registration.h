@@ -38,7 +38,7 @@ struct RegistrationResult {
 
 // The reference side of a registration: u0 and its Gaussian-smoothed box
 // pyramid (level 0 = finest). Build it once and register any number of
-// images against it with the same options.
+// images against it with the same options. u0 must pass check_image.
 struct RegistrationReference {
   explicit RegistrationReference(util::Array2D<double> u0,
                                  const RegistrationOptions& opt);
@@ -46,7 +46,8 @@ struct RegistrationReference {
   std::vector<util::Array2D<double>> levels;
 };
 
-// Registers u against the reference (same shape as its u0).
+// Registers u against the reference. u must have the shape of its u0 and
+// pass check_image; otherwise std::invalid_argument.
 [[nodiscard]] RegistrationResult register_fields(
     const util::Array2D<double>& u, const RegistrationReference& ref,
     const RegistrationOptions& opt);

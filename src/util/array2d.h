@@ -48,6 +48,17 @@ class Array2D {
     return data_[static_cast<std::size_t>(j) * nx_ + i];
   }
 
+  // The nx contiguous values of row j: the per-row entry point of stencil
+  // loops that index within the row without a per-read check.
+  [[nodiscard]] T* row(int j) {
+    WFIRE_ASSERT(j >= 0 && j < ny_, "Array2D row out of range");
+    return data_.data() + static_cast<std::size_t>(j) * nx_;
+  }
+  [[nodiscard]] const T* row(int j) const {
+    WFIRE_ASSERT(j >= 0 && j < ny_, "Array2D row out of range");
+    return data_.data() + static_cast<std::size_t>(j) * nx_;
+  }
+
   [[nodiscard]] T* data() { return data_.data(); }
   [[nodiscard]] const T* data() const { return data_.data(); }
   [[nodiscard]] std::span<T> span() { return {data_.data(), data_.size()}; }

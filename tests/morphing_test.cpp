@@ -5,8 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "morphing/menkf.h"
@@ -70,6 +74,304 @@ Array2D<double> morph_path(const Array2D<double>& u0, const Encoded& e,
   Array2D<double> out;
   morph_decode(u0, r.span(), T, out);
   return out;
+}
+
+// The clamped per-sample kernels of the registration and the warps, kept
+// as written before the row-pointer rewrite: every read goes through
+// at_clamped or the bounds-checked operator(), and every bilinear sample
+// clamps, floors and weighs on its own. Registration.
+// KernelsMatchClampedReference holds the library's kernels to these bit for
+// bit.
+namespace clamped_reference {
+
+double bilinear_frac(const Array2D<double>& field, double fi, double fj) {
+  fi = std::clamp(fi, 0.0, static_cast<double>(field.nx() - 1));
+  fj = std::clamp(fj, 0.0, static_cast<double>(field.ny() - 1));
+  const int i = std::min(static_cast<int>(fi), field.nx() - 2);
+  const int j = std::min(static_cast<int>(fj), field.ny() - 2);
+  const double tx = fi - i;
+  const double ty = fj - j;
+  return (1 - tx) * (1 - ty) * field(i, j) + tx * (1 - ty) * field(i + 1, j) +
+         (1 - tx) * ty * field(i, j + 1) + tx * ty * field(i + 1, j + 1);
+}
+
+void warp(const Array2D<double>& u, const Mapping& T, Array2D<double>& out) {
+  if (!out.same_shape(u)) out = Array2D<double>(u.nx(), u.ny());
+  for (int j = 0; j < u.ny(); ++j)
+    for (int i = 0; i < u.nx(); ++i)
+      out(i, j) = bilinear_frac(u, i + T.tx(i, j), j + T.ty(i, j));
+}
+
+Mapping compose(const Mapping& T1, const Mapping& T2) {
+  Mapping S(T1.nx(), T1.ny());
+  for (int j = 0; j < S.ny(); ++j)
+    for (int i = 0; i < S.nx(); ++i) {
+      const double xi = i + T2.tx(i, j);
+      const double yj = j + T2.ty(i, j);
+      S.tx(i, j) = T2.tx(i, j) + bilinear_frac(T1.tx, xi, yj);
+      S.ty(i, j) = T2.ty(i, j) + bilinear_frac(T1.ty, xi, yj);
+    }
+  return S;
+}
+
+Mapping invert(const Mapping& T, int iters = 30, double relax = 0.6) {
+  Mapping inv(T.nx(), T.ny());
+  Mapping next(T.nx(), T.ny());
+  for (int it = 0; it < iters; ++it) {
+    for (int j = 0; j < T.ny(); ++j)
+      for (int i = 0; i < T.nx(); ++i) {
+        const double xi = i + inv.tx(i, j);
+        const double yj = j + inv.ty(i, j);
+        next.tx(i, j) = (1.0 - relax) * inv.tx(i, j) -
+                        relax * bilinear_frac(T.tx, xi, yj);
+        next.ty(i, j) = (1.0 - relax) * inv.ty(i, j) -
+                        relax * bilinear_frac(T.ty, xi, yj);
+      }
+    std::swap(inv, next);
+  }
+  return inv;
+}
+
+double objective(const Array2D<double>& u, const Array2D<double>& u0,
+                 const Mapping& T, double c1, double c2,
+                 Array2D<double>& warped) {
+  const int nx = u.nx(), ny = u.ny();
+  clamped_reference::warp(u0, T, warped);
+  double data = 0, reg1 = 0, reg2 = 0;
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      const double e = warped(i, j) - u(i, j);
+      data += e * e;
+      const double tx = T.tx(i, j), ty = T.ty(i, j);
+      reg1 += tx * tx + ty * ty;
+      if (i + 1 < nx) {
+        const double dx1 = T.tx(i + 1, j) - tx, dy1 = T.ty(i + 1, j) - ty;
+        reg2 += dx1 * dx1 + dy1 * dy1;
+      }
+      if (j + 1 < ny) {
+        const double dx2 = T.tx(i, j + 1) - tx, dy2 = T.ty(i, j + 1) - ty;
+        reg2 += dx2 * dx2 + dy2 * dy2;
+      }
+    }
+  }
+  return (data + c1 * reg1 + c2 * reg2) / (static_cast<double>(nx) * ny);
+}
+
+void gauss_newton_sweep(const Array2D<double>& u, const Array2D<double>& warped,
+                        double alpha, double max_step, Mapping& T) {
+  const int nx = u.nx(), ny = u.ny();
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      const double e = warped(i, j) - u(i, j);
+      const double gx =
+          0.5 * (warped.at_clamped(i + 1, j) - warped.at_clamped(i - 1, j));
+      const double gy =
+          0.5 * (warped.at_clamped(i, j + 1) - warped.at_clamped(i, j - 1));
+      const double denom = gx * gx + gy * gy + alpha;
+      double dx = -e * gx / denom;
+      double dy = -e * gy / denom;
+      dx = std::clamp(dx, -max_step, max_step);
+      dy = std::clamp(dy, -max_step, max_step);
+      T.tx(i, j) += dx;
+      T.ty(i, j) += dy;
+    }
+  }
+}
+
+void smooth_mapping(double lambda, Mapping& T, Mapping& scratch) {
+  const int nx = T.nx(), ny = T.ny();
+  if (!scratch.same_shape(T)) scratch = Mapping(nx, ny);
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      const double ax = 0.25 * (T.tx.at_clamped(i - 1, j) +
+                                T.tx.at_clamped(i + 1, j) +
+                                T.tx.at_clamped(i, j - 1) +
+                                T.tx.at_clamped(i, j + 1));
+      const double ay = 0.25 * (T.ty.at_clamped(i - 1, j) +
+                                T.ty.at_clamped(i + 1, j) +
+                                T.ty.at_clamped(i, j - 1) +
+                                T.ty.at_clamped(i, j + 1));
+      scratch.tx(i, j) = (1.0 - lambda) * T.tx(i, j) + lambda * ax;
+      scratch.ty(i, j) = (1.0 - lambda) * T.ty(i, j) + lambda * ay;
+    }
+  }
+  std::swap(T.tx, scratch.tx);
+  std::swap(T.ty, scratch.ty);
+}
+
+void shrink_mapping(double factor, Mapping& T) {
+  if (factor >= 1.0) return;
+  for (double& v : T.tx) v *= factor;
+  for (double& v : T.ty) v *= factor;
+}
+
+void global_shift_search(const Array2D<double>& u, const Array2D<double>& u0,
+                         Mapping& T) {
+  const int nx = u.nx(), ny = u.ny();
+  const int range_x = nx / 3, range_y = ny / 3;
+  double best = 1e300;
+  int best_dx = 0, best_dy = 0;
+  for (int dy = -range_y; dy <= range_y; ++dy) {
+    for (int dx = -range_x; dx <= range_x; ++dx) {
+      double ssd = 0;
+      for (int j = 0; j < ny; ++j)
+        for (int i = 0; i < nx; ++i) {
+          const double e = u0.at_clamped(i + dx, j + dy) - u(i, j);
+          ssd += e * e;
+        }
+      if (ssd < best) {
+        best = ssd;
+        best_dx = dx;
+        best_dy = dy;
+      }
+    }
+  }
+  T.tx.fill(static_cast<double>(best_dx));
+  T.ty.fill(static_cast<double>(best_dy));
+}
+
+Mapping upsample(const Mapping& coarse, int nx, int ny) {
+  Mapping fine(nx, ny);
+  const double sx = static_cast<double>(coarse.nx() - 1) / std::max(nx - 1, 1);
+  const double sy = static_cast<double>(coarse.ny() - 1) / std::max(ny - 1, 1);
+  for (int j = 0; j < ny; ++j)
+    for (int i = 0; i < nx; ++i) {
+      const double ci = i * sx, cj = j * sy;
+      fine.tx(i, j) = bilinear_frac(coarse.tx, ci, cj) / sx;
+      fine.ty(i, j) = bilinear_frac(coarse.ty, ci, cj) / sy;
+    }
+  return fine;
+}
+
+Array2D<double> downsample2(const Array2D<double>& u) {
+  const int nx = std::max(u.nx() / 2, 1), ny = std::max(u.ny() / 2, 1);
+  Array2D<double> out(nx, ny);
+  for (int j = 0; j < ny; ++j)
+    for (int i = 0; i < nx; ++i)
+      out(i, j) = 0.25 * (u.at_clamped(2 * i, 2 * j) +
+                          u.at_clamped(2 * i + 1, 2 * j) +
+                          u.at_clamped(2 * i, 2 * j + 1) +
+                          u.at_clamped(2 * i + 1, 2 * j + 1));
+  return out;
+}
+
+Array2D<double> gaussian_smooth(const Array2D<double>& u, double sigma) {
+  if (sigma <= 0) return u;
+  const int radius = std::max(1, static_cast<int>(std::ceil(2.0 * sigma)));
+  std::vector<double> k(static_cast<std::size_t>(2 * radius + 1));
+  double sum = 0;
+  for (int i = -radius; i <= radius; ++i) {
+    k[i + radius] = std::exp(-0.5 * (i * i) / (sigma * sigma));
+    sum += k[i + radius];
+  }
+  for (double& v : k) v /= sum;
+  Array2D<double> tmp(u.nx(), u.ny()), out(u.nx(), u.ny());
+  for (int j = 0; j < u.ny(); ++j)
+    for (int i = 0; i < u.nx(); ++i) {
+      double s = 0;
+      for (int a = -radius; a <= radius; ++a)
+        s += k[a + radius] * u.at_clamped(i + a, j);
+      tmp(i, j) = s;
+    }
+  for (int j = 0; j < u.ny(); ++j)
+    for (int i = 0; i < u.nx(); ++i) {
+      double s = 0;
+      for (int a = -radius; a <= radius; ++a)
+        s += k[a + radius] * tmp.at_clamped(i, j + a);
+      out(i, j) = s;
+    }
+  return out;
+}
+
+std::vector<Array2D<double>> smoothed_pyramid(const Array2D<double>& u,
+                                              int max_levels, double sigma) {
+  std::vector<Array2D<double>> p{u};
+  while (static_cast<int>(p.size()) < max_levels && p.back().nx() >= 32 &&
+         p.back().ny() >= 32)
+    p.push_back(downsample2(p.back()));
+  for (Array2D<double>& level : p) level = gaussian_smooth(level, sigma);
+  return p;
+}
+
+// The coarse-to-fine driver of register_fields(u, u0, opt).
+RegistrationResult register_fields(const Array2D<double>& u,
+                                   const Array2D<double>& u0,
+                                   const RegistrationOptions& opt) {
+  const std::vector<Array2D<double>> p0 =
+      smoothed_pyramid(u0, opt.max_levels, opt.presmooth_sigma);
+  const std::vector<Array2D<double>> pu = smoothed_pyramid(
+      u, static_cast<int>(p0.size()), opt.presmooth_sigma);
+  RegistrationResult res;
+  res.levels = static_cast<int>(pu.size());
+  Mapping T;
+  for (int level = res.levels - 1; level >= 0; --level) {
+    const Array2D<double>& ul = pu[level];
+    const Array2D<double>& u0l = p0[level];
+    const int nx = ul.nx(), ny = ul.ny();
+    if (level == res.levels - 1) {
+      T = Mapping(nx, ny);
+      global_shift_search(ul, u0l, T);
+    } else {
+      T = upsample(T, nx, ny);
+    }
+    double range = 0;
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i) range = std::max(range, std::abs(ul(i, j)));
+    const double alpha = std::max(1e-12, 1e-4 * range * range);
+    const double lambda = std::min(0.45, opt.c2);
+    const double shrink = 1.0 / (1.0 + opt.c1);
+    Array2D<double> warped(nx, ny);
+    Mapping scratch(nx, ny);
+    double prev = objective(ul, u0l, T, opt.c1, opt.c2, warped);
+    for (int it = 0; it < opt.iters_per_level; ++it) {
+      gauss_newton_sweep(ul, warped, alpha, opt.initial_step, T);
+      smooth_mapping(lambda, T, scratch);
+      smooth_mapping(lambda, T, scratch);
+      shrink_mapping(shrink, T);
+      const double J = objective(ul, u0l, T, opt.c1, opt.c2, warped);
+      ++res.iterations;
+      if (prev - J < opt.tol * std::max(prev, 1e-300) && it > 4) break;
+      prev = J;
+    }
+  }
+  Array2D<double> warped(u.nx(), u.ny());
+  res.objective = objective(u, u0, T, opt.c1, opt.c2, warped);
+  double data = 0;
+  for (int j = 0; j < u.ny(); ++j)
+    for (int i = 0; i < u.nx(); ++i) {
+      const double e = warped(i, j) - u(i, j);
+      data += e * e;
+    }
+  res.data_term = data / (static_cast<double>(u.nx()) * u.ny());
+  res.T = std::move(T);
+  return res;
+}
+
+}  // namespace clamped_reference
+
+// Bit-for-bit equality: == would let -0.0 pass for +0.0.
+bool bitwise_equal(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+bool bitwise_equal(const Array2D<double>& a, const Array2D<double>& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+bool bitwise_equal(const Mapping& a, const Mapping& b) {
+  return bitwise_equal(a.tx, b.tx) && bitwise_equal(a.ty, b.ty);
+}
+
+// A fire-like image on nx x ny: the front distance of a burning ellipse
+// centred at (cx, cy), capped like the observable, plus a gentle ramp.
+Array2D<double> fire_image(int nx, int ny, double cx, double cy, double rx,
+                           double ry) {
+  Array2D<double> u(nx, ny);
+  for (int j = 0; j < ny; ++j)
+    for (int i = 0; i < nx; ++i) {
+      const double d = std::hypot((i - cx) / rx, (j - cy) / ry) - 1.0;
+      u(i, j) = std::min(3.0, d * std::min(rx, ry)) + 0.01 * i - 0.02 * j;
+    }
+  return u;
 }
 
 }  // namespace
@@ -201,6 +503,107 @@ TEST(Registration, RejectsShapeMismatch) {
   const Array2D<double> a = blob(32, 32, 16, 16, 4);
   const Array2D<double> b = blob(16, 16, 8, 8, 2);
   EXPECT_THROW(register_fields(a, b, {}), std::invalid_argument);
+
+  // Below 2x2 a bilinear cell does not exist; every sampler and the
+  // registration reject such images, and non-finite values, up front.
+  for (const auto& [nx, ny] : {std::pair{1, 8}, std::pair{8, 1},
+                               std::pair{0, 0}, std::pair{1, 1}}) {
+    const Array2D<double> tiny(nx, ny, 1.0);
+    EXPECT_THROW(register_fields(tiny, tiny, {}), std::invalid_argument)
+        << nx << "x" << ny;
+    EXPECT_THROW(invert(Mapping(nx, ny)), std::invalid_argument)
+        << nx << "x" << ny;
+    Array2D<double> out;
+    EXPECT_THROW(warp(tiny, Mapping(nx, ny), out), std::invalid_argument)
+        << nx << "x" << ny;
+  }
+  EXPECT_THROW(invert(Mapping(1, 5)), std::invalid_argument);
+
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Array2D<double> spoiled = a;
+    spoiled(7, 9) = bad;
+    EXPECT_THROW(register_fields(spoiled, a, {}), std::invalid_argument);
+    EXPECT_THROW(register_fields(a, spoiled, {}), std::invalid_argument);
+    Array2D<double> out;
+    EXPECT_THROW(warp(spoiled, Mapping(32, 32), out), std::invalid_argument);
+    Mapping T(32, 32);
+    T.ty(3, 30) = bad;
+    EXPECT_THROW(invert(T), std::invalid_argument);
+    EXPECT_THROW(warp(a, T, out), std::invalid_argument);
+  }
+
+  // A mapping whose components differ in shape, or whose shape differs
+  // from the image being warped.
+  Mapping ragged(32, 32);
+  ragged.ty = Array2D<double>(32, 31, 0.0);
+  EXPECT_THROW(invert(ragged), std::invalid_argument);
+  Array2D<double> out;
+  EXPECT_THROW(warp(a, ragged, out), std::invalid_argument);
+  EXPECT_THROW(warp(a, Mapping(16, 16), out), std::invalid_argument);
+}
+
+TEST(Registration, KernelsMatchClampedReference) {
+  // The row-pointer kernels (clamp-free interiors, explicit edge rows and
+  // columns, one shared bilinear stencil) must reproduce the clamped
+  // per-sample loops bit for bit, on shapes down to the 2x2 minimum where
+  // every node is an edge node, with shifts and mappings large enough that
+  // samples land past every edge.
+  const std::pair<int, int> shapes[] = {{2, 2},  {2, 9},   {9, 2},   {3, 17},
+                                        {17, 3}, {33, 40}, {101, 101}};
+  const RegistrationOptions opt;
+  for (const auto& [nx, ny] : shapes) {
+    SCOPED_TRACE(::testing::Message() << nx << "x" << ny);
+    const double rx = std::max(0.6, 0.2 * nx), ry = std::max(0.6, 0.2 * ny);
+    const Array2D<double> u0 =
+        fire_image(nx, ny, 0.45 * nx, 0.5 * ny, rx, ry);
+    const Array2D<double> u =
+        fire_image(nx, ny, 0.75 * nx, 0.25 * ny, 0.9 * rx, 1.1 * ry);
+
+    EXPECT_TRUE(bitwise_equal(downsample2(u),
+                              clamped_reference::downsample2(u)));
+    for (const double sigma : {0.7, 1.0, 2.5})
+      EXPECT_TRUE(bitwise_equal(gaussian_smooth(u, sigma),
+                                clamped_reference::gaussian_smooth(u, sigma)))
+          << "sigma " << sigma;
+
+    const RegistrationResult got = register_fields(u, u0, opt);
+    const RegistrationResult want =
+        clamped_reference::register_fields(u, u0, opt);
+    EXPECT_TRUE(bitwise_equal(got.T, want.T));
+    EXPECT_TRUE(bitwise_equal(got.objective, want.objective));
+    EXPECT_TRUE(bitwise_equal(got.data_term, want.data_term));
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.levels, want.levels);
+
+    // A mapping whose samples leave the grid on every side.
+    Mapping wild(nx, ny);
+    for (int j = 0; j < ny; ++j)
+      for (int i = 0; i < nx; ++i) {
+        wild.tx(i, j) = 0.7 * nx * std::sin(0.9 * i + 0.4 * j) + 0.3;
+        wild.ty(i, j) = 0.7 * ny * std::cos(0.5 * i - 0.8 * j) - 0.2;
+      }
+    for (const Mapping* T : {&got.T, static_cast<const Mapping*>(&wild)}) {
+      const Mapping inv = invert(*T);
+      EXPECT_TRUE(bitwise_equal(inv, clamped_reference::invert(*T)));
+      EXPECT_TRUE(bitwise_equal(invert(*T, 7, 0.9),
+                                clamped_reference::invert(*T, 7, 0.9)));
+      Array2D<double> w, w_ref;
+      warp(u0, *T, w);
+      clamped_reference::warp(u0, *T, w_ref);
+      EXPECT_TRUE(bitwise_equal(w, w_ref));
+      EXPECT_TRUE(bitwise_equal(compose(*T, inv),
+                                clamped_reference::compose(*T, inv)));
+      EXPECT_TRUE(bitwise_equal(compose(wild, *T),
+                                clamped_reference::compose(wild, *T)));
+
+      // The residual is the warp by the inverse minus u0.
+      Array2D<double> r(nx, ny), r_ref;
+      morph_residual(u, u0, inv, r.span());
+      clamped_reference::warp(u, inv, r_ref);
+      for (int p = 0; p < nx * ny; ++p) r_ref.data()[p] -= u0.data()[p];
+      EXPECT_TRUE(bitwise_equal(r, r_ref));
+    }
+  }
 }
 
 TEST(Morph, EndpointIdentities) {
@@ -398,6 +801,42 @@ TEST(MorphingEnKF, ValidatesInputs) {
                std::invalid_argument);
   EXPECT_THROW(standard_enkf_on_fields(fieldless, data, 1.0, 1.0, rng),
                std::invalid_argument);
+
+  // Images the kernels cannot sample: a non-finite value in the data image
+  // or in any member field (observable or companion), and 1-wide fields.
+  // The check runs before the parallel encode, where a throw would end the
+  // process.
+  const auto blobs = [](int nx, int ny) {
+    std::vector<MorphMember> members(3);
+    for (auto& m : members) {
+      m.fields.push_back(blob(nx, ny, nx / 2.0, ny / 2.0, 3, 10.0));
+      m.fields.push_back(blob(nx, ny, nx / 2.0, ny / 2.0, 5, -20.0));
+    }
+    return members;
+  };
+  for (const double bad : {std::nan(""), HUGE_VAL}) {
+    std::vector<MorphMember> members = blobs(16, 16);
+    Array2D<double> spoiled_data = blob(16, 16, 9, 8, 3, 10.0);
+    spoiled_data(4, 11) = bad;
+    EXPECT_THROW(filter.analyze(members, spoiled_data, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(standard_enkf_on_fields(members, spoiled_data, 1.0, 1.0, rng),
+                 std::invalid_argument);
+    const Array2D<double> clean_data = blob(16, 16, 9, 8, 3, 10.0);
+    for (const std::size_t f : {0u, 1u}) {
+      std::vector<MorphMember> spoiled = blobs(16, 16);
+      spoiled[2].fields[f](15, 0) = bad;
+      EXPECT_THROW(filter.analyze(spoiled, clean_data, rng),
+                   std::invalid_argument)
+          << "field " << f;
+    }
+  }
+  for (const auto& [nx, ny] : {std::pair{1, 32}, std::pair{32, 1}}) {
+    std::vector<MorphMember> thin = blobs(nx, ny);
+    EXPECT_THROW(filter.analyze(thin, Array2D<double>(nx, ny, 1.0), rng),
+                 std::invalid_argument)
+        << nx << "x" << ny;
+  }
 }
 
 TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
