@@ -11,15 +11,11 @@
 
 #include <cstdio>
 
-#include "backend_args.h"
 #include "enkf/enkf.h"
 #include "enkf/ensemble.h"
-#include "la/backend.h"
 #include "la/workspace.h"
 
 using namespace wfire;
-using wfire::bench::arg_backend;
-using wfire::bench::backend_name;
 using wfire::enkf::Factorization;
 
 namespace {
@@ -127,17 +123,13 @@ BENCHMARK(BM_EnKF_EnsembleSize)
     ->Arg(25)
     ->Arg(50);
 
-// The acceptance shape for the blocked backend: a state of n >= 20k (image
-// assimilation scale) with the paper's N = 25 members, per backend, with a
-// reused workspace so steady-state analyses are allocation-free. The
-// blocked/reference ratio of these timings is the headline number in
-// BENCH_pr3.json.
+// The acceptance shape for the blocked kernels: a state of n >= 20k (image
+// assimilation scale) with the paper's N = 25 members, with a reused
+// workspace so steady-state analyses are allocation-free.
 static void BM_EnKF_LargeStateObsSpace(benchmark::State& state) {
-  const std::int64_t be = state.range(0);
   const int n = 20000, m = 1000, N = 25;
   util::Rng rng(17);
   const Problem base = make_problem(n, m, N, rng);
-  ScopedBackend scope(arg_backend(be));
   Workspace ws;
   EnKFOptions opt;
   opt.path = SolverPath::kObsSpace;
@@ -148,19 +140,13 @@ static void BM_EnKF_LargeStateObsSpace(benchmark::State& state) {
     const EnKFStats s = enkf_analysis(X, base.HX, base.d, base.r_std, r, opt);
     benchmark::DoNotOptimize(s.increment_rms);
   }
-  state.SetLabel(backend_name(be));
 }
-BENCHMARK(BM_EnKF_LargeStateObsSpace)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(0)
-    ->Arg(1);
+BENCHMARK(BM_EnKF_LargeStateObsSpace)->Unit(benchmark::kMillisecond);
 
 static void BM_EnKF_LargeStateEnsembleSpace(benchmark::State& state) {
-  const std::int64_t be = state.range(0);
   const int n = 20000, m = 10000, N = 25;
   util::Rng rng(19);
   const Problem base = make_problem(n, m, N, rng);
-  ScopedBackend scope(arg_backend(be));
   Workspace ws;
   EnKFOptions opt;
   opt.path = SolverPath::kEnsembleSpace;
@@ -171,19 +157,14 @@ static void BM_EnKF_LargeStateEnsembleSpace(benchmark::State& state) {
     const EnKFStats s = enkf_analysis(X, base.HX, base.d, base.r_std, r, opt);
     benchmark::DoNotOptimize(s.increment_rms);
   }
-  state.SetLabel(backend_name(be));
 }
-BENCHMARK(BM_EnKF_LargeStateEnsembleSpace)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(0)
-    ->Arg(1);
+BENCHMARK(BM_EnKF_LargeStateEnsembleSpace)->Unit(benchmark::kMillisecond);
 
 // The PR 4 headline: the full ensemble-space analysis with the QR
 // square-root factorization against the Jacobi-SVD path it replaced, at the
 // paper's N = 25 with image-scale observation counts. arg 0 is m, arg 1
-// selects the factorization (0 = qr, 1 = svd); both run the blocked kernel
-// backend with a reused workspace, so the difference is the factorization
-// itself.
+// selects the factorization (0 = qr, 1 = svd); both run the blocked kernels
+// with a reused workspace, so the difference is the factorization itself.
 static void BM_EnKF_EnsembleSpaceFactorization(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const bool use_svd = state.range(1) != 0;

@@ -1,22 +1,27 @@
-// Substrate benchmark: the dense-LA kernel backends head to head. The EnKF
-// analysis cost decomposes into gemm (anomaly products), syrk (S = HA HA^T),
-// and Cholesky (solve of S); these measure each kernel at analysis-relevant
-// shapes for the blocked and reference backends, so BENCH_*.json tracks
-// where a regression comes from.
+// Substrate benchmark: the blocked dense-LA kernels against their naive
+// oracles (la/reference.h). The EnKF analysis cost decomposes into gemm
+// (anomaly products), syrk (S = HA HA^T), and Cholesky (solve of S); these
+// measure each kernel at analysis-relevant shapes, so BENCH_*.json tracks
+// where a regression comes from. The last argument of each row picks the
+// implementation: 0 = blocked (production), 1 = reference (the oracle); the
+// row label names it.
 #include <benchmark/benchmark.h>
 
-#include "backend_args.h"
-#include "la/backend.h"
+#include <cstdint>
+
 #include "la/blas.h"
 #include "la/cholesky.h"
+#include "la/reference.h"
 #include "util/rng.h"
 
 using namespace wfire::la;
-using wfire::bench::arg_backend;
-using wfire::bench::backend_name;
 using wfire::util::Rng;
 
 namespace {
+
+const char* impl_name(std::int64_t v) {
+  return v == 0 ? "blocked" : "reference";
+}
 
 Matrix random_spd(int n, Rng& rng) {
   const Matrix A = Matrix::random_normal(n, n, rng);
@@ -34,12 +39,14 @@ static void BM_LA_GemmSquare(benchmark::State& state) {
   const Matrix A = Matrix::random_normal(n, n, rng);
   const Matrix B = Matrix::random_normal(n, n, rng);
   Matrix C(n, n, 0.0);
-  ScopedBackend scope(arg_backend(be));
   for (auto _ : state) {
-    gemm(false, false, 1.0, A, B, 0.0, C);
+    if (be == 0)
+      gemm(false, false, 1.0, A, B, 0.0, C);
+    else
+      reference::gemm(false, false, 1.0, A, B, 0.0, C);
     benchmark::DoNotOptimize(C.data());
   }
-  state.SetLabel(backend_name(be));
+  state.SetLabel(impl_name(be));
   state.counters["n"] = n;
 }
 BENCHMARK(BM_LA_GemmSquare)
@@ -58,12 +65,14 @@ static void BM_LA_GemmTallSkinny(benchmark::State& state) {
   const Matrix A = Matrix::random_normal(n, N, rng);
   const Matrix W = Matrix::random_normal(N, N, rng);
   Matrix X = Matrix::random_normal(n, N, rng);
-  ScopedBackend scope(arg_backend(be));
   for (auto _ : state) {
-    gemm(false, false, 1.0, A, W, 1.0, X);
+    if (be == 0)
+      gemm(false, false, 1.0, A, W, 1.0, X);
+    else
+      reference::gemm(false, false, 1.0, A, W, 1.0, X);
     benchmark::DoNotOptimize(X.data());
   }
-  state.SetLabel(backend_name(be));
+  state.SetLabel(impl_name(be));
   state.counters["n"] = n;
 }
 BENCHMARK(BM_LA_GemmTallSkinny)
@@ -79,12 +88,14 @@ static void BM_LA_Syrk(benchmark::State& state) {
   Rng rng(3);
   const Matrix HA = Matrix::random_normal(m, N, rng);
   Matrix S(m, m, 0.0);
-  ScopedBackend scope(arg_backend(be));
   for (auto _ : state) {
-    syrk(false, 1.0 / (N - 1), HA, 0.0, S);
+    if (be == 0)
+      syrk(false, 1.0 / (N - 1), HA, 0.0, S);
+    else
+      reference::syrk(false, 1.0 / (N - 1), HA, 0.0, S);
     benchmark::DoNotOptimize(S.data());
   }
-  state.SetLabel(backend_name(be));
+  state.SetLabel(impl_name(be));
   state.counters["m"] = m;
 }
 BENCHMARK(BM_LA_Syrk)
@@ -100,13 +111,13 @@ static void BM_LA_Cholesky(benchmark::State& state) {
   Rng rng(4);
   const Matrix S = random_spd(n, rng);
   Matrix L;
-  ScopedBackend scope(arg_backend(be));
   for (auto _ : state) {
-    const int jitter = cholesky_factor(S, L);
+    const int jitter = be == 0 ? cholesky_factor(S, L)
+                               : reference::cholesky_factor(S, L);
     benchmark::DoNotOptimize(jitter);
     benchmark::DoNotOptimize(L.data());
   }
-  state.SetLabel(backend_name(be));
+  state.SetLabel(impl_name(be));
   state.counters["n"] = n;
 }
 BENCHMARK(BM_LA_Cholesky)
@@ -118,7 +129,7 @@ BENCHMARK(BM_LA_Cholesky)
 
 static void BM_LA_CholeskySolveMultiRhs(benchmark::State& state) {
   // The analysis solve: m x m factor against N = 25 innovation columns.
-  // One row: the triangular solves have no backend variant to select.
+  // One row: the triangular solves have no reference variant.
   const int n = static_cast<int>(state.range(0));
   const int N = 25;
   Rng rng(5);

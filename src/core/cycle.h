@@ -53,8 +53,7 @@ struct CycleOptions {
                                       .sigma_r = 50.0,   // [m]
                                       .sigma_T = 0.5,    // [fire cells]
                                       .t_weight = 1.0,
-                                      .inflation = 1.0,
-                                      .path = enkf::SolverPath::kAuto};
+                                      .inflation = 1.0};
   double standard_sigma_obs = 2000.0;  // [W/m^2], raw-image baseline
   double standard_inflation = 1.0;
   // Member forcing: ambient wind plus per-member jitter (ensemble spread in

@@ -3,6 +3,7 @@
 #include "util/omp_compat.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -53,65 +54,23 @@ void gemv_t(double alpha, const Matrix& A, const Vector& x, double beta,
 
 namespace {
 
-// Element accessor honoring the transpose flag (reference path only; the
-// blocked path reads packed buffers instead).
-inline double at(const Matrix& M, bool trans, int i, int j) {
-  return trans ? M(j, i) : M(i, j);
+// Relaxed atomic: tests move the tile edge between cases, never during a
+// kernel call, but pool workers from earlier cases may still be parked.
+std::atomic<int> g_block_size{64};
+
+}  // namespace
+
+int block_size() { return g_block_size.load(std::memory_order_relaxed); }
+
+ScopedBlockSize::ScopedBlockSize(int nb) : prev_(block_size()) {
+  g_block_size.store(std::clamp(nb, 8, 1024), std::memory_order_relaxed);
 }
 
-// --- reference kernels (the original naive loops) ---
-
-// `scale`, when non-null, weights the contraction dimension: the kernel
-// computes op(A) diag(scale) op(B) (the fused-scaling variants; null means
-// plain gemm/syrk).
-void gemm_reference(bool transA, bool transB, double alpha, const Matrix& A,
-                    const Matrix& B, double beta, Matrix& C, int m, int n,
-                    int k, const double* scale) {
-  constexpr int kBlock = 64;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
-  for (int j0 = 0; j0 < n; j0 += kBlock) {
-    const int j1 = std::min(j0 + kBlock, n);
-    for (int i0 = 0; i0 < m; i0 += kBlock) {
-      const int i1 = std::min(i0 + kBlock, m);
-      for (int j = j0; j < j1; ++j)
-        for (int i = i0; i < i1; ++i) C(i, j) *= beta;
-      for (int p0 = 0; p0 < k; p0 += kBlock) {
-        const int p1 = std::min(p0 + kBlock, k);
-        for (int j = j0; j < j1; ++j) {
-          for (int p = p0; p < p1; ++p) {
-            double bpj = alpha * at(B, transB, p, j);
-            if (scale) bpj *= scale[p];
-            if (bpj == 0.0) continue;
-            for (int i = i0; i < i1; ++i) C(i, j) += at(A, transA, i, p) * bpj;
-          }
-        }
-      }
-    }
-  }
+ScopedBlockSize::~ScopedBlockSize() {
+  g_block_size.store(prev_, std::memory_order_relaxed);
 }
 
-void syrk_reference(bool transA, double alpha, const Matrix& A, double beta,
-                    Matrix& C, int m, int k, const double* scale) {
-  for (int j = 0; j < m; ++j) {
-    for (int i = j; i < m; ++i) {
-      double s = 0;
-      for (int p = 0; p < k; ++p) {
-        const double w = scale ? scale[p] : 1.0;
-        s += at(A, transA, i, p) * at(A, transA, j, p) * w;
-      }
-      C(i, j) = beta * C(i, j) + alpha * s;
-    }
-  }
-  for (int j = 1; j < m; ++j)
-    for (int i = 0; i < j; ++i) C(i, j) = C(j, i);
-}
-
-void ger_reference(double alpha, const Vector& x, const Vector& y, Matrix& A) {
-  for (int j = 0; j < A.cols(); ++j) {
-    const double yj = alpha * y[j];
-    for (int i = 0; i < A.rows(); ++i) A(i, j) += x[i] * yj;
-  }
-}
+namespace {
 
 // --- blocked kernels ---
 //
@@ -228,8 +187,15 @@ void scale_tile(double beta, double* C, std::size_t ldc, int mb, int nb) {
 }
 
 void gemm_blocked(bool transA, bool transB, double alpha, const Matrix& A,
-                  const Matrix& B, double beta, Matrix& C, int m, int n,
-                  int k, const double* scale) {
+                  const Matrix& B, double beta, Matrix& C,
+                  const double* scale) {
+  const int m = transA ? A.cols() : A.rows();
+  const int k = transA ? A.rows() : A.cols();
+  const int kb = transB ? B.cols() : B.rows();
+  const int n = transB ? B.rows() : B.cols();
+  if (k != kb || C.rows() != m || C.cols() != n)
+    throw std::invalid_argument("gemm: size mismatch");
+  if (m == 0 || n == 0) return;
   const int nb = block_size();
   const int MC = 2 * nb;
   const int KC = std::min(4 * nb, 512);
@@ -273,7 +239,12 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (n_ic > 1))
 }
 
 void syrk_blocked(bool transA, double alpha, const Matrix& A, double beta,
-                  Matrix& C, int m, int k, const double* scale) {
+                  Matrix& C, const double* scale) {
+  const int m = transA ? A.cols() : A.rows();
+  const int k = transA ? A.rows() : A.cols();
+  if (C.rows() != m || C.cols() != m)
+    throw std::invalid_argument("syrk: size mismatch");
+  if (m == 0) return;
   const int nb = block_size();
   const int KC = std::min(4 * nb, 512);
   double* Cd = C.data();
@@ -292,11 +263,14 @@ void syrk_blocked(bool transA, double alpha, const Matrix& A, double beta,
   panel.resize(static_cast<std::size_t>(m) * KC);
   double* const P = panel.data();
 
-  // Lower-triangle tile list, reused across the pc loop.
-  std::vector<std::pair<int, int>> tiles;
+  // Lower-triangle tile list, reused across the pc loop. Thread-local so a
+  // warm call allocates nothing; read through the raw pointer, as P is.
+  static thread_local std::vector<std::pair<int, int>> tile_buf;
+  tile_buf.clear();
   for (int j0 = 0; j0 < m; j0 += nb)
-    for (int i0 = j0; i0 < m; i0 += nb) tiles.emplace_back(i0, j0);
-  const int ntiles = static_cast<int>(tiles.size());
+    for (int i0 = j0; i0 < m; i0 += nb) tile_buf.emplace_back(i0, j0);
+  const std::pair<int, int>* const tiles = tile_buf.data();
+  const int ntiles = static_cast<int>(tile_buf.size());
 
   for (int pc = 0; pc < k; pc += KC) {
     const int kc = std::min(KC, k - pc);
@@ -335,7 +309,37 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (m > 256))
           Cd[static_cast<std::size_t>(i) * ldc + j];
 }
 
-void ger_blocked(double alpha, const Vector& x, const Vector& y, Matrix& A) {
+}  // namespace
+
+void gemm(bool transA, bool transB, double alpha, const Matrix& A,
+          const Matrix& B, double beta, Matrix& C) {
+  gemm_blocked(transA, transB, alpha, A, B, beta, C, nullptr);
+}
+
+void gemm_scaled(bool transA, bool transB, double alpha, const Matrix& A,
+                 const Vector& w, const Matrix& B, double beta, Matrix& C) {
+  const int k = transA ? A.rows() : A.cols();
+  if (static_cast<int>(w.size()) != k)
+    throw std::invalid_argument("gemm_scaled: weight size mismatch");
+  gemm_blocked(transA, transB, alpha, A, B, beta, C, w.data());
+}
+
+void syrk(bool transA, double alpha, const Matrix& A, double beta, Matrix& C) {
+  syrk_blocked(transA, alpha, A, beta, C, nullptr);
+}
+
+void syrk_scaled(bool transA, double alpha, const Matrix& A, const Vector& w,
+                 double beta, Matrix& C) {
+  const int k = transA ? A.rows() : A.cols();
+  if (static_cast<int>(w.size()) != k)
+    throw std::invalid_argument("syrk_scaled: weight size mismatch");
+  syrk_blocked(transA, alpha, A, beta, C, w.data());
+}
+
+void ger(double alpha, const Vector& x, const Vector& y, Matrix& A) {
+  if (static_cast<int>(x.size()) != A.rows() ||
+      static_cast<int>(y.size()) != A.cols())
+    throw std::invalid_argument("ger: size mismatch");
   const int m = A.rows(), n = A.cols();
   double* Ad = A.data();
   const double* xd = x.data();
@@ -347,76 +351,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) \
     double* cj = Ad + static_cast<std::size_t>(j) * m;
     for (int i = 0; i < m; ++i) cj[i] += xd[i] * yj;
   }
-}
-
-}  // namespace
-
-namespace {
-
-void gemm_dispatch(bool transA, bool transB, double alpha, const Matrix& A,
-                   const Matrix& B, double beta, Matrix& C,
-                   const double* scale) {
-  const int m = transA ? A.cols() : A.rows();
-  const int k = transA ? A.rows() : A.cols();
-  const int kb = transB ? B.cols() : B.rows();
-  const int n = transB ? B.rows() : B.cols();
-  if (k != kb || C.rows() != m || C.cols() != n)
-    throw std::invalid_argument("gemm: size mismatch");
-  if (m == 0 || n == 0) return;
-  if (backend() == Backend::kReference)
-    gemm_reference(transA, transB, alpha, A, B, beta, C, m, n, k, scale);
-  else
-    gemm_blocked(transA, transB, alpha, A, B, beta, C, m, n, k, scale);
-}
-
-void syrk_dispatch(bool transA, double alpha, const Matrix& A, double beta,
-                   Matrix& C, const double* scale) {
-  const int m = transA ? A.cols() : A.rows();
-  const int k = transA ? A.rows() : A.cols();
-  if (C.rows() != m || C.cols() != m)
-    throw std::invalid_argument("syrk: size mismatch");
-  if (m == 0) return;
-  if (backend() == Backend::kReference)
-    syrk_reference(transA, alpha, A, beta, C, m, k, scale);
-  else
-    syrk_blocked(transA, alpha, A, beta, C, m, k, scale);
-}
-
-}  // namespace
-
-void gemm(bool transA, bool transB, double alpha, const Matrix& A,
-          const Matrix& B, double beta, Matrix& C) {
-  gemm_dispatch(transA, transB, alpha, A, B, beta, C, nullptr);
-}
-
-void gemm_scaled(bool transA, bool transB, double alpha, const Matrix& A,
-                 const Vector& w, const Matrix& B, double beta, Matrix& C) {
-  const int k = transA ? A.rows() : A.cols();
-  if (static_cast<int>(w.size()) != k)
-    throw std::invalid_argument("gemm_scaled: weight size mismatch");
-  gemm_dispatch(transA, transB, alpha, A, B, beta, C, w.data());
-}
-
-void syrk(bool transA, double alpha, const Matrix& A, double beta, Matrix& C) {
-  syrk_dispatch(transA, alpha, A, beta, C, nullptr);
-}
-
-void syrk_scaled(bool transA, double alpha, const Matrix& A, const Vector& w,
-                 double beta, Matrix& C) {
-  const int k = transA ? A.rows() : A.cols();
-  if (static_cast<int>(w.size()) != k)
-    throw std::invalid_argument("syrk_scaled: weight size mismatch");
-  syrk_dispatch(transA, alpha, A, beta, C, w.data());
-}
-
-void ger(double alpha, const Vector& x, const Vector& y, Matrix& A) {
-  if (static_cast<int>(x.size()) != A.rows() ||
-      static_cast<int>(y.size()) != A.cols())
-    throw std::invalid_argument("ger: size mismatch");
-  if (backend() == Backend::kReference)
-    ger_reference(alpha, x, y, A);
-  else
-    ger_blocked(alpha, x, y, A);
 }
 
 Matrix matmul(const Matrix& A, const Matrix& B, bool transA, bool transB) {

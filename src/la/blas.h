@@ -1,13 +1,35 @@
 // BLAS-like kernels on Vector/Matrix. The matrix kernels (gemm, syrk, ger)
-// dispatch on la::backend(): the blocked path packs panels into contiguous
-// buffers and threads the tile loop with OpenMP; the reference path is the
-// original naive triple loop kept as ground truth (see la/backend.h).
+// are cache-blocked: they pack panels into contiguous buffers and thread the
+// tile loop with OpenMP. The naive triple loops they are tested against live
+// in la/reference.h, which only tests and benches include.
+//
+// The gemm/syrk pack step also exposes a per-column scale hook (gemm_scaled
+// / syrk_scaled below): a diagonal weight along the contraction dimension is
+// applied while panels are packed, so diagonal row/column scalings (the
+// EnKF's R^{-1/2} observation weighting) fuse into the product instead of
+// costing separate m x N sweeps.
 #pragma once
 
-#include "la/backend.h"
 #include "la/matrix.h"
 
 namespace wfire::la {
+
+// Tile edge of the blocked kernels (gemm, syrk, Cholesky): default 64.
+[[nodiscard]] int block_size();
+
+// Moves the tile edge for its lifetime (clamped to [8, 1024]), so tests
+// reach tile boundaries at small shapes. Not for concurrent use with
+// kernels on other threads.
+class ScopedBlockSize {
+ public:
+  explicit ScopedBlockSize(int nb);
+  ~ScopedBlockSize();
+  ScopedBlockSize(const ScopedBlockSize&) = delete;
+  ScopedBlockSize& operator=(const ScopedBlockSize&) = delete;
+
+ private:
+  int prev_;
+};
 
 // y += alpha * x
 void axpy(double alpha, const Vector& x, Vector& y);
@@ -28,11 +50,8 @@ void gemm(bool transA, bool transB, double alpha, const Matrix& A,
           const Matrix& B, double beta, Matrix& C);
 
 // C = alpha * op(A) * diag(w) * op(B) + beta * C, w of length k (the
-// contraction dimension). The blocked path applies w while packing the A
-// panel (the pack-time per-column scale hook — see la/backend.h), so a
-// diagonal scaling of the contraction costs nothing beyond the pack it
-// already pays; the EnKF uses it to fold the R^{-1/2} observation weighting
-// into its products instead of materializing scaled copies.
+// contraction dimension). w is applied while packing the A panel, so the
+// scaling costs nothing beyond the pack the product already pays.
 void gemm_scaled(bool transA, bool transB, double alpha, const Matrix& A,
                  const Vector& w, const Matrix& B, double beta, Matrix& C);
 

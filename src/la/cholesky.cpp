@@ -1,5 +1,6 @@
 #include "la/cholesky.h"
 
+#include "la/blas.h"
 #include "util/omp_compat.h"
 
 #include <cmath>
@@ -13,32 +14,12 @@ namespace wfire::la {
 
 namespace {
 
-// Reference path: the original unblocked factorization. Returns false on a
-// non-positive pivot.
-bool try_factor_reference(const Matrix& A, Matrix& L) {
-  const int n = A.rows();
-  L.resize(n, n);
-  L.fill(0.0);
-  for (int j = 0; j < n; ++j) {
-    double d = A(j, j);
-    for (int p = 0; p < j; ++p) d -= L(j, p) * L(j, p);
-    if (d <= 0.0 || !std::isfinite(d)) return false;
-    L(j, j) = std::sqrt(d);
-    const double inv = 1.0 / L(j, j);
-    for (int i = j + 1; i < n; ++i) {
-      double s = A(i, j);
-      for (int p = 0; p < j; ++p) s -= L(i, p) * L(j, p);
-      L(i, j) = s * inv;
-    }
-  }
-  return true;
-}
-
 // Blocked right-looking factorization: for each panel of nb columns, factor
 // the diagonal block unblocked, solve the sub-diagonal panel against it
 // (column-oriented, unit stride), then subtract the rank-nb outer product
 // from the trailing lower triangle, tiled and threaded. All column accesses
 // run down contiguous memory, unlike the reference's strided row walks.
+// Returns false on a non-positive pivot.
 bool try_factor_blocked(const Matrix& A, Matrix& L) {
   const int n = A.rows();
   const int nb = block_size();
@@ -55,7 +36,9 @@ bool try_factor_blocked(const Matrix& A, Matrix& L) {
                 sizeof(double) * (n - j));
   }
 
-  std::vector<std::pair<int, int>> tiles;
+  // Trailing-update tile list: thread-local so a warm call allocates
+  // nothing, and read through the raw pointer inside the parallel region.
+  static thread_local std::vector<std::pair<int, int>> tile_buf;
   for (int k0 = 0; k0 < n; k0 += nb) {
     const int kb = std::min(nb, n - k0);
     const int rest = k0 + kb;  // first row/col of the trailing matrix
@@ -94,10 +77,11 @@ bool try_factor_blocked(const Matrix& A, Matrix& L) {
 
     // 3) Trailing update: lower triangle of L(rest:, rest:) minus the
     //    rank-kb product of the freshly solved panel, tiled + threaded.
-    tiles.clear();
+    tile_buf.clear();
     for (int j0 = rest; j0 < n; j0 += nb)
-      for (int i0 = j0; i0 < n; i0 += nb) tiles.emplace_back(i0, j0);
-    const int ntiles = static_cast<int>(tiles.size());
+      for (int i0 = j0; i0 < n; i0 += nb) tile_buf.emplace_back(i0, j0);
+    const std::pair<int, int>* const tiles = tile_buf.data();
+    const int ntiles = static_cast<int>(tile_buf.size());
 WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic) if (ntiles > 1))
     for (int t = 0; t < ntiles; ++t) {
       const auto [i0, j0] = tiles[t];
@@ -120,14 +104,12 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic) if (ntiles > 1))
   return true;
 }
 
-bool try_factor(const Matrix& A, Matrix& L) {
-  return backend() == Backend::kReference ? try_factor_reference(A, L)
-                                          : try_factor_blocked(A, L);
-}
-
 }  // namespace
 
-int cholesky_factor(const Matrix& A, Matrix& L, int max_jitter_tries) {
+namespace detail {
+
+int factor_with_jitter(const Matrix& A, Matrix& L, int max_jitter_tries,
+                       TryFactor try_factor) {
   if (A.rows() != A.cols())
     throw std::invalid_argument("cholesky: matrix not square");
   const int n = A.rows();
@@ -145,6 +127,12 @@ int cholesky_factor(const Matrix& A, Matrix& L, int max_jitter_tries) {
     if (try_factor(Aj, L)) return t;
   }
   throw std::runtime_error("cholesky: matrix not SPD (jitter exhausted)");
+}
+
+}  // namespace detail
+
+int cholesky_factor(const Matrix& A, Matrix& L, int max_jitter_tries) {
+  return detail::factor_with_jitter(A, L, max_jitter_tries, try_factor_blocked);
 }
 
 CholeskyResult cholesky(const Matrix& A, int max_jitter_tries) {

@@ -3,14 +3,11 @@
 // workhorse. `jitter` retries with a scaled diagonal shift for matrices that
 // are SPD only up to roundoff (ensemble covariances are often rank-deficient).
 //
-// The factorization dispatches on la::backend(): blocked right-looking
-// (panel factor + column-oriented trsm + tiled, OpenMP-threaded trailing
-// update) by default, the original unblocked loop as reference.
+// The factorization is blocked right-looking: panel factor, column-oriented
+// trsm, and a tiled, OpenMP-threaded trailing update. The original unblocked
+// loop is its oracle, la::reference::cholesky_factor.
 #pragma once
 
-#include <optional>
-
-#include "la/backend.h"
 #include "la/matrix.h"
 
 namespace wfire::la {
@@ -39,5 +36,16 @@ void cholesky_solve_in_place(const Matrix& L, Matrix& B);
 
 // Solves A X = B; returns X (copy of B, then in-place solve).
 [[nodiscard]] Matrix cholesky_solve(const Matrix& L, const Matrix& B);
+
+namespace detail {
+
+// The jitter-retry loop shared by cholesky_factor and its reference oracle:
+// tries try_factor(A, L), then A plus growing diagonal shifts. Returns the
+// number of shifts used; throws std::runtime_error once they run out.
+using TryFactor = bool (*)(const Matrix& A, Matrix& L);
+int factor_with_jitter(const Matrix& A, Matrix& L, int max_jitter_tries,
+                       TryFactor try_factor);
+
+}  // namespace detail
 
 }  // namespace wfire::la

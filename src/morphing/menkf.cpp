@@ -120,7 +120,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
 
   enkf::EnKFOptions eopt;
   eopt.inflation = opt_.inflation;
-  eopt.path = opt_.path;
   eopt.workspace = &arena;
   stats.enkf = enkf::enkf_analysis(X, HX, d, r_std, rng, eopt);
 

@@ -30,7 +30,6 @@ struct MorphingEnKFOptions {
   double sigma_T = 1.0;       // obs error std on the mapping [grid units]
   double t_weight = 1.0;      // relative weight of T vs r in the state
   double inflation = 1.0;
-  enkf::SolverPath path = enkf::SolverPath::kAuto;
 };
 
 // One ensemble member in field form: fields[0] is the registration /

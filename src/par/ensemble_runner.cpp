@@ -27,10 +27,4 @@ void EnsembleRunner::run_batch_phase(const std::string& name,
   timings_.push_back({name, sw.seconds()});
 }
 
-double EnsembleRunner::total_seconds() const {
-  double total = 0;
-  for (const auto& t : timings_) total += t.seconds;
-  return total;
-}
-
 }  // namespace wfire::par

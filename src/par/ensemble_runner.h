@@ -45,9 +45,6 @@ class EnsembleRunner {
   }
   void clear_timings() { timings_.clear(); }
 
-  // Total wall seconds across recorded phases.
-  [[nodiscard]] double total_seconds() const;
-
  private:
   ThreadPool pool_;
   std::vector<PhaseTiming> timings_;

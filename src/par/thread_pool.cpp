@@ -10,13 +10,12 @@ ThreadPool::ThreadPool(int n) {
     workers_.emplace_back([this] { worker_loop(); });
 }
 
-ThreadPool::~ThreadPool() { shutdown(/*drain=*/true); }
+ThreadPool::~ThreadPool() { shutdown(); }
 
-void ThreadPool::shutdown(bool drain) {
+void ThreadPool::shutdown() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
-    if (!drain) discard_queues_locked();
     if (joined_) return;
     joined_ = true;
   }
@@ -24,52 +23,16 @@ void ThreadPool::shutdown(bool drain) {
   for (auto& w : workers_) w.join();
 }
 
-std::size_t ThreadPool::discard_queues_locked() {
-  std::size_t discarded = 0;
-  for (auto& q : queues_) {
-    discarded += q.size();
-    // Destroying the type-erased closures destroys their packaged_tasks;
-    // outstanding futures observe broken_promise, a clean cancellation
-    // signal that cannot be confused with a task-thrown exception.
-    q.clear();
-  }
-  return discarded;
-}
-
-std::size_t ThreadPool::cancel_pending() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return discard_queues_locked();
-}
-
-std::size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t n = 0;
-  for (const auto& q : queues_) n += q.size();
-  return n;
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] {
-        if (stopping_) return true;
-        for (const auto& q : queues_)
-          if (!q.empty()) return true;
-        return false;
-      });
-      auto next = [this]() -> std::deque<std::function<void()>>* {
-        for (auto& q : queues_)
-          if (!q.empty()) return &q;
-        return nullptr;
-      }();
-      if (next == nullptr) {
-        if (stopping_) return;
-        continue;  // spurious wakeup with empty queues
-      }
-      task = std::move(next->front());
-      next->pop_front();
+      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+      // Stopping with work still queued drains it first.
+      if (queue_.empty()) return;
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
     task();
   }

@@ -5,33 +5,26 @@
 // opens an OpenMP team (policy in docs/ARCHITECTURE.md).
 //
 // The pool is also the execution substrate of the scenario server
-// (serve/scenario_server): long-lived, with three priority classes so
-// interactive work overtakes bulk work, cooperative cancellation of not-yet-
-// started tasks, and an explicit two-mode shutdown (drain vs discard).
+// (serve/scenario_server): long-lived, one FIFO queue, and a shutdown that
+// drains what is already queued.
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <deque>
 #include <functional>
 #include <future>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 namespace wfire::par {
 
-// Scheduling class of a submitted task. Workers always pop the highest
-// nonempty class, so kHigh tasks overtake queued kNormal/kLow work (they do
-// not preempt tasks already running).
-enum class Priority : int { kHigh = 0, kNormal = 1, kLow = 2 };
-inline constexpr int kPriorityLevels = 3;
-
 class ThreadPool {
  public:
   // n <= 0 selects hardware_concurrency().
   explicit ThreadPool(int n = 0);
-  ~ThreadPool();  // == shutdown(/*drain=*/true)
+  ~ThreadPool();  // == shutdown()
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -41,18 +34,13 @@ class ThreadPool {
   // Enqueues a task; the future resolves with its result (or exception).
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    return submit(Priority::kNormal, std::forward<F>(f));
-  }
-
-  template <typename F>
-  auto submit(Priority p, F&& f) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> fut = task->get_future();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
-      queues_[static_cast<std::size_t>(p)].emplace_back([task] { (*task)(); });
+      queue_.emplace_back([task] { (*task)(); });
     }
     cv_.notify_one();
     return fut;
@@ -65,27 +53,16 @@ class ThreadPool {
   // references).
   void parallel_for(int n, const std::function<void(int)>& fn);
 
-  // Discards every queued-but-unstarted task; their futures fail with
-  // std::future_error (broken_promise). Running tasks are unaffected and the
-  // pool stays usable. Returns the number of tasks discarded.
-  std::size_t cancel_pending();
-
-  // Stops accepting work and joins the workers. drain=true (the destructor's
-  // mode) runs everything already queued first; drain=false discards the
-  // queue as cancel_pending() does. Idempotent; concurrent submits that lose
-  // the race throw.
-  void shutdown(bool drain = true);
-
-  // Queued-but-unstarted task count across all priority classes (snapshot).
-  [[nodiscard]] std::size_t pending() const;
+  // Stops accepting work, runs everything already queued, and joins the
+  // workers. Idempotent; concurrent submits that lose the race throw.
+  void shutdown();
 
  private:
   void worker_loop();
-  std::size_t discard_queues_locked();
 
   std::vector<std::thread> workers_;
-  std::array<std::deque<std::function<void()>>, kPriorityLevels> queues_;
-  mutable std::mutex mutex_;
+  std::deque<std::function<void()>> queue_;
+  std::mutex mutex_;
   std::condition_variable cv_;
   bool stopping_ = false;
   bool joined_ = false;

@@ -43,7 +43,7 @@ struct SweepOptions {
   double horizon = 120.0;       // forecast horizon [s] (advance target)
   // Execution knobs — bitwise-irrelevant to the product (see contract):
   int threads = 0;              // server pool width (<= 0: hardware)
-  long inline_cell_steps = -1;  // < 0: server default / WFIRE_SERVE_INLINE
+  long inline_cell_steps = -1;  // < 0: ServerOptions default
 };
 
 // Member k's perturbed spec: a pure function of (base, pert, k). The draw

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <limits>
 #include <stdexcept>
@@ -22,19 +21,10 @@ constexpr std::size_t kMetaCount = 22;
 // then the shape's parameter list, zero-padded to the longest (a line's 6).
 constexpr std::size_t kRecord = 7;
 
-long env_inline_threshold(long fallback) {
-  const char* s = std::getenv("WFIRE_SERVE_INLINE");
-  if (s == nullptr || *s == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  return (end != nullptr && *end == '\0' && v >= 0) ? v : fallback;
-}
-
 }  // namespace
 
 ScenarioServer::ScenarioServer(ServerOptions opt)
     : opt_(std::move(opt)), pool_(opt_.threads) {
-  opt_.inline_cell_steps = env_inline_threshold(opt_.inline_cell_steps);
   if (opt_.request_capacity < 1)
     throw std::invalid_argument("ScenarioServer: request_capacity < 1");
   if (!opt_.checkpoint_dir.empty())
@@ -200,8 +190,7 @@ bool ScenarioServer::request_advance(ScenarioId id, double until) {
     run_scenario(s, /*pooled=*/false);
     return true;
   }
-  pool_.submit(par::Priority::kNormal,
-               [this, &s] { run_scenario(s, /*pooled=*/true); });
+  pool_.submit([this, &s] { run_scenario(s, /*pooled=*/true); });
   return false;
 }
 
@@ -437,7 +426,7 @@ void ScenarioServer::shutdown() {
       write_checkpoint_locked(s);
     }
   }
-  pool_.shutdown(/*drain=*/true);
+  pool_.shutdown();
 }
 
 std::vector<std::string> list_checkpoints(const std::string& dir) {

@@ -58,7 +58,6 @@ struct ServerOptions {
   int threads = 0;               // pool width (<= 0: hardware concurrency)
   // Admission threshold in cell-steps (grid nodes x remaining steps): at or
   // below runs inline on the caller thread, above queues to the pool.
-  // Env override: WFIRE_SERVE_INLINE.
   long inline_cell_steps = 250000;
   int max_scenarios = 4096;
   int request_capacity = 64;     // per-scenario request ring slots

@@ -1,15 +1,16 @@
 // EnKF tests: ensemble statistics, both solver paths against each other and
 // against the exact Kalman filter in the linear-Gaussian limit, inflation,
-// backend agreement, and a committed golden increment.
+// workspace reuse, allocation-free warm analyses, and a committed golden
+// increment.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <tuple>
 
+#include "alloc_counter.h"
 #include "enkf/enkf.h"
 #include "enkf/ensemble.h"
 #include "enkf/kalman.h"
-#include "la/backend.h"
 #include "la/blas.h"
 #include "la/workspace.h"
 
@@ -211,19 +212,18 @@ TEST(EnKF, AutoPathSwitchesOnObsCount) {
   EXPECT_EQ(s2.path_used, SolverPath::kEnsembleSpace);  // m = 50 > 2N
 }
 
-// --- LA backend cross-checks: the analysis must not depend on which kernel
-// backend runs it, and the two solver paths must agree on both backends. ---
+// --- Solver-path agreement and workspace reuse on the blocked kernels. ---
 
 namespace {
 
-struct BackendProblem {
+struct AnalysisProblem {
   Matrix X0, HX;
   Vector d, r_std;
 };
 
-BackendProblem backend_problem(int n, int m, int N, unsigned seed) {
+AnalysisProblem analysis_problem(int n, int m, int N, unsigned seed) {
   Rng rng(seed);
-  BackendProblem p;
+  AnalysisProblem p;
   p.X0 = gaussian_ensemble(Vector(n, 1.0), 1.0, N, rng);
   p.HX = Matrix(m, N);
   for (int k = 0; k < N; ++k)
@@ -233,9 +233,8 @@ BackendProblem backend_problem(int n, int m, int N, unsigned seed) {
   return p;
 }
 
-Matrix run_analysis(const BackendProblem& p, SolverPath path,
-                    wfire::la::Backend be, wfire::la::Workspace* ws = nullptr) {
-  wfire::la::ScopedBackend scope(be);
+Matrix run_analysis(const AnalysisProblem& p, SolverPath path,
+                    wfire::la::Workspace* ws = nullptr) {
   Matrix X = p.X0;
   Rng rng(321);
   EnKFOptions opt;
@@ -247,56 +246,65 @@ Matrix run_analysis(const BackendProblem& p, SolverPath path,
 
 }  // namespace
 
-TEST(EnKFBackend, AnalysisAgreesAcrossBackends) {
-  // Sizes straddle the blocked kernels' tile edge in both m and N.
-  for (const auto& [n, m, N] : {std::tuple{40, 8, 15}, std::tuple{130, 70, 20},
-                                std::tuple{65, 129, 10}}) {
-    const BackendProblem p = backend_problem(n, m, N, 77);
-    for (const SolverPath path :
-         {SolverPath::kObsSpace, SolverPath::kEnsembleSpace}) {
-      const Matrix Xb = run_analysis(p, path, wfire::la::Backend::kBlocked);
-      const Matrix Xr = run_analysis(p, path, wfire::la::Backend::kReference);
-      const double scale = std::max(frobenius_norm(Xr), 1.0);
-      EXPECT_LE(max_abs_diff(Xb, Xr) / scale, 1e-10)
-          << "n " << n << " m " << m << " N " << N;
-    }
-  }
-}
-
 TEST(EnKFBackend, SolverPathsAgreeOnBothBackends) {
-  const BackendProblem p = backend_problem(30, 12, 18, 5);
-  for (const auto be :
-       {wfire::la::Backend::kBlocked, wfire::la::Backend::kReference}) {
-    const Matrix X_obs = run_analysis(p, SolverPath::kObsSpace, be);
-    const Matrix X_ens = run_analysis(p, SolverPath::kEnsembleSpace, be);
-    EXPECT_LT(max_abs_diff(X_obs, X_ens), 1e-8);
-  }
+  const AnalysisProblem p = analysis_problem(30, 12, 18, 5);
+  const Matrix X_obs = run_analysis(p, SolverPath::kObsSpace);
+  const Matrix X_ens = run_analysis(p, SolverPath::kEnsembleSpace);
+  EXPECT_LT(max_abs_diff(X_obs, X_ens), 1e-8);
 }
 
 TEST(EnKFBackend, WorkspaceReuseGivesIdenticalResults) {
   // Same workspace across repeated analyses of different shapes: results
   // must be bitwise identical to fresh-allocation runs.
   wfire::la::Workspace ws;
-  const BackendProblem p1 = backend_problem(50, 10, 12, 31);
-  const BackendProblem p2 = backend_problem(24, 40, 8, 32);
+  const AnalysisProblem p1 = analysis_problem(50, 10, 12, 31);
+  const AnalysisProblem p2 = analysis_problem(24, 40, 8, 32);
   // Warm the arena with the larger problem, then run the smaller one.
-  (void)run_analysis(p1, SolverPath::kObsSpace, wfire::la::Backend::kBlocked,
-                     &ws);
-  const Matrix with_ws = run_analysis(p2, SolverPath::kEnsembleSpace,
-                                      wfire::la::Backend::kBlocked, &ws);
-  const Matrix without =
-      run_analysis(p2, SolverPath::kEnsembleSpace, wfire::la::Backend::kBlocked);
+  (void)run_analysis(p1, SolverPath::kObsSpace, &ws);
+  const Matrix with_ws = run_analysis(p2, SolverPath::kEnsembleSpace, &ws);
+  const Matrix without = run_analysis(p2, SolverPath::kEnsembleSpace);
   EXPECT_EQ(max_abs_diff(with_ws, without), 0.0);
+}
+
+// enkf.h promises that a warm analysis with a workspace allocates nothing.
+// m = 40 keeps the blocked syrk and Cholesky to one tile; m = 200 gives
+// them several, which is where per-call tile lists used to allocate.
+TEST(EnKFBackend, WarmAnalysisWithWorkspaceAllocatesNothing) {
+#if !WFIRE_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  const int n = 2000, N = 25;
+  for (const int m : {40, 200}) {
+    const AnalysisProblem p = analysis_problem(n, m, N, 41);
+    for (const SolverPath path :
+         {SolverPath::kObsSpace, SolverPath::kEnsembleSpace}) {
+      wfire::la::Workspace ws;
+      EnKFOptions opt;
+      opt.path = path;
+      opt.workspace = &ws;
+      Matrix X = p.X0;
+      Rng rng(321);
+      enkf_analysis(X, p.HX, p.d, p.r_std, rng, opt);  // warm-up
+      X = p.X0;
+      EXPECT_EQ(count_allocs([&] {
+                  enkf_analysis(X, p.HX, p.d, p.r_std, rng, opt);
+                }),
+                0)
+          << "m " << m << " path "
+          << (path == SolverPath::kObsSpace ? "obs" : "ensemble");
+    }
+  }
+#endif
 }
 
 namespace {
 
 // Committed golden mean increment for the Fig. 2 image-regime ensemble-space
 // analysis below (n = 60, m = 400, N = 12, seeds 4242/321), produced by the
-// SVD factorization on the reference backend when the QR square-root path
-// landed. Pins the full analysis end to end — anomalies, innovation draws,
-// factorization, solve, update — not just the kernels; any combination of
-// backend x factorization must reproduce it.
+// SVD factorization on the naive reference kernels when the QR square-root
+// path landed. Pins the full analysis end to end — anomalies, innovation draws,
+// factorization, solve, update — not just the kernels; both factorizations
+// must reproduce it.
 constexpr double kGoldenIncrementRms = 0.26916308926474586;
 constexpr double kGoldenIncrement[60] = {
     -0.083778640138027133, 0.51818798228387564, -0.084693832259294249,
@@ -339,25 +347,20 @@ TEST(EnKFGolden, EnsembleSpaceIncrementMatchesCommittedVector) {
   // rtol with a small atol floor: near-zero components of the increment
   // carry rounding noise from the factorization differences.
   const double rtol = 1e-6, atol = 1e-9;
-  for (const Backend be : {Backend::kReference, Backend::kBlocked}) {
-    for (const Factorization fact : {Factorization::kSvd, Factorization::kQr}) {
-      ScopedBackend scope(be);
-      Matrix X = X0;
-      Rng rng(321);
-      EnKFOptions opt;
-      opt.path = SolverPath::kEnsembleSpace;
-      opt.factorization = fact;
-      const EnKFStats s = enkf_analysis(X, HX, d, r_std, rng, opt);
-      EXPECT_NEAR(s.increment_rms, kGoldenIncrementRms,
-                  rtol * kGoldenIncrementRms);
-      const Vector ma = ensemble_mean(X);
-      for (int i = 0; i < n; ++i)
-        EXPECT_NEAR(ma[i] - mb[i], kGoldenIncrement[i],
-                    rtol * std::abs(kGoldenIncrement[i]) + atol)
-            << "component " << i << " backend "
-            << (be == Backend::kBlocked ? "blocked" : "reference")
-            << " factorization "
-            << (fact == Factorization::kQr ? "qr" : "svd");
-    }
+  for (const Factorization fact : {Factorization::kSvd, Factorization::kQr}) {
+    Matrix X = X0;
+    Rng rng(321);
+    EnKFOptions opt;
+    opt.path = SolverPath::kEnsembleSpace;
+    opt.factorization = fact;
+    const EnKFStats s = enkf_analysis(X, HX, d, r_std, rng, opt);
+    EXPECT_NEAR(s.increment_rms, kGoldenIncrementRms,
+                rtol * kGoldenIncrementRms);
+    const Vector ma = ensemble_mean(X);
+    for (int i = 0; i < n; ++i)
+      EXPECT_NEAR(ma[i] - mb[i], kGoldenIncrement[i],
+                  rtol * std::abs(kGoldenIncrement[i]) + atol)
+          << "component " << i << " factorization "
+          << (fact == Factorization::kQr ? "qr" : "svd");
   }
 }

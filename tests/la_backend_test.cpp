@@ -1,16 +1,17 @@
-// Backend plumbing tests: env/override selection, the workspace arena, and
-// the solve/jitter behaviors that are not shape sweeps. The blocked-vs-
-// reference kernel agreement across randomized degenerate / odd / tile-
-// straddling / rank-deficient shapes lives in la_property_test.cpp (which
-// replaced the hand-enumerated shape lists that used to sit here).
+// Blocked kernels against their named oracles (la/reference.h) where the
+// case is not a shape sweep, the workspace arena, and the solve/jitter
+// behaviors. The blocked-vs-reference agreement across randomized
+// degenerate / odd / tile-straddling / rank-deficient shapes lives in
+// la_property_test.cpp (which replaced the hand-enumerated shape lists that
+// used to sit here).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "la/backend.h"
 #include "la/blas.h"
 #include "la/cholesky.h"
+#include "la/reference.h"
 #include "la/workspace.h"
 #include "util/rng.h"
 
@@ -34,22 +35,18 @@ Matrix random_spd(int n, Rng& rng) {
 
 }  // namespace
 
-TEST(Backend, EnvDefaultAndOverride) {
-  const Backend initial = backend();
+TEST(BlockSize, ScopedOverrideClampsAndRestores) {
+  const int initial = block_size();
   {
-    ScopedBackend ref(Backend::kReference);
-    EXPECT_EQ(backend(), Backend::kReference);
+    ScopedBlockSize outer(32);
+    EXPECT_EQ(block_size(), 32);
     {
-      ScopedBackend blk(Backend::kBlocked, 32);
-      EXPECT_EQ(backend(), Backend::kBlocked);
-      EXPECT_EQ(block_size(), 32);
+      ScopedBlockSize inner(3);  // clamped to the minimum tile edge
+      EXPECT_EQ(block_size(), 8);
     }
-    EXPECT_EQ(backend(), Backend::kReference);
+    EXPECT_EQ(block_size(), 32);
   }
-  EXPECT_EQ(backend(), initial);
-  set_block_size(3);  // clamped to the minimum tile edge
-  EXPECT_EQ(block_size(), 8);
-  set_block_size(64);
+  EXPECT_EQ(block_size(), initial);
 }
 
 TEST(BackendGer, MatchesReference) {
@@ -61,14 +58,8 @@ TEST(BackendGer, MatchesReference) {
       for (auto& v : y) v = rng.normal();
       Matrix A0 = Matrix::random_normal(m, n, rng);
       Matrix A1 = A0;
-      {
-        ScopedBackend be(Backend::kReference);
-        ger(1.3, x, y, A0);
-      }
-      {
-        ScopedBackend be(Backend::kBlocked);
-        ger(1.3, x, y, A1);
-      }
+      reference::ger(1.3, x, y, A0);
+      ger(1.3, x, y, A1);
       EXPECT_LE(rel_err(A1, A0), 1e-10) << "m " << m << " n " << n;
     }
   }
@@ -76,20 +67,13 @@ TEST(BackendGer, MatchesReference) {
 
 TEST(BackendCholesky, JitterAgreesAcrossBackends) {
   // Rank-1 matrix: positive semidefinite, needs the same diagonal boosts on
-  // both paths.
+  // both factorizations.
   Matrix S(5, 5);
   for (int j = 0; j < 5; ++j)
     for (int i = 0; i < 5; ++i) S(i, j) = (i + 1.0) * (j + 1.0);
   Matrix L_ref, L_blk;
-  int jr, jb;
-  {
-    ScopedBackend be(Backend::kReference);
-    jr = cholesky_factor(S, L_ref);
-  }
-  {
-    ScopedBackend be(Backend::kBlocked);
-    jb = cholesky_factor(S, L_blk);
-  }
+  const int jr = reference::cholesky_factor(S, L_ref);
+  const int jb = cholesky_factor(S, L_blk);
   EXPECT_GT(jr, 0);
   EXPECT_EQ(jr, jb);
 }

@@ -1,17 +1,16 @@
-// Randomized property-test harness for the dual-backend dense LA layer and
+// Randomized property-test harness for the blocked dense LA kernels and
 // the EnKF analysis factorizations. A seeded shape generator draws
 // degenerate (size-1), small-odd, tile-straddling and tall m >> N shapes —
 // plus rank-deficient contents (zero / duplicated columns, low-rank
 // products) — and pins
-//   - blocked vs reference agreement <= 1e-10 for gemm, syrk and Cholesky,
-//     across random block sizes,
+//   - blocked vs la::reference agreement <= 1e-10 for gemm, syrk and
+//     Cholesky, across random block sizes,
 //   - TSQR vs reference Householder R agreement (row signs normalized) over
 //     single-leaf and multi-block panels, R^T R = A^T A on rank-deficient
 //     inputs, and the triangular solves against R,
 //   - gemm_scaled / syrk_scaled vs explicitly materialized diagonal
 //     scalings, and
-//   - qr vs svd ensemble-space analysis increments <= 1e-8 end to end, on
-//     both kernel backends.
+//   - qr vs svd ensemble-space analysis increments <= 1e-8 end to end.
 // This replaces the hand-enumerated shape lists that used to live in
 // la_backend_test.cpp. Every case logs its index and derived seed, so a
 // failure reproduces by construction (the master seeds below are fixed).
@@ -28,10 +27,10 @@
 #include <cstdint>
 
 #include "enkf/enkf.h"
-#include "la/backend.h"
 #include "la/blas.h"
 #include "la/cholesky.h"
 #include "la/qr.h"
+#include "la/reference.h"
 #include "la/svd.h"
 #include "la/workspace.h"
 #include "util/rng.h"
@@ -163,7 +162,7 @@ TEST(PropertyGemm, BlockedMatchesReferenceAcrossRandomShapes) {
   CaseGen gen(0xA11CE5EEDULL);
   for (int c = 0; c < 48; ++c) {
     const int nb = gen.block();
-    ScopedBackend scope(Backend::kBlocked, nb);
+    ScopedBlockSize scope(nb);
     const int m = gen.dim(nb), n = gen.dim(nb), k = gen.dim(nb);
     const bool tA = gen.coin(), tB = gen.coin();
     const double alpha = gen.scalar();
@@ -174,10 +173,7 @@ TEST(PropertyGemm, BlockedMatchesReferenceAcrossRandomShapes) {
     const Matrix B = gen.dense(tB ? n : k, tB ? k : n);
     Matrix C0 = gen.dense(m, n);
     Matrix C1 = C0;
-    {
-      ScopedBackend ref(Backend::kReference);
-      gemm(tA, tB, alpha, A, B, beta, C0);
-    }
+    reference::gemm(tA, tB, alpha, A, B, beta, C0);
     gemm(tA, tB, alpha, A, B, beta, C1);
     ASSERT_LE(rel_err(C1, C0), 1e-10)
         << "case " << c << ": " << m << "x" << n << "x" << k << " tA " << tA
@@ -190,7 +186,7 @@ TEST(PropertySyrk, BlockedMatchesReferenceAndGemm) {
   CaseGen gen(0x5E1F0CAFEULL);
   for (int c = 0; c < 32; ++c) {
     const int nb = gen.block();
-    ScopedBackend scope(Backend::kBlocked, nb);
+    ScopedBlockSize scope(nb);
     const int m = gen.dim(nb), k = gen.dim(nb);
     const bool tA = gen.coin();
     const double alpha = gen.scalar();
@@ -201,10 +197,7 @@ TEST(PropertySyrk, BlockedMatchesReferenceAndGemm) {
     Matrix C0 = accumulate ? gen.spd(m) : Matrix(m, m);
     Matrix C1 = C0;
     const double beta = accumulate ? gen.scalar() : 0.0;
-    {
-      ScopedBackend ref(Backend::kReference);
-      syrk(tA, alpha, A, beta, C0);
-    }
+    reference::syrk(tA, alpha, A, beta, C0);
     syrk(tA, alpha, A, beta, C1);
     ASSERT_LE(rel_err(C1, C0), 1e-10)
         << "case " << c << ": m " << m << " k " << k << " tA " << tA
@@ -225,16 +218,12 @@ TEST(PropertyCholesky, BlockedFactorMatchesReference) {
   CaseGen gen(0xC401E5C1ULL);
   for (int c = 0; c < 24; ++c) {
     const int nb = gen.block();
-    ScopedBackend scope(Backend::kBlocked, nb);
+    ScopedBlockSize scope(nb);
     const int n = gen.dim(nb);
     const Matrix S = gen.spd(n);
     Matrix L_ref, L_blk;
-    int jit_ref, jit_blk;
-    {
-      ScopedBackend ref(Backend::kReference);
-      jit_ref = cholesky_factor(S, L_ref);
-    }
-    jit_blk = cholesky_factor(S, L_blk);
+    const int jit_ref = reference::cholesky_factor(S, L_ref);
+    const int jit_blk = cholesky_factor(S, L_blk);
     ASSERT_EQ(jit_ref, 0) << "case " << c << " n " << n;
     ASSERT_EQ(jit_blk, 0) << "case " << c << " n " << n;
     ASSERT_LE(rel_err(L_blk, L_ref), 1e-10) << "case " << c << " n " << n
@@ -345,7 +334,8 @@ TEST(PropertyTsqr, RAgreesWithReference) {
 
 TEST(PropertyGemmScaled, MatchesMaterializedScaling) {
   // gemm_scaled must equal the plain gemm on an explicitly scaled operand
-  // (diag(w) folded into op(B)'s contraction dimension), on both backends.
+  // (diag(w) folded into op(B)'s contraction dimension), for the reference
+  // oracle and the blocked kernel alike.
   CaseGen gen(0x5CA1EDULL);
   for (int c = 0; c < 24; ++c) {
     const int nb = gen.block();
@@ -369,15 +359,11 @@ TEST(PropertyGemmScaled, MatchesMaterializedScaling) {
     Matrix C0 = gen.dense(m, n);
     Matrix C1 = C0;
     Matrix C2 = C0;
+    reference::gemm(tA, tB, alpha, A, Bs, beta, C0);
+    reference::gemm_scaled(tA, tB, alpha, A, w, B, beta, C1);
+    ASSERT_LE(rel_err(C1, C0), 1e-10) << "case " << c << " reference";
     {
-      ScopedBackend ref(Backend::kReference);
-      gemm(tA, tB, alpha, A, Bs, beta, C0);
-      gemm_scaled(tA, tB, alpha, A, w, B, beta, C1);
-    }
-    ASSERT_LE(rel_err(C1, C0), 1e-10)
-        << "case " << c << " reference backend";
-    {
-      ScopedBackend blk(Backend::kBlocked, nb);
+      ScopedBlockSize blk(nb);
       gemm_scaled(tA, tB, alpha, A, w, B, beta, C2);
     }
     ASSERT_LE(rel_err(C2, C0), 1e-10)
@@ -405,14 +391,11 @@ TEST(PropertySyrkScaled, MatchesMaterializedScaling) {
       for (int j = 0; j < A.cols(); ++j)
         for (int i = 0; i < A.rows(); ++i) As(i, j) *= w[j];
     Matrix C0(m, m), C1(m, m), C2(m, m);
-    {
-      ScopedBackend ref(Backend::kReference);
-      gemm(tA, !tA, alpha, A, As, 0.0, C0);
-      syrk_scaled(tA, alpha, A, w, 0.0, C1);
-    }
+    reference::gemm(tA, !tA, alpha, A, As, 0.0, C0);
+    reference::syrk_scaled(tA, alpha, A, w, 0.0, C1);
     ASSERT_LE(rel_err(C1, C0), 1e-10) << "case " << c << " reference";
     {
-      ScopedBackend blk(Backend::kBlocked, nb);
+      ScopedBlockSize blk(nb);
       syrk_scaled(tA, alpha, A, w, 0.0, C2);
     }
     ASSERT_LE(rel_err(C2, C0), 1e-10)
@@ -427,8 +410,7 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
   // End-to-end pin of the square-root analysis: the QR ensemble-space
   // analysis must match the SVD path on the same problem (same innovation
   // draws) to <= 1e-8 relative increment error, across shapes including
-  // m >> N image scale and rank-deficient ensembles, on both kernel
-  // backends. The shape generator cycles through the three panel regimes
+  // m >> N image scale and rank-deficient ensembles. The shape generator cycles through the three panel regimes
   // of the TSQR factorization: a multi-block split, a stacked panel too
   // short to split (m + N < 256, one serial leaf), and m < N, where the qr
   // path must factor the m x m (not N x N) square-root system.
@@ -477,32 +459,28 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
       r_std[i] = gen.rng().uniform(0.3, 2.0);
     }
 
-    for (const Backend be : {Backend::kReference, Backend::kBlocked}) {
-      ScopedBackend scope(be);
-      EnKFOptions opt;
-      opt.path = SolverPath::kEnsembleSpace;
-      const std::uint64_t rng_seed = 1000 + c;
+    EnKFOptions opt;
+    opt.path = SolverPath::kEnsembleSpace;
+    const std::uint64_t rng_seed = 1000 + c;
 
-      Matrix Xs = X;
-      opt.factorization = Factorization::kSvd;
-      Rng rs(rng_seed);
-      wfire::enkf::enkf_analysis(Xs, HX, d, r_std, rs, opt);
+    Matrix Xs = X;
+    opt.factorization = Factorization::kSvd;
+    Rng rs(rng_seed);
+    wfire::enkf::enkf_analysis(Xs, HX, d, r_std, rs, opt);
 
-      // Relative to the size of the svd-path increment, not of X.
-      Matrix inc(n, N);
-      for (int k = 0; k < N; ++k)
-        for (int i = 0; i < n; ++i) inc(i, k) = Xs(i, k) - X(i, k);
-      const double scale = std::max(frobenius_norm(inc), 1e-12);
+    // Relative to the size of the svd-path increment, not of X.
+    Matrix inc(n, N);
+    for (int k = 0; k < N; ++k)
+      for (int i = 0; i < n; ++i) inc(i, k) = Xs(i, k) - X(i, k);
+    const double scale = std::max(frobenius_norm(inc), 1e-12);
 
-      Matrix Xq = X;
-      opt.factorization = Factorization::kQr;
-      Rng rq(rng_seed);
-      wfire::enkf::enkf_analysis(Xq, HX, d, r_std, rq, opt);
-      ASSERT_LE(max_abs_diff(Xq, Xs) / scale, 1e-8)
-          << "case " << c << ": n " << n << " m " << m << " N " << N
-          << " blocks " << tsqr_nblocks(m + N, rdim) << " backend "
-          << (be == Backend::kBlocked ? "blocked" : "reference");
-    }
+    Matrix Xq = X;
+    opt.factorization = Factorization::kQr;
+    Rng rq(rng_seed);
+    wfire::enkf::enkf_analysis(Xq, HX, d, r_std, rq, opt);
+    ASSERT_LE(max_abs_diff(Xq, Xs) / scale, 1e-8)
+        << "case " << c << ": n " << n << " m " << m << " N " << N
+        << " blocks " << tsqr_nblocks(m + N, rdim);
   }
   EXPECT_GT(multi, 0) << "no multi-block panel drawn";
   EXPECT_GT(single, 0) << "no single-leaf m >= N panel drawn";
@@ -517,33 +495,24 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
 // panels (KC/NC/MC) force multiple workers through one shared panel.
 TEST(PackedPanelRegression, BlockedKernelsWithTilesSmallerThanPanels) {
   Rng rng(0xF00DF00DULL);
-  ScopedBackend scope(Backend::kBlocked, 8);
+  ScopedBlockSize scope(8);
   const int m = 130, n = 120, k = 96;
   const Matrix A = Matrix::random_normal(m, k, rng);
   const Matrix B = Matrix::random_normal(k, n, rng);
 
   Matrix C0(m, n), C1(m, n);
-  {
-    ScopedBackend ref(Backend::kReference);
-    gemm(false, false, 1.0, A, B, 0.0, C0);
-  }
+  reference::gemm(false, false, 1.0, A, B, 0.0, C0);
   gemm(false, false, 1.0, A, B, 0.0, C1);
   ASSERT_LE(rel_err(C1, C0), 1e-10) << "gemm";
 
   Matrix S0(m, m), S1(m, m);
-  {
-    ScopedBackend ref(Backend::kReference);
-    syrk(false, 1.0, A, 0.0, S0);
-  }
+  reference::syrk(false, 1.0, A, 0.0, S0);
   syrk(false, 1.0, A, 0.0, S1);
   ASSERT_LE(rel_err(S1, S0), 1e-10) << "syrk";
 
   for (int i = 0; i < m; ++i) S0(i, i) += m;
   Matrix L0, L1;
-  {
-    ScopedBackend ref(Backend::kReference);
-    cholesky_factor(S0, L0);
-  }
+  reference::cholesky_factor(S0, L0);
   cholesky_factor(S0, L1);
   ASSERT_LE(rel_err(L1, L0), 1e-10) << "cholesky";
 }

@@ -904,7 +904,6 @@ TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
   wfire::la::Workspace ws;
   wfire::enkf::EnKFOptions eopt;
   eopt.inflation = mopt.inflation;
-  eopt.path = mopt.path;
   eopt.workspace = &ws;
   wfire::enkf::enkf_analysis(X, HX, d, r_std, rng_expected, eopt);
 

@@ -89,46 +89,9 @@ struct Blocker {
     });
     while (!started.load()) std::this_thread::yield();
   }
-  void release() {
-    gate.set_value();
-    fut.get();
-  }
 };
 
 }  // namespace
-
-TEST(ThreadPool, CancelPendingFailsFuturesCleanly) {
-  ThreadPool pool(1);
-  Blocker blocker(pool);
-  // With the lone worker blocked, these stay queued.
-  auto f1 = pool.submit([] { return 1; });
-  auto f2 = pool.submit([] { return 2; });
-  EXPECT_EQ(pool.cancel_pending(), 2u);
-  blocker.release();
-  EXPECT_THROW(f1.get(), std::future_error);
-  EXPECT_THROW(f2.get(), std::future_error);
-  // The pool stays usable after a cancellation.
-  EXPECT_EQ(pool.submit([] { return 3; }).get(), 3);
-}
-
-TEST(ThreadPool, HigherPriorityOvertakesQueuedWork) {
-  ThreadPool pool(1);
-  Blocker blocker(pool);
-  std::vector<int> order;
-  std::mutex mu;
-  auto record = [&](int tag) {
-    std::lock_guard<std::mutex> lock(mu);
-    order.push_back(tag);
-  };
-  auto lo = pool.submit(Priority::kLow, [&] { record(2); });
-  auto mid = pool.submit(Priority::kNormal, [&] { record(1); });
-  auto hi = pool.submit(Priority::kHigh, [&] { record(0); });
-  blocker.release();
-  hi.get();
-  mid.get();
-  lo.get();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
 
 TEST(ThreadPool, ShutdownDrainRunsQueuedTasks) {
   std::atomic<int> ran{0};
@@ -137,34 +100,15 @@ TEST(ThreadPool, ShutdownDrainRunsQueuedTasks) {
     Blocker blocker(pool);
     for (int i = 0; i < 4; ++i) pool.submit([&] { ran.fetch_add(1); });
     blocker.gate.set_value();
-    pool.shutdown(/*drain=*/true);
+    pool.shutdown();
     EXPECT_THROW(pool.submit([] {}), std::runtime_error);
   }
   EXPECT_EQ(ran.load(), 4);
 }
 
-TEST(ThreadPool, ShutdownDiscardDropsQueuedTasks) {
-  std::atomic<int> ran{0};
-  ThreadPool pool(1);
-  Blocker blocker(pool);
-  std::vector<std::future<void>> queued;
-  for (int i = 0; i < 4; ++i)
-    queued.push_back(pool.submit([&] { ran.fetch_add(1); }));
-  // shutdown(discard) empties the queue before joining; only release the
-  // blocked worker once the discard is visible, so nothing queued can slip
-  // through in the gap.
-  std::thread closer([&] { pool.shutdown(/*drain=*/false); });
-  while (pool.pending() != 0) std::this_thread::yield();
-  blocker.gate.set_value();
-  closer.join();
-  EXPECT_EQ(ran.load(), 0);
-  for (auto& f : queued) EXPECT_THROW(f.get(), std::future_error);
-  blocker.fut.get();  // the running task was never abandoned
-}
-
-// Stress for the TSan job: concurrent submitters racing a throwing
-// parallel_for and a cancel — the shutdown/exception paths the serial tests
-// above exercise one at a time.
+// Stress for the TSan job: a concurrent submitter racing a throwing
+// parallel_for and the shutdown — the exception and shutdown paths the
+// serial tests above exercise one at a time.
 TEST(ThreadPool, ConcurrentSubmitAndThrowingParallelForStress) {
   for (int round = 0; round < 10; ++round) {
     ThreadPool pool(4);
@@ -172,8 +116,7 @@ TEST(ThreadPool, ConcurrentSubmitAndThrowingParallelForStress) {
     std::thread submitter([&] {
       for (int i = 0; i < 50; ++i) {
         try {
-          pool.submit(i % 2 ? Priority::kHigh : Priority::kLow,
-                      [&sum, i] { sum.fetch_add(i); });
+          pool.submit([&sum, i] { sum.fetch_add(i); });
         } catch (const std::runtime_error&) {
           break;  // pool already stopping
         }
@@ -186,9 +129,10 @@ TEST(ThreadPool, ConcurrentSubmitAndThrowingParallelForStress) {
                                      sum.fetch_add(1);
                                    }),
                  std::runtime_error);
-    pool.cancel_pending();
+    // The submitter may still be running: submits that lose the race with
+    // the draining shutdown throw, the rest run before the join.
+    pool.shutdown();
     submitter.join();
-    pool.shutdown(/*drain=*/true);
   }
 }
 
@@ -201,7 +145,7 @@ TEST(EnsembleRunner, RecordsPhaseTimings) {
   ASSERT_EQ(runner.timings().size(), 2u);
   EXPECT_EQ(runner.timings()[0].name, "advance");
   EXPECT_EQ(runner.timings()[1].name, "enkf");
-  EXPECT_GE(runner.total_seconds(), 0.0);
+  for (const PhaseTiming& t : runner.timings()) EXPECT_GE(t.seconds, 0.0);
   runner.clear_timings();
   EXPECT_TRUE(runner.timings().empty());
 }

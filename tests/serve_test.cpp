@@ -9,52 +9,13 @@
 #include <fstream>
 #include <limits>
 #include <map>
-#include <new>
 #include <string>
 
+#include "alloc_counter.h"
 #include "serve/scenario_server.h"
 
 using namespace wfire;
 using namespace wfire::serve;
-
-// ---------------------------------------------------------------------------
-// Global allocation counter for the zero-steady-state-allocation pin. The
-// thread_local flag scopes counting to the test thread (the inline serving
-// path runs on it), so idle pool workers and the OpenMP runtime don't show
-// up as noise. Disabled under sanitizers, which own the allocator.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define WFIRE_ALLOC_COUNTING 0
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define WFIRE_ALLOC_COUNTING 0
-#else
-#define WFIRE_ALLOC_COUNTING 1
-#endif
-#else
-#define WFIRE_ALLOC_COUNTING 1
-#endif
-
-#if WFIRE_ALLOC_COUNTING
-namespace {
-thread_local bool t_count_allocs = false;
-thread_local long t_alloc_count = 0;
-}  // namespace
-
-// Out of line, so gcc's -Wmismatched-new-delete never sees the malloc
-// inside operator new paired with a delete at an inlined call site; every
-// delete forwards to the one free().
-[[gnu::noinline]] void* operator new(std::size_t n) {
-  if (t_count_allocs) ++t_alloc_count;
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
-#endif
 
 namespace {
 
@@ -123,11 +84,16 @@ TEST(ScenarioServer, AdmissionRoutesSmallJobsInlineAndBigToPool) {
   EXPECT_FALSE(st.failed);
 }
 
-TEST(ScenarioServer, InlineThresholdEnvOverride) {
+// The admission threshold comes from ServerOptions alone: no environment
+// variable overrides an explicit value, such as the "everything inline"
+// setting the sweep and the solo references pass.
+TEST(ScenarioServer, ExplicitInlineThresholdIgnoresEnvironment) {
   ASSERT_EQ(setenv("WFIRE_SERVE_INLINE", "777", 1), 0);
-  ScenarioServer server{ServerOptions{}};
+  ServerOptions opt;
+  opt.inline_cell_steps = 1L << 40;
+  ScenarioServer server(opt);
   unsetenv("WFIRE_SERVE_INLINE");
-  EXPECT_EQ(server.options().inline_cell_steps, 777);
+  EXPECT_EQ(server.options().inline_cell_steps, 1L << 40);
 }
 
 TEST(ScenarioServer, ConcurrentScenariosBitwiseMatchSoloRuns) {
@@ -340,12 +306,11 @@ TEST(ScenarioServer, SteadyStateServingAllocatesNothing) {
   server.request_advance(id, 6.0);  // 12 steps
   server.wait(id);
 
-  t_alloc_count = 0;
-  t_count_allocs = true;
-  server.request_advance(id, 12.0);  // 12 more steps, reinits included
-  server.wait(id);
-  t_count_allocs = false;
-  EXPECT_EQ(t_alloc_count, 0)
+  EXPECT_EQ(count_allocs([&] {
+              server.request_advance(id, 12.0);  // 12 more steps, reinits
+              server.wait(id);
+            }),
+            0)
       << "steady-state serving path touched the heap";
 #endif
 }
