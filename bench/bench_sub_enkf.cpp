@@ -1,22 +1,19 @@
-// Substrate benchmark: the two EnKF solver paths. The analysis cost is the
-// serial fraction of the paper's Fig. 2 pipeline, so its scaling with the
-// observation count m and ensemble size N decides how much data (image
-// pixels) can be assimilated per cycle.
+// Substrate benchmark: the EnKF analysis. Its cost is the serial fraction
+// of the paper's Fig. 2 pipeline, so its scaling with the observation count
+// m and ensemble size N decides how much data (image pixels) can be
+// assimilated per cycle.
 //
-// Expected shape: the observation-space path (Cholesky of an m x m matrix)
-// scales ~m^3 and wins for few observations; the ensemble-space path (TSQR
-// R-factor of the stacked (m+N) x N panel) scales ~m N^2 and wins once
-// m >> N — the image assimilation regime.
+// Expected shape: the QR square root (TSQR R-factor of the stacked
+// (m+N) x N panel) scales ~m N^2, linear in the image size.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "enkf/enkf.h"
-#include "enkf/ensemble.h"
+#include "enkf/reference.h"
 #include "la/workspace.h"
 
 using namespace wfire;
-using wfire::enkf::Factorization;
 
 namespace {
 
@@ -41,41 +38,7 @@ Problem make_problem(int n, int m, int N, util::Rng& rng) {
   return p;
 }
 
-void print_crossover_note() {
-  static bool done = false;
-  if (done) return;
-  done = true;
-  std::printf("\n=== Substrate: EnKF solver paths (N = 25 members) ===\n");
-  std::printf("obs-space Cholesky ~ O(m^3); ensemble-space QR ~ O(m N^2).\n");
-  std::printf("auto path switches at m = 2N; timings below show the "
-              "crossover.\n\n");
-}
-
 }  // namespace
-
-static void BM_EnKF_ObsSpace(benchmark::State& state) {
-  print_crossover_note();
-  const int m = static_cast<int>(state.range(0));
-  const int N = 25;
-  const int n = 4096;
-  util::Rng rng(3);
-  const Problem base = make_problem(n, m, N, rng);
-  EnKFOptions opt;
-  opt.path = SolverPath::kObsSpace;
-  for (auto _ : state) {
-    Matrix X = base.X;
-    util::Rng r(7);
-    const EnKFStats s = enkf_analysis(X, base.HX, base.d, base.r_std, r, opt);
-    benchmark::DoNotOptimize(s.increment_rms);
-  }
-  state.counters["m"] = m;
-}
-BENCHMARK(BM_EnKF_ObsSpace)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(25)
-    ->Arg(100)
-    ->Arg(400)
-    ->Arg(1000);
 
 static void BM_EnKF_EnsembleSpace(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
@@ -83,12 +46,10 @@ static void BM_EnKF_EnsembleSpace(benchmark::State& state) {
   const int n = 4096;
   util::Rng rng(3);
   const Problem base = make_problem(n, m, N, rng);
-  EnKFOptions opt;
-  opt.path = SolverPath::kEnsembleSpace;
   for (auto _ : state) {
     Matrix X = base.X;
     util::Rng r(7);
-    const EnKFStats s = enkf_analysis(X, base.HX, base.d, base.r_std, r, opt);
+    const EnKFStats s = enkf_analysis(X, base.HX, base.d, base.r_std, r);
     benchmark::DoNotOptimize(s.increment_rms);
   }
   state.counters["m"] = m;
@@ -107,12 +68,10 @@ static void BM_EnKF_EnsembleSize(benchmark::State& state) {
   const int n = 4096;
   util::Rng rng(5);
   const Problem base = make_problem(n, m, N, rng);
-  EnKFOptions opt;
-  opt.path = SolverPath::kEnsembleSpace;
   for (auto _ : state) {
     Matrix X = base.X;
     util::Rng r(9);
-    const EnKFStats s = enkf_analysis(X, base.HX, base.d, base.r_std, r, opt);
+    const EnKFStats s = enkf_analysis(X, base.HX, base.d, base.r_std, r);
     benchmark::DoNotOptimize(s.increment_rms);
   }
   state.counters["N"] = N;
@@ -126,30 +85,15 @@ BENCHMARK(BM_EnKF_EnsembleSize)
 // The acceptance shape for the blocked kernels: a state of n >= 20k (image
 // assimilation scale) with the paper's N = 25 members, with a reused
 // workspace so steady-state analyses are allocation-free.
-static void BM_EnKF_LargeStateObsSpace(benchmark::State& state) {
-  const int n = 20000, m = 1000, N = 25;
-  util::Rng rng(17);
-  const Problem base = make_problem(n, m, N, rng);
-  Workspace ws;
-  EnKFOptions opt;
-  opt.path = SolverPath::kObsSpace;
-  opt.workspace = &ws;
-  for (auto _ : state) {
-    Matrix X = base.X;
-    util::Rng r(7);
-    const EnKFStats s = enkf_analysis(X, base.HX, base.d, base.r_std, r, opt);
-    benchmark::DoNotOptimize(s.increment_rms);
-  }
-}
-BENCHMARK(BM_EnKF_LargeStateObsSpace)->Unit(benchmark::kMillisecond);
-
+// The acceptance shape for the blocked kernels: a state of n >= 20k (image
+// assimilation scale) with the paper's N = 25 members, with a reused
+// workspace so steady-state analyses are allocation-free.
 static void BM_EnKF_LargeStateEnsembleSpace(benchmark::State& state) {
   const int n = 20000, m = 10000, N = 25;
   util::Rng rng(19);
   const Problem base = make_problem(n, m, N, rng);
   Workspace ws;
   EnKFOptions opt;
-  opt.path = SolverPath::kEnsembleSpace;
   opt.workspace = &ws;
   for (auto _ : state) {
     Matrix X = base.X;
@@ -160,11 +104,11 @@ static void BM_EnKF_LargeStateEnsembleSpace(benchmark::State& state) {
 }
 BENCHMARK(BM_EnKF_LargeStateEnsembleSpace)->Unit(benchmark::kMillisecond);
 
-// The PR 4 headline: the full ensemble-space analysis with the QR
-// square-root factorization against the Jacobi-SVD path it replaced, at the
-// paper's N = 25 with image-scale observation counts. arg 0 is m, arg 1
-// selects the factorization (0 = qr, 1 = svd); both run the blocked kernels
-// with a reused workspace, so the difference is the factorization itself.
+// The full analysis, QR square root against the Jacobi-SVD oracle
+// (enkf::reference::analysis_svd), at the paper's N = 25 with image-scale
+// observation counts. arg 0 is m, arg 1 selects the solver (0 = qr, 1 =
+// svd); both run the blocked kernels with a reused workspace, so the
+// difference is the factorization itself.
 static void BM_EnKF_EnsembleSpaceFactorization(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const bool use_svd = state.range(1) != 0;
@@ -173,13 +117,15 @@ static void BM_EnKF_EnsembleSpaceFactorization(benchmark::State& state) {
   const Problem base = make_problem(n, m, N, rng);
   Workspace ws;
   EnKFOptions opt;
-  opt.path = SolverPath::kEnsembleSpace;
-  opt.factorization = use_svd ? Factorization::kSvd : Factorization::kQr;
   opt.workspace = &ws;
   for (auto _ : state) {
     Matrix X = base.X;
     util::Rng r(7);
-    const EnKFStats s = enkf_analysis(X, base.HX, base.d, base.r_std, r, opt);
+    const EnKFStats s =
+        use_svd
+            ? enkf::reference::analysis_svd(X, base.HX, base.d, base.r_std, r,
+                                            opt)
+            : enkf_analysis(X, base.HX, base.d, base.r_std, r, opt);
     benchmark::DoNotOptimize(s.increment_rms);
   }
   state.SetLabel(use_svd ? "svd" : "qr");

@@ -5,9 +5,7 @@
 
 #include "enkf/ensemble.h"
 #include "la/blas.h"
-#include "la/cholesky.h"
 #include "la/qr.h"
-#include "la/svd.h"
 #include "util/omp_compat.h"
 
 namespace wfire::enkf {
@@ -21,42 +19,10 @@ double rms(const la::Vector& v) {
   return std::sqrt(s / static_cast<double>(v.size()));
 }
 
-// Observation-space path: S = HA HA^T/(N-1) + R via the symmetric rank-k
-// kernel (half the flops of a full gemm, no transpose-accessor walks),
-// blocked Cholesky of S, then one multi-RHS solve for all innovation
-// columns at once. Y is consumed in place.
-void analyze_obs_space(la::Matrix& X, const la::Matrix& A,
-                       const la::Matrix& HA, la::Matrix& Y,
-                       const la::Vector& r_std, la::Workspace& ws) {
-  const int N = X.cols();
-  const int m = HA.rows();
-  la::Matrix& S = ws.mat("obs.S", m, m);
-  la::syrk(false, 1.0 / (N - 1), HA, 0.0, S);
-  for (int i = 0; i < m; ++i) S(i, i) += r_std[i] * r_std[i];
-  la::Matrix& L = ws.mat("obs.L", m, m);
-  la::cholesky_factor(S, L);
-  la::cholesky_solve_in_place(L, Y);                    // Y <- S^{-1} Y
-  la::Matrix& W = ws.mat("obs.W", N, N);
-  la::gemm(true, false, 1.0, HA, Y, 0.0, W);            // W = HA^T S^{-1} Y
-  la::gemm(false, false, 1.0 / (N - 1), A, W, 1.0, X);  // X += A W/(N-1)
-}
-
-// Ensemble-space analysis, shared head: B = R^{-1/2} HA / sqrt(N-1) and the
-// R^{-1/2}-scaled innovations, both in arena buffers.
-void scale_ensemble_system(const la::Matrix& HA, const la::Matrix& Y,
-                           const la::Vector& r_std, double inv_sqrtn1,
-                           la::Matrix& B, la::Matrix& Yt) {
-  const int m = HA.rows();
-  const int N = HA.cols();
-  for (int k = 0; k < N; ++k)
-    for (int i = 0; i < m; ++i) B(i, k) = HA(i, k) * inv_sqrtn1 / r_std[i];
-  for (int k = 0; k < N; ++k)
-    for (int i = 0; i < m; ++i) Yt(i, k) = Y(i, k) / r_std[i];
-}
-
-// QR square-root factorization (the default): with Stilde = I + B B^T, the
-// Sherman-Morrison-Woodbury identity gives the analysis coefficients as the
-// solution of a system in the *smaller* of the two dimensions:
+// The QR square-root solve: with B = R^{-1/2} HA / sqrt(N-1) and
+// Stilde = I + B B^T, the Sherman-Morrison-Woodbury identity gives the
+// analysis coefficients as the solution of a system in the *smaller* of the
+// two dimensions:
 //
 //   m >= N:  W = B^T Stilde^{-1} Ytilde = (I + B^T B)^{-1} B^T Ytilde,
 //   m <  N:  W = B^T (I + B B^T)^{-1} Ytilde directly.
@@ -66,7 +32,7 @@ void scale_ensemble_system(const la::Matrix& HA, const la::Matrix& Y,
 // [B^T; I_m]) yields an upper-triangular Rs with Rs^T Rs = I + B^T B
 // (resp. I + B B^T), so W follows from gemm and two small triangular
 // solves. Since Rs^T Rs >= I, every |Rs_ii| >= 1: the solves cannot hit a
-// small pivot even for rank-deficient ensembles (where the svd path relies
+// small pivot even for rank-deficient ensembles (where the SVD oracle relies
 // on its rcond cutoff).
 //
 // The m-sized work is one pass: in the image regime (m >= N) the scaled
@@ -75,9 +41,8 @@ void scale_ensemble_system(const la::Matrix& HA, const la::Matrix& Y,
 // blocks factored in parallel; a panel too short to split is one serial
 // leaf), and W = B^T Ytilde is computed from the *unscaled* HA and Y with
 // the R^{-1} weighting folded into the gemm's pack step (gemm_scaled).
-void analyze_ensemble_space_qr(la::Matrix& X, const la::Matrix& A,
-                               const la::Matrix& HA, const la::Matrix& Y,
-                               const la::Vector& r_std, la::Workspace& ws) {
+void analyze_qr(la::Matrix& X, const la::Matrix& A, const la::Matrix& HA,
+                la::Matrix& Y, const la::Vector& r_std, la::Workspace& ws) {
   const int N = X.cols();
   const int m = HA.rows();
   const double inv_sqrtn1 = 1.0 / std::sqrt(static_cast<double>(N - 1));
@@ -111,7 +76,10 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) \
   } else {  // stacked [B^T; I_m], Rs^T Rs = I + B B^T; m < N is small
     B = &ws.mat("ens.B", m, N);
     Yt = &ws.mat("ens.Yt", m, N);
-    scale_ensemble_system(HA, Y, r_std, inv_sqrtn1, *B, *Yt);
+    for (int k = 0; k < N; ++k)
+      for (int i = 0; i < m; ++i) (*B)(i, k) = HA(i, k) * inv_sqrtn1 / r_std[i];
+    for (int k = 0; k < N; ++k)
+      for (int i = 0; i < m; ++i) (*Yt)(i, k) = Y(i, k) / r_std[i];
     for (int k = 0; k < m; ++k) {
       auto dst = M.col(k);
       for (int i = 0; i < N; ++i) dst[i] = (*B)(k, i);
@@ -135,48 +103,14 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) \
   la::gemm(false, false, inv_sqrtn1, A, W, 1.0, X);  // X += A W / sqrt(N-1)
 }
 
-// SVD factorization (the property-tested reference): thin-SVD the scaled
-// anomalies B = U Sigma V^T, and use
-// S~^{-1} y = U (Sigma^2+I)^{-1} U^T y + (y - U U^T y). The per-column hand
-// loops of the original are now three gemm calls over the whole block of
-// innovation columns.
-void analyze_ensemble_space_svd(la::Matrix& X, const la::Matrix& A,
-                                const la::Matrix& HA, const la::Matrix& Y,
-                                const la::Vector& r_std, double rcond,
-                                la::Workspace& ws) {
-  const int N = X.cols();
-  const int m = HA.rows();
-  const double inv_sqrtn1 = 1.0 / std::sqrt(static_cast<double>(N - 1));
-  la::Matrix& B = ws.mat("ens.B", m, N);
-  la::Matrix& Yt = ws.mat("ens.Yt", m, N);
-  scale_ensemble_system(HA, Y, r_std, inv_sqrtn1, B, Yt);
-  const la::SvdResult s = la::svd(B);  // Jacobi SVD allocates internally
-  const int r = static_cast<int>(s.sigma.size());
-  const double cutoff = s.sigma.empty() ? 0.0 : rcond * s.sigma[0];
-
-  // P = U^T Yt, then scale mode j by (1/(sigma_j^2+1) - 1) with truncated
-  // modes contributing nothing, then Yt += U P gives Stilde^{-1} ytilde.
-  la::Matrix& P = ws.mat("ens.P", r, N);
-  la::gemm(true, false, 1.0, s.U, Yt, 0.0, P);
-  la::Vector& coef = ws.vec("ens.coef", static_cast<std::size_t>(r));
-  for (int j = 0; j < r; ++j) {
-    const double sig = s.sigma[j] <= cutoff ? 0.0 : s.sigma[j];
-    coef[j] = 1.0 / (sig * sig + 1.0) - 1.0;
-  }
-  for (int k = 0; k < N; ++k)
-    for (int j = 0; j < r; ++j) P(j, k) *= coef[j];
-  la::gemm(false, false, 1.0, s.U, P, 1.0, Yt);
-
-  la::Matrix& W = ws.mat("ens.W", N, N);                // W = B^T Stilde^{-1} Y~
-  la::gemm(true, false, 1.0, B, Yt, 0.0, W);
-  la::gemm(false, false, inv_sqrtn1, A, W, 1.0, X);     // X += A W / sqrt(N-1)
-}
-
 }  // namespace
 
-EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
-                        const la::Vector& d, const la::Vector& r_std,
-                        util::Rng& rng, const EnKFOptions& opt) {
+namespace detail {
+
+EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
+                       const la::Vector& d, const la::Vector& r_std,
+                       util::Rng& rng, const EnKFOptions& opt,
+                       const SolveStage& solve) {
   const int n = X.rows();
   const int N = X.cols();
   const int m = HX.rows();
@@ -184,8 +118,15 @@ EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
   if (static_cast<int>(d.size()) != m || static_cast<int>(r_std.size()) != m)
     throw std::invalid_argument("enkf: obs size mismatch");
   if (N < 2) throw std::invalid_argument("enkf: need at least 2 members");
+  // A non-finite value here would turn every member into NaN silently.
   for (const double r : r_std)
-    if (r <= 0) throw std::invalid_argument("enkf: r_std must be positive");
+    if (!std::isfinite(r) || r <= 0)
+      throw std::invalid_argument("enkf: r_std must be finite and positive");
+  for (const double v : d)
+    if (!std::isfinite(v))
+      throw std::invalid_argument("enkf: observations must be finite");
+  if (!std::isfinite(opt.inflation) || opt.inflation <= 0)
+    throw std::invalid_argument("enkf: inflation must be finite and positive");
 
   EnKFStats stats;
   stats.n = n;
@@ -238,19 +179,7 @@ EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
     stats.innovation_rms = rms(innov);
   }
 
-  SolverPath path = opt.path;
-  if (path == SolverPath::kAuto)
-    path = (m <= 2 * N) ? SolverPath::kObsSpace : SolverPath::kEnsembleSpace;
-  stats.path_used = path;
-
-  if (path == SolverPath::kObsSpace) {
-    analyze_obs_space(X, A, HA, Y, r_std, ws);
-  } else {
-    if (opt.factorization == Factorization::kSvd)
-      analyze_ensemble_space_svd(X, A, HA, Y, r_std, opt.svd_rcond, ws);
-    else
-      analyze_ensemble_space_qr(X, A, HA, Y, r_std, ws);
-  }
+  solve(X, A, HA, Y, r_std, ws);
 
   {
     la::Vector& ma = ws.vec("ma", static_cast<std::size_t>(n));
@@ -259,6 +188,14 @@ EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
     stats.increment_rms = rms(ma);
   }
   return stats;
+}
+
+}  // namespace detail
+
+EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
+                        const la::Vector& d, const la::Vector& r_std,
+                        util::Rng& rng, const EnKFOptions& opt) {
+  return detail::run_analysis(X, HX, d, r_std, rng, opt, analyze_qr);
 }
 
 }  // namespace wfire::enkf

@@ -72,25 +72,4 @@ double spread(const la::Matrix& X) {
   return std::sqrt(total / (static_cast<double>(n) * (N - 1)));
 }
 
-la::Vector covariance_action(const la::Matrix& A, const la::Vector& v) {
-  const int N = A.cols();
-  if (N < 2) throw std::invalid_argument("covariance_action: N < 2");
-  la::Vector t(static_cast<std::size_t>(N));
-  la::gemv_t(1.0, A, v, 0.0, t);
-  la::Vector out(static_cast<std::size_t>(A.rows()));
-  la::gemv(1.0 / (N - 1), A, t, 0.0, out);
-  return out;
-}
-
-la::Matrix perturbed_ensemble(const la::Vector& base, int N, double stddev,
-                              util::Rng& rng) {
-  const int n = static_cast<int>(base.size());
-  la::Matrix X(n, N);
-  for (int k = 0; k < N; ++k) {
-    auto col = X.col(k);
-    for (int i = 0; i < n; ++i) col[i] = base[i] + stddev * rng.normal();
-  }
-  return X;
-}
-
 }  // namespace wfire::enkf

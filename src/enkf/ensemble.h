@@ -4,9 +4,7 @@
 // EnKF operates on the collection.
 #pragma once
 
-#include "la/blas.h"
 #include "la/matrix.h"
-#include "util/rng.h"
 
 namespace wfire::enkf {
 
@@ -32,14 +30,5 @@ void inflate(la::Matrix& X, double factor);
 // variance per coordinate. The scalar "uncertainty in the simulation,
 // computed from the spread of the whole ensemble" (paper Fig. 2 caption).
 [[nodiscard]] double spread(const la::Matrix& X);
-
-// Sample covariance action: C v = A (A^T v) / (N-1) without forming C.
-[[nodiscard]] la::Vector covariance_action(const la::Matrix& A,
-                                           const la::Vector& v);
-
-// Builds an initial ensemble by perturbing a base state with iid N(0, std^2)
-// noise (the simplest prior; smooth field perturbations live in core/).
-[[nodiscard]] la::Matrix perturbed_ensemble(const la::Vector& base, int N,
-                                            double stddev, util::Rng& rng);
 
 }  // namespace wfire::enkf

@@ -11,20 +11,6 @@
 
 namespace wfire::la {
 
-void axpy(double alpha, const Vector& x, Vector& y) {
-  if (x.size() != y.size()) throw std::invalid_argument("axpy: size mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-double dot(const Vector& x, const Vector& y) {
-  if (x.size() != y.size()) throw std::invalid_argument("dot: size mismatch");
-  double s = 0;
-  for (std::size_t i = 0; i < x.size(); ++i) s += x[i] * y[i];
-  return s;
-}
-
-double nrm2(const Vector& x) { return std::sqrt(dot(x, x)); }
-
 void gemv(double alpha, const Matrix& A, const Vector& x, double beta,
           Vector& y) {
   if (static_cast<int>(x.size()) != A.cols() ||
@@ -238,77 +224,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (n_ic > 1))
   }
 }
 
-void syrk_blocked(bool transA, double alpha, const Matrix& A, double beta,
-                  Matrix& C, const double* scale) {
-  const int m = transA ? A.cols() : A.rows();
-  const int k = transA ? A.rows() : A.cols();
-  if (C.rows() != m || C.cols() != m)
-    throw std::invalid_argument("syrk: size mismatch");
-  if (m == 0) return;
-  const int nb = block_size();
-  const int KC = std::min(4 * nb, 512);
-  double* Cd = C.data();
-  const std::size_t ldc = static_cast<std::size_t>(m);
-
-  if (k == 0 || alpha == 0.0) {
-    scale_tile(beta, Cd, ldc, m, m);
-    return;
-  }
-
-  // Panel of op(A) columns: P(i, p) = op(A)(i, pc + p), m x kc column-major.
-  // As in gemm_blocked: packed by the calling thread, read by all workers,
-  // so the parallel region must use the shared raw pointer, not the
-  // thread_local vector itself.
-  static thread_local std::vector<double> panel;
-  panel.resize(static_cast<std::size_t>(m) * KC);
-  double* const P = panel.data();
-
-  // Lower-triangle tile list, reused across the pc loop. Thread-local so a
-  // warm call allocates nothing; read through the raw pointer, as P is.
-  static thread_local std::vector<std::pair<int, int>> tile_buf;
-  tile_buf.clear();
-  for (int j0 = 0; j0 < m; j0 += nb)
-    for (int i0 = j0; i0 < m; i0 += nb) tile_buf.emplace_back(i0, j0);
-  const std::pair<int, int>* const tiles = tile_buf.data();
-  const int ntiles = static_cast<int>(tile_buf.size());
-
-  for (int pc = 0; pc < k; pc += KC) {
-    const int kc = std::min(KC, k - pc);
-    // The panel stays unscaled; the weight enters once per contraction
-    // column through `v` below (scaling the pack would apply it twice).
-    pack_a(A, transA, 0, pc, m, kc, nullptr, P);
-    const double tile_beta = pc == 0 ? beta : 1.0;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic) if (ntiles > 1))
-    for (int t = 0; t < ntiles; ++t) {
-      const auto [i0, j0] = tiles[t];
-      const int mb = std::min(nb, m - i0);
-      const int nbj = std::min(nb, m - j0);
-      const bool diag = i0 == j0;
-      for (int j = 0; j < nbj; ++j) {
-        double* cj = Cd + (static_cast<std::size_t>(j0) + j) * ldc + i0;
-        const int istart = diag ? j : 0;  // lower triangle only
-        if (tile_beta != 1.0)
-          for (int i = istart; i < mb; ++i)
-            cj[i] = tile_beta == 0.0 ? 0.0 : cj[i] * tile_beta;
-        for (int p = 0; p < kc; ++p) {
-          const double* col = P + static_cast<std::size_t>(p) * m;
-          double v = alpha * col[j0 + j];
-          if (scale) v *= scale[pc + p];
-          if (v == 0.0) continue;
-          const double* a = col + i0;
-          for (int i = istart; i < mb; ++i) cj[i] += a[i] * v;
-        }
-      }
-    }
-  }
-  // Mirror the strictly-upper triangle from the lower one.
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (m > 256))
-  for (int j = 1; j < m; ++j)
-    for (int i = 0; i < j; ++i)
-      Cd[static_cast<std::size_t>(j) * ldc + i] =
-          Cd[static_cast<std::size_t>(i) * ldc + j];
-}
-
 }  // namespace
 
 void gemm(bool transA, bool transB, double alpha, const Matrix& A,
@@ -322,35 +237,6 @@ void gemm_scaled(bool transA, bool transB, double alpha, const Matrix& A,
   if (static_cast<int>(w.size()) != k)
     throw std::invalid_argument("gemm_scaled: weight size mismatch");
   gemm_blocked(transA, transB, alpha, A, B, beta, C, w.data());
-}
-
-void syrk(bool transA, double alpha, const Matrix& A, double beta, Matrix& C) {
-  syrk_blocked(transA, alpha, A, beta, C, nullptr);
-}
-
-void syrk_scaled(bool transA, double alpha, const Matrix& A, const Vector& w,
-                 double beta, Matrix& C) {
-  const int k = transA ? A.rows() : A.cols();
-  if (static_cast<int>(w.size()) != k)
-    throw std::invalid_argument("syrk_scaled: weight size mismatch");
-  syrk_blocked(transA, alpha, A, beta, C, w.data());
-}
-
-void ger(double alpha, const Vector& x, const Vector& y, Matrix& A) {
-  if (static_cast<int>(x.size()) != A.rows() ||
-      static_cast<int>(y.size()) != A.cols())
-    throw std::invalid_argument("ger: size mismatch");
-  const int m = A.rows(), n = A.cols();
-  double* Ad = A.data();
-  const double* xd = x.data();
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static) \
-                 if (static_cast<long>(m) * n > 65536))
-  for (int j = 0; j < n; ++j) {
-    const double yj = alpha * y[j];
-    if (yj == 0.0) continue;
-    double* cj = Ad + static_cast<std::size_t>(j) * m;
-    for (int i = 0; i < m; ++i) cj[i] += xd[i] * yj;
-  }
 }
 
 Matrix matmul(const Matrix& A, const Matrix& B, bool transA, bool transB) {

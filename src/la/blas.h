@@ -1,20 +1,20 @@
-// BLAS-like kernels on Vector/Matrix. The matrix kernels (gemm, syrk, ger)
-// are cache-blocked: they pack panels into contiguous buffers and thread the
-// tile loop with OpenMP. The naive triple loops they are tested against live
-// in la/reference.h, which only tests and benches include.
+// BLAS-like kernels on Vector/Matrix. The matrix product (gemm) is
+// cache-blocked: it packs panels into contiguous buffers and threads the
+// tile loop with OpenMP. The naive triple loop it is tested against lives in
+// la/reference.h, which only tests and benches include.
 //
-// The gemm/syrk pack step also exposes a per-column scale hook (gemm_scaled
-// / syrk_scaled below): a diagonal weight along the contraction dimension is
-// applied while panels are packed, so diagonal row/column scalings (the
-// EnKF's R^{-1/2} observation weighting) fuse into the product instead of
-// costing separate m x N sweeps.
+// The gemm pack step also exposes a per-column scale hook (gemm_scaled
+// below): a diagonal weight along the contraction dimension is applied while
+// panels are packed, so diagonal row/column scalings (the EnKF's R^{-1/2}
+// observation weighting) fuse into the product instead of costing separate
+// m x N sweeps.
 #pragma once
 
 #include "la/matrix.h"
 
 namespace wfire::la {
 
-// Tile edge of the blocked kernels (gemm, syrk, Cholesky): default 64.
+// Tile edge of the blocked gemm: default 64.
 [[nodiscard]] int block_size();
 
 // Moves the tile edge for its lifetime (clamped to [8, 1024]), so tests
@@ -30,12 +30,6 @@ class ScopedBlockSize {
  private:
   int prev_;
 };
-
-// y += alpha * x
-void axpy(double alpha, const Vector& x, Vector& y);
-
-[[nodiscard]] double dot(const Vector& x, const Vector& y);
-[[nodiscard]] double nrm2(const Vector& x);
 
 // y = alpha * A * x + beta * y  (A: m x n, x: n, y: m)
 void gemv(double alpha, const Matrix& A, const Vector& x, double beta,
@@ -54,21 +48,6 @@ void gemm(bool transA, bool transB, double alpha, const Matrix& A,
 // scaling costs nothing beyond the pack the product already pays.
 void gemm_scaled(bool transA, bool transB, double alpha, const Matrix& A,
                  const Vector& w, const Matrix& B, double beta, Matrix& C);
-
-// Symmetric rank-k update: C = alpha * op(A) * op(A)^T + beta * C with C
-// m x m. Only one triangle is computed (half the flops of the equivalent
-// gemm) and mirrored, so when beta != 0 the incoming C must be symmetric.
-void syrk(bool transA, double alpha, const Matrix& A, double beta, Matrix& C);
-
-// C = alpha * op(A) * diag(w) * op(A)^T + beta * C, w of length k. Same
-// triangle/mirror contract as syrk; the weight is applied once per
-// contraction column from the unscaled packed panel (not by scaling the
-// panel itself, which would square it).
-void syrk_scaled(bool transA, double alpha, const Matrix& A, const Vector& w,
-                 double beta, Matrix& C);
-
-// Rank-1 update A += alpha * x * y^T  (A: m x n, x: m, y: n).
-void ger(double alpha, const Vector& x, const Vector& y, Matrix& A);
 
 // Convenience: returns op(A)*op(B).
 [[nodiscard]] Matrix matmul(const Matrix& A, const Matrix& B,

@@ -1,11 +1,8 @@
-// Cholesky factorization and SPD solves. The EnKF analysis solves
-// (H A (H A)^T/(N-1) + R) x = b with an SPD system matrix; Cholesky is the
-// workhorse. `jitter` retries with a scaled diagonal shift for matrices that
-// are SPD only up to roundoff (ensemble covariances are often rank-deficient).
-//
-// The factorization is blocked right-looking: panel factor, column-oriented
-// trsm, and a tiled, OpenMP-threaded trailing update. The original unblocked
-// loop is its oracle, la::reference::cholesky_factor.
+// Cholesky factorization and SPD solves, for the exact Kalman update
+// (enkf/kalman.h) and the observation-space EnKF oracle (enkf/reference.h).
+// `jitter` retries with a scaled diagonal shift for matrices that are SPD
+// only up to roundoff (ensemble covariances are often rank-deficient).
+// Both callers factor small matrices, so the loops are plain and serial.
 #pragma once
 
 #include "la/matrix.h"
@@ -31,21 +28,10 @@ int cholesky_factor(const Matrix& A, Matrix& L, int max_jitter_tries = 3);
 void cholesky_solve(const Matrix& L, Vector& b);
 
 // Solves L L^T X = B for all columns of B in place (column-oriented
-// substitution, OpenMP-parallel across the right-hand sides).
+// substitution, one right-hand side after another).
 void cholesky_solve_in_place(const Matrix& L, Matrix& B);
 
 // Solves A X = B; returns X (copy of B, then in-place solve).
 [[nodiscard]] Matrix cholesky_solve(const Matrix& L, const Matrix& B);
-
-namespace detail {
-
-// The jitter-retry loop shared by cholesky_factor and its reference oracle:
-// tries try_factor(A, L), then A plus growing diagonal shifts. Returns the
-// number of shifts used; throws std::runtime_error once they run out.
-using TryFactor = bool (*)(const Matrix& A, Matrix& L);
-int factor_with_jitter(const Matrix& A, Matrix& L, int max_jitter_tries,
-                       TryFactor try_factor);
-
-}  // namespace detail
 
 }  // namespace wfire::la

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
-
-#include "la/blas.h"
+#include <utility>
+#include <vector>
 
 namespace wfire::la {
 
@@ -85,24 +85,6 @@ SvdResult svd(const Matrix& A, int max_sweeps) {
   // Wide matrix: factor the transpose and swap U <-> V.
   SvdResult t = svd_tall(A.transposed(), max_sweeps);
   return SvdResult{std::move(t.V), std::move(t.sigma), std::move(t.U)};
-}
-
-Vector svd_solve(const SvdResult& s, const Vector& b, double rcond) {
-  if (static_cast<int>(b.size()) != s.U.rows())
-    throw std::invalid_argument("svd_solve: size mismatch");
-  const int r = static_cast<int>(s.sigma.size());
-  const double cutoff = s.sigma.empty() ? 0.0 : rcond * s.sigma[0];
-  Vector y(static_cast<std::size_t>(r), 0.0);
-  for (int j = 0; j < r; ++j) {
-    if (s.sigma[j] <= cutoff) continue;
-    double uj_b = 0;
-    for (int i = 0; i < s.U.rows(); ++i) uj_b += s.U(i, j) * b[i];
-    y[j] = uj_b / s.sigma[j];
-  }
-  Vector x(static_cast<std::size_t>(s.V.rows()), 0.0);
-  for (int j = 0; j < r; ++j)
-    for (int i = 0; i < s.V.rows(); ++i) x[i] += s.V(i, j) * y[j];
-  return x;
 }
 
 }  // namespace wfire::la

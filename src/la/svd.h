@@ -1,6 +1,7 @@
-// One-sided Jacobi SVD. Used by the EnKF ensemble-space solver (pseudo-
-// inverse of H A when observations outnumber members) and by morphing
-// diagnostics. Accurate for the small/skinny matrices wfire produces.
+// One-sided Jacobi SVD, accurate for the small and skinny matrices wfire
+// produces. No production path calls it: it backs the EnKF's SVD analysis
+// oracle (enkf/reference.h) and the factorization comparison in
+// bench_sub_qr.
 #pragma once
 
 #include "la/matrix.h"
@@ -15,10 +16,5 @@ struct SvdResult {
 
 // Computes the thin SVD of A (any shape); r = min(m, n).
 [[nodiscard]] SvdResult svd(const Matrix& A, int max_sweeps = 60);
-
-// Minimum-norm least-squares solve via the pseudo-inverse: x = V S^+ U^T b.
-// Singular values below rcond * sigma_max are treated as zero.
-[[nodiscard]] Vector svd_solve(const SvdResult& s, const Vector& b,
-                               double rcond = 1e-12);
 
 }  // namespace wfire::la

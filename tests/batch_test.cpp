@@ -521,7 +521,6 @@ TEST(ThreadInvariance, AssimilateIdenticalAcrossPoolAndOmpWidths) {
     const Run four = run(4);
     const AnalysisResult& a = one.analysis;
     const AnalysisResult& b = four.analysis;
-    EXPECT_EQ(a.enkf.path_used, b.enkf.path_used);
     EXPECT_EQ(a.enkf.n, b.enkf.n);
     EXPECT_EQ(a.enkf.m, b.enkf.m);
     EXPECT_EQ(a.enkf.N, b.enkf.N);

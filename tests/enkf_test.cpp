@@ -1,16 +1,18 @@
-// EnKF tests: ensemble statistics, both solver paths against each other and
-// against the exact Kalman filter in the linear-Gaussian limit, inflation,
-// workspace reuse, allocation-free warm analyses, and a committed golden
-// increment.
+// EnKF tests: ensemble statistics, the QR square-root analysis against its
+// named oracles (enkf/reference.h) and against the exact Kalman filter in
+// the linear-Gaussian limit, input validation, inflation, workspace reuse,
+// allocation-free warm analyses, and a committed golden increment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <tuple>
+#include <limits>
 
 #include "alloc_counter.h"
 #include "enkf/enkf.h"
 #include "enkf/ensemble.h"
 #include "enkf/kalman.h"
+#include "enkf/reference.h"
 #include "la/blas.h"
 #include "la/workspace.h"
 
@@ -54,27 +56,6 @@ TEST(Ensemble, InflationPreservesMeanScalesSpread) {
   EXPECT_NEAR(spread(X), 1.5 * s0, 1e-9);
 }
 
-TEST(Ensemble, CovarianceActionMatchesExplicit) {
-  Rng rng(2);
-  const Matrix X = gaussian_ensemble(Vector(4, 0.0), 2.0, 30, rng);
-  const Matrix A = anomalies(X);
-  Vector v{1, -1, 2, 0.5};
-  const Vector cv = covariance_action(A, v);
-  const Matrix P = matmul(A, A, false, true);
-  Vector expected(4, 0.0);
-  gemv(1.0 / 29.0, P, v, 0.0, expected);
-  for (int i = 0; i < 4; ++i) EXPECT_NEAR(cv[i], expected[i], 1e-10);
-}
-
-TEST(Ensemble, PerturbedEnsembleStatistics) {
-  Rng rng(3);
-  const Vector base{5.0, -3.0};
-  const Matrix X = perturbed_ensemble(base, 2000, 0.7, rng);
-  const Vector m = ensemble_mean(X);
-  EXPECT_NEAR(m[0], 5.0, 0.06);
-  EXPECT_NEAR(spread(X), 0.7, 0.03);
-}
-
 TEST(Kalman, ScalarUpdateMatchesClosedForm) {
   // Prior N(0, 4), obs y = 2 with R = 1 -> posterior mean 1.6, var 0.8.
   KalmanState prior{Vector{0.0}, Matrix(1, 1)};
@@ -96,7 +77,23 @@ TEST(Kalman, ForecastPropagatesCovariance) {
   EXPECT_DOUBLE_EQ(f.cov(1, 1), 0.25);
 }
 
-class EnKFPathParam : public ::testing::TestWithParam<SolverPath> {};
+namespace {
+
+// The analyses under test, by name: the production QR square root and the
+// observation-space oracle. The explicit values fix the instantiation names
+// (".../4-byte object <01-00 00-00>" and "<02-00 00-00>").
+enum class Solver { kObsSpaceOracle = 1, kQr = 2 };
+
+using AnalysisFn = EnKFStats (*)(Matrix&, const Matrix&, const Vector&,
+                                 const Vector&, Rng&, const EnKFOptions&);
+
+AnalysisFn analysis_fn(Solver s) {
+  return s == Solver::kQr ? enkf_analysis : reference::analysis_obs_space;
+}
+
+}  // namespace
+
+class EnKFPathParam : public ::testing::TestWithParam<Solver> {};
 
 TEST_P(EnKFPathParam, ConvergesToKalmanInLinearGaussianLimit) {
   // Large ensemble from a known Gaussian prior, identity obs on part of the
@@ -122,10 +119,7 @@ TEST_P(EnKFPathParam, ConvergesToKalmanInLinearGaussianLimit) {
     HX(1, k) = X(2, k);
   }
 
-  EnKFOptions opt;
-  opt.path = GetParam();
-  const EnKFStats stats = enkf_analysis(X, HX, d, r_std, rng, opt);
-  EXPECT_EQ(stats.path_used, GetParam());
+  (void)analysis_fn(GetParam())(X, HX, d, r_std, rng, {});
 
   KalmanState prior{prior_mean, Matrix::identity(n)};
   for (int i = 0; i < n; ++i) prior.cov(i, i) = prior_std * prior_std;
@@ -136,29 +130,30 @@ TEST_P(EnKFPathParam, ConvergesToKalmanInLinearGaussianLimit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Paths, EnKFPathParam,
-                         ::testing::Values(SolverPath::kObsSpace,
-                                           SolverPath::kEnsembleSpace));
+                         ::testing::Values(Solver::kObsSpaceOracle,
+                                           Solver::kQr));
 
 TEST(EnKF, BothPathsProduceSameAnalysis) {
-  // With identical inputs and the same noise stream, the two algebraically
-  // equivalent solver paths must give nearly identical analyses.
-  const int n = 20, N = 15, m = 8;
+  // With identical inputs and the same noise stream, the QR square root and
+  // the observation-space oracle are algebraically equivalent and must give
+  // nearly identical analyses, for m < N and m >= N alike (the two stack
+  // [B^T; I_m] and [B; I_N] respectively) up to just past 2N.
+  const int n = 20, N = 15;
   Rng rng_init(7);
   const Matrix X0 = gaussian_ensemble(Vector(n, 1.0), 1.0, N, rng_init);
-  Matrix HX(m, N);
-  for (int k = 0; k < N; ++k)
-    for (int i = 0; i < m; ++i) HX(i, k) = X0(i, k);
-  const Vector d(m, 2.0);
-  const Vector r_std(m, 0.5);
+  for (const int m : {1, N - 1, N, 2 * N, 2 * N + 1}) {
+    Matrix HX(m, N);
+    for (int k = 0; k < N; ++k)
+      for (int i = 0; i < m; ++i) HX(i, k) = X0(i % n, k);
+    const Vector d(static_cast<std::size_t>(m), 2.0);
+    const Vector r_std(static_cast<std::size_t>(m), 0.5);
 
-  Matrix X1 = X0, X2 = X0;
-  Rng r1(99), r2(99);
-  EnKFOptions o1, o2;
-  o1.path = SolverPath::kObsSpace;
-  o2.path = SolverPath::kEnsembleSpace;
-  enkf_analysis(X1, HX, d, r_std, r1, o1);
-  enkf_analysis(X2, HX, d, r_std, r2, o2);
-  EXPECT_LT(max_abs_diff(X1, X2), 1e-8);
+    Matrix X1 = X0, X2 = X0;
+    Rng r1(99), r2(99);
+    reference::analysis_obs_space(X1, HX, d, r_std, r1);
+    enkf_analysis(X2, HX, d, r_std, r2);
+    EXPECT_LT(max_abs_diff(X1, X2), 1e-8) << "m " << m;
+  }
 }
 
 TEST(EnKF, AnalysisMovesTowardObservations) {
@@ -197,22 +192,49 @@ TEST(EnKF, InputValidation) {
   Matrix X1(4, 1), HX1(2, 1);
   EXPECT_THROW(enkf_analysis(X1, HX1, Vector(2), Vector(2, 1.0), rng),
                std::invalid_argument);
+
+  // Non-finite or non-positive values are rejected before any work; left
+  // through, each one turns every member into NaN. m = 2 < N and m = 11 > 2N
+  // cover both stacked-panel shapes.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng init(11);
+  const Matrix X0 = gaussian_ensemble(Vector(4, 0.0), 1.0, 5, init);
+  for (const int m : {2, 11}) {
+    Matrix HXm(m, 5);
+    for (int k = 0; k < 5; ++k)
+      for (int i = 0; i < m; ++i) HXm(i, k) = X0(i % 4, k);
+    const Vector d(static_cast<std::size_t>(m), 0.5);
+    const Vector r(static_cast<std::size_t>(m), 1.0);
+    const auto expect_rejected = [&](const Vector& dv, const Vector& rv,
+                                     double inflation, const char* what) {
+      Matrix Xc = X0;
+      EnKFOptions opt;
+      opt.inflation = inflation;
+      EXPECT_THROW(enkf_analysis(Xc, HXm, dv, rv, rng, opt),
+                   std::invalid_argument)
+          << what << ", m " << m;
+      EXPECT_TRUE(std::equal(Xc.data(), Xc.data() + 4 * 5, X0.data()))
+          << what << " touched X, m " << m;
+    };
+    Vector r_bad = r;
+    r_bad[m - 1] = nan;
+    expect_rejected(d, r_bad, 1.0, "r_std NaN");
+    r_bad[m - 1] = inf;
+    expect_rejected(d, r_bad, 1.0, "r_std +inf");
+    Vector d_bad = d;
+    d_bad[0] = nan;
+    expect_rejected(d_bad, r, 1.0, "d NaN");
+    d_bad[0] = -inf;
+    expect_rejected(d_bad, r, 1.0, "d -inf");
+    expect_rejected(d, r, nan, "inflation NaN");
+    expect_rejected(d, r, inf, "inflation +inf");
+    expect_rejected(d, r, 0.0, "inflation 0");
+    expect_rejected(d, r, -1.0, "inflation -1");
+  }
 }
 
-TEST(EnKF, AutoPathSwitchesOnObsCount) {
-  Rng rng(11);
-  const int N = 10;
-  Matrix Xs = gaussian_ensemble(Vector(5, 0.0), 1.0, N, rng);
-  Matrix HXs = Xs;
-  EnKFStats s1 = enkf_analysis(Xs, HXs, Vector(5, 0.0), Vector(5, 1.0), rng);
-  EXPECT_EQ(s1.path_used, SolverPath::kObsSpace);  // m = 5 <= 2N
-  Matrix Xl = gaussian_ensemble(Vector(50, 0.0), 1.0, N, rng);
-  Matrix HXl = Xl;
-  EnKFStats s2 = enkf_analysis(Xl, HXl, Vector(50, 0.0), Vector(50, 1.0), rng);
-  EXPECT_EQ(s2.path_used, SolverPath::kEnsembleSpace);  // m = 50 > 2N
-}
-
-// --- Solver-path agreement and workspace reuse on the blocked kernels. ---
+// --- Oracle agreement and workspace reuse. ---
 
 namespace {
 
@@ -233,24 +255,26 @@ AnalysisProblem analysis_problem(int n, int m, int N, unsigned seed) {
   return p;
 }
 
-Matrix run_analysis(const AnalysisProblem& p, SolverPath path,
+Matrix run_analysis(const AnalysisProblem& p, AnalysisFn analysis,
                     wfire::la::Workspace* ws = nullptr) {
   Matrix X = p.X0;
   Rng rng(321);
   EnKFOptions opt;
-  opt.path = path;
   opt.workspace = ws;
-  enkf_analysis(X, p.HX, p.d, p.r_std, rng, opt);
+  analysis(X, p.HX, p.d, p.r_std, rng, opt);
   return X;
 }
 
 }  // namespace
 
 TEST(EnKFBackend, SolverPathsAgreeOnBothBackends) {
+  // The oracle and the QR square root share one arena, as a test driving
+  // both in turn would: neither may read the other's scratch.
+  wfire::la::Workspace ws;
   const AnalysisProblem p = analysis_problem(30, 12, 18, 5);
-  const Matrix X_obs = run_analysis(p, SolverPath::kObsSpace);
-  const Matrix X_ens = run_analysis(p, SolverPath::kEnsembleSpace);
-  EXPECT_LT(max_abs_diff(X_obs, X_ens), 1e-8);
+  const Matrix X_obs = run_analysis(p, reference::analysis_obs_space, &ws);
+  const Matrix X_qr = run_analysis(p, enkf_analysis, &ws);
+  EXPECT_LT(max_abs_diff(X_obs, X_qr), 1e-8);
 }
 
 TEST(EnKFBackend, WorkspaceReuseGivesIdenticalResults) {
@@ -259,40 +283,36 @@ TEST(EnKFBackend, WorkspaceReuseGivesIdenticalResults) {
   wfire::la::Workspace ws;
   const AnalysisProblem p1 = analysis_problem(50, 10, 12, 31);
   const AnalysisProblem p2 = analysis_problem(24, 40, 8, 32);
-  // Warm the arena with the larger problem, then run the smaller one.
-  (void)run_analysis(p1, SolverPath::kObsSpace, &ws);
-  const Matrix with_ws = run_analysis(p2, SolverPath::kEnsembleSpace, &ws);
-  const Matrix without = run_analysis(p2, SolverPath::kEnsembleSpace);
+  // Warm the arena with the larger problem (m < N: the [B^T; I_m] stack),
+  // then run the smaller one (m >= N: the [B; I_N] stack).
+  (void)run_analysis(p1, enkf_analysis, &ws);
+  const Matrix with_ws = run_analysis(p2, enkf_analysis, &ws);
+  const Matrix without = run_analysis(p2, enkf_analysis);
   EXPECT_EQ(max_abs_diff(with_ws, without), 0.0);
 }
 
 // enkf.h promises that a warm analysis with a workspace allocates nothing.
-// m = 40 keeps the blocked syrk and Cholesky to one tile; m = 200 gives
-// them several, which is where per-call tile lists used to allocate.
+// m = 10 < N runs the [B^T; I_m] stack; m = 40 is a single TSQR leaf and
+// m = 200 splits into row blocks.
 TEST(EnKFBackend, WarmAnalysisWithWorkspaceAllocatesNothing) {
 #if !WFIRE_ALLOC_COUNTING
   GTEST_SKIP() << "allocation counting disabled under sanitizers";
 #else
   const int n = 2000, N = 25;
-  for (const int m : {40, 200}) {
+  for (const int m : {10, 40, 200}) {
     const AnalysisProblem p = analysis_problem(n, m, N, 41);
-    for (const SolverPath path :
-         {SolverPath::kObsSpace, SolverPath::kEnsembleSpace}) {
-      wfire::la::Workspace ws;
-      EnKFOptions opt;
-      opt.path = path;
-      opt.workspace = &ws;
-      Matrix X = p.X0;
-      Rng rng(321);
-      enkf_analysis(X, p.HX, p.d, p.r_std, rng, opt);  // warm-up
-      X = p.X0;
-      EXPECT_EQ(count_allocs([&] {
-                  enkf_analysis(X, p.HX, p.d, p.r_std, rng, opt);
-                }),
-                0)
-          << "m " << m << " path "
-          << (path == SolverPath::kObsSpace ? "obs" : "ensemble");
-    }
+    wfire::la::Workspace ws;
+    EnKFOptions opt;
+    opt.workspace = &ws;
+    Matrix X = p.X0;
+    Rng rng(321);
+    enkf_analysis(X, p.HX, p.d, p.r_std, rng, opt);  // warm-up
+    X = p.X0;
+    EXPECT_EQ(count_allocs([&] {
+                enkf_analysis(X, p.HX, p.d, p.r_std, rng, opt);
+              }),
+              0)
+        << "m " << m;
   }
 #endif
 }
@@ -303,8 +323,8 @@ namespace {
 // analysis below (n = 60, m = 400, N = 12, seeds 4242/321), produced by the
 // SVD factorization on the naive reference kernels when the QR square-root
 // path landed. Pins the full analysis end to end — anomalies, innovation draws,
-// factorization, solve, update — not just the kernels; both factorizations
-// must reproduce it.
+// factorization, solve, update — not just the kernels; the QR square root
+// and the SVD oracle must both reproduce it.
 constexpr double kGoldenIncrementRms = 0.26916308926474586;
 constexpr double kGoldenIncrement[60] = {
     -0.083778640138027133, 0.51818798228387564, -0.084693832259294249,
@@ -347,20 +367,17 @@ TEST(EnKFGolden, EnsembleSpaceIncrementMatchesCommittedVector) {
   // rtol with a small atol floor: near-zero components of the increment
   // carry rounding noise from the factorization differences.
   const double rtol = 1e-6, atol = 1e-9;
-  for (const Factorization fact : {Factorization::kSvd, Factorization::kQr}) {
+  for (const bool svd : {true, false}) {
     Matrix X = X0;
     Rng rng(321);
-    EnKFOptions opt;
-    opt.path = SolverPath::kEnsembleSpace;
-    opt.factorization = fact;
-    const EnKFStats s = enkf_analysis(X, HX, d, r_std, rng, opt);
+    const EnKFStats s = svd ? reference::analysis_svd(X, HX, d, r_std, rng)
+                            : enkf_analysis(X, HX, d, r_std, rng);
     EXPECT_NEAR(s.increment_rms, kGoldenIncrementRms,
                 rtol * kGoldenIncrementRms);
     const Vector ma = ensemble_mean(X);
     for (int i = 0; i < n; ++i)
       EXPECT_NEAR(ma[i] - mb[i], kGoldenIncrement[i],
                   rtol * std::abs(kGoldenIncrement[i]) + atol)
-          << "component " << i << " factorization "
-          << (fact == Factorization::kQr ? "qr" : "svd");
+          << "component " << i << (svd ? " svd oracle" : " qr");
   }
 }

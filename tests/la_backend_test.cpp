@@ -1,6 +1,5 @@
-// Blocked kernels against their named oracles (la/reference.h) where the
-// case is not a shape sweep, the workspace arena, and the solve/jitter
-// behaviors. The blocked-vs-reference agreement across randomized
+// The tile-edge override, the multi-RHS Cholesky solve, and the workspace
+// arena. The blocked-vs-reference gemm agreement across randomized
 // degenerate / odd / tile-straddling / rank-deficient shapes lives in
 // la_property_test.cpp (which replaced the hand-enumerated shape lists that
 // used to sit here).
@@ -11,7 +10,6 @@
 
 #include "la/blas.h"
 #include "la/cholesky.h"
-#include "la/reference.h"
 #include "la/workspace.h"
 #include "util/rng.h"
 
@@ -19,12 +17,6 @@ using namespace wfire::la;
 using wfire::util::Rng;
 
 namespace {
-
-// Relative max-abs error against the Frobenius scale of the reference.
-double rel_err(const Matrix& got, const Matrix& want) {
-  const double scale = std::max(frobenius_norm(want), 1.0);
-  return max_abs_diff(got, want) / scale;
-}
 
 Matrix random_spd(int n, Rng& rng) {
   const Matrix A = Matrix::random_normal(n, n, rng);
@@ -47,35 +39,6 @@ TEST(BlockSize, ScopedOverrideClampsAndRestores) {
     EXPECT_EQ(block_size(), 32);
   }
   EXPECT_EQ(block_size(), initial);
-}
-
-TEST(BackendGer, MatchesReference) {
-  Rng rng(106);
-  for (const int m : {1, 5, 63, 130}) {
-    for (const int n : {1, 4, 65}) {
-      Vector x(static_cast<std::size_t>(m)), y(static_cast<std::size_t>(n));
-      for (auto& v : x) v = rng.normal();
-      for (auto& v : y) v = rng.normal();
-      Matrix A0 = Matrix::random_normal(m, n, rng);
-      Matrix A1 = A0;
-      reference::ger(1.3, x, y, A0);
-      ger(1.3, x, y, A1);
-      EXPECT_LE(rel_err(A1, A0), 1e-10) << "m " << m << " n " << n;
-    }
-  }
-}
-
-TEST(BackendCholesky, JitterAgreesAcrossBackends) {
-  // Rank-1 matrix: positive semidefinite, needs the same diagonal boosts on
-  // both factorizations.
-  Matrix S(5, 5);
-  for (int j = 0; j < 5; ++j)
-    for (int i = 0; i < 5; ++i) S(i, j) = (i + 1.0) * (j + 1.0);
-  Matrix L_ref, L_blk;
-  const int jr = reference::cholesky_factor(S, L_ref);
-  const int jb = cholesky_factor(S, L_blk);
-  EXPECT_GT(jr, 0);
-  EXPECT_EQ(jr, jb);
 }
 
 TEST(BackendCholesky, MultiRhsSolveMatchesScalarSolve) {

@@ -1,16 +1,14 @@
 // Randomized property-test harness for the blocked dense LA kernels and
-// the EnKF analysis factorizations. A seeded shape generator draws
-// degenerate (size-1), small-odd, tile-straddling and tall m >> N shapes —
-// plus rank-deficient contents (zero / duplicated columns, low-rank
-// products) — and pins
-//   - blocked vs la::reference agreement <= 1e-10 for gemm, syrk and
-//     Cholesky, across random block sizes,
+// the EnKF analysis. A seeded shape generator draws degenerate (size-1),
+// small-odd, tile-straddling and tall m >> N shapes — plus rank-deficient
+// contents (zero / duplicated columns, low-rank products) — and pins
+//   - blocked vs la::reference gemm agreement <= 1e-10 across random block
+//     sizes,
 //   - TSQR vs reference Householder R agreement (row signs normalized) over
 //     single-leaf and multi-block panels, R^T R = A^T A on rank-deficient
 //     inputs, and the triangular solves against R,
-//   - gemm_scaled / syrk_scaled vs explicitly materialized diagonal
-//     scalings, and
-//   - qr vs svd ensemble-space analysis increments <= 1e-8 end to end.
+//   - gemm_scaled vs an explicitly materialized diagonal scaling, and
+//   - QR square-root vs SVD-oracle analysis increments <= 1e-8 end to end.
 // This replaces the hand-enumerated shape lists that used to live in
 // la_backend_test.cpp. Every case logs its index and derived seed, so a
 // failure reproduces by construction (the master seeds below are fixed).
@@ -27,18 +25,14 @@
 #include <cstdint>
 
 #include "enkf/enkf.h"
+#include "enkf/reference.h"
 #include "la/blas.h"
-#include "la/cholesky.h"
 #include "la/qr.h"
 #include "la/reference.h"
-#include "la/svd.h"
 #include "la/workspace.h"
 #include "util/rng.h"
 
 using namespace wfire::la;
-using wfire::enkf::EnKFOptions;
-using wfire::enkf::Factorization;
-using wfire::enkf::SolverPath;
 using wfire::util::Rng;
 
 namespace {
@@ -107,8 +101,8 @@ class CaseGen {
   Matrix dense(int m, int n) { return Matrix::random_normal(m, n, rng_); }
 
   // Rank-deficient contents: zero columns, duplicated columns, or a
-  // low-rank product — all shapes the svd path handles via its rcond
-  // cutoff and the qr square-root must handle without one.
+  // low-rank product — all shapes the SVD oracle handles via its rcond
+  // cutoff and the QR square root must handle without one.
   Matrix deficient(int m, int n) {
     Matrix A = dense(m, n);
     switch (rng_.uniform_int(3)) {
@@ -142,14 +136,6 @@ class CaseGen {
     return A;
   }
 
-  Matrix spd(int n) {
-    const Matrix A = dense(n, n);
-    Matrix S(n, n);
-    syrk(false, 1.0, A, 0.0, S);
-    for (int i = 0; i < n; ++i) S(i, i) += n;  // well-conditioned
-    return S;
-  }
-
   Rng& rng() { return rng_; }
 
  private:
@@ -179,60 +165,6 @@ TEST(PropertyGemm, BlockedMatchesReferenceAcrossRandomShapes) {
         << "case " << c << ": " << m << "x" << n << "x" << k << " tA " << tA
         << " tB " << tB << " alpha " << alpha << " beta " << beta << " nb "
         << nb << (rank_def ? " (rank-deficient A)" : "");
-  }
-}
-
-TEST(PropertySyrk, BlockedMatchesReferenceAndGemm) {
-  CaseGen gen(0x5E1F0CAFEULL);
-  for (int c = 0; c < 32; ++c) {
-    const int nb = gen.block();
-    ScopedBlockSize scope(nb);
-    const int m = gen.dim(nb), k = gen.dim(nb);
-    const bool tA = gen.coin();
-    const double alpha = gen.scalar();
-    const Matrix A = c % 4 == 3 ? gen.deficient(tA ? k : m, tA ? m : k)
-                                : gen.dense(tA ? k : m, tA ? m : k);
-    // beta != 0 requires a symmetric C by contract.
-    const bool accumulate = gen.coin();
-    Matrix C0 = accumulate ? gen.spd(m) : Matrix(m, m);
-    Matrix C1 = C0;
-    const double beta = accumulate ? gen.scalar() : 0.0;
-    reference::syrk(tA, alpha, A, beta, C0);
-    syrk(tA, alpha, A, beta, C1);
-    ASSERT_LE(rel_err(C1, C0), 1e-10)
-        << "case " << c << ": m " << m << " k " << k << " tA " << tA
-        << " beta " << beta << " nb " << nb;
-    // Exact symmetry (mirrored, not recomputed).
-    for (int j = 0; j < m; ++j)
-      for (int i = 0; i < j; ++i) ASSERT_EQ(C1(i, j), C1(j, i));
-    // And, when not accumulating, both equal the gemm formulation.
-    if (beta == 0.0) {
-      Matrix G(m, m);
-      gemm(tA, !tA, alpha, A, A, 0.0, G);
-      ASSERT_LE(rel_err(C1, G), 1e-10) << "case " << c << " vs gemm";
-    }
-  }
-}
-
-TEST(PropertyCholesky, BlockedFactorMatchesReference) {
-  CaseGen gen(0xC401E5C1ULL);
-  for (int c = 0; c < 24; ++c) {
-    const int nb = gen.block();
-    ScopedBlockSize scope(nb);
-    const int n = gen.dim(nb);
-    const Matrix S = gen.spd(n);
-    Matrix L_ref, L_blk;
-    const int jit_ref = reference::cholesky_factor(S, L_ref);
-    const int jit_blk = cholesky_factor(S, L_blk);
-    ASSERT_EQ(jit_ref, 0) << "case " << c << " n " << n;
-    ASSERT_EQ(jit_blk, 0) << "case " << c << " n " << n;
-    ASSERT_LE(rel_err(L_blk, L_ref), 1e-10) << "case " << c << " n " << n
-                                            << " nb " << nb;
-    // Reconstructs A; strict upper triangle exactly zero.
-    const Matrix R = matmul(L_blk, L_blk, false, true);
-    ASSERT_LE(rel_err(R, S), 1e-10) << "case " << c;
-    for (int j = 1; j < n; ++j)
-      for (int i = 0; i < j; ++i) ASSERT_EQ(L_blk(i, j), 0.0);
   }
 }
 
@@ -372,60 +304,31 @@ TEST(PropertyGemmScaled, MatchesMaterializedScaling) {
   }
 }
 
-TEST(PropertySyrkScaled, MatchesMaterializedScaling) {
-  CaseGen gen(0x5E1F5CA1EULL);
-  for (int c = 0; c < 20; ++c) {
-    const int nb = gen.block();
-    const int m = gen.dim(nb), k = gen.dim(nb);
-    const bool tA = gen.coin();
-    const double alpha = gen.scalar();
-    const Matrix A = gen.dense(tA ? k : m, tA ? m : k);
-    Vector w(static_cast<std::size_t>(k));
-    for (int p = 0; p < k; ++p) w[p] = gen.rng().uniform(0.1, 3.0);
-    // op(A) diag(w) op(A)^T as a gemm against the materialized scaling.
-    Matrix As = A;
-    if (tA)
-      for (int p = 0; p < k; ++p)
-        for (int j = 0; j < A.cols(); ++j) As(p, j) *= w[p];
-    else
-      for (int j = 0; j < A.cols(); ++j)
-        for (int i = 0; i < A.rows(); ++i) As(i, j) *= w[j];
-    Matrix C0(m, m), C1(m, m), C2(m, m);
-    reference::gemm(tA, !tA, alpha, A, As, 0.0, C0);
-    reference::syrk_scaled(tA, alpha, A, w, 0.0, C1);
-    ASSERT_LE(rel_err(C1, C0), 1e-10) << "case " << c << " reference";
-    {
-      ScopedBlockSize blk(nb);
-      syrk_scaled(tA, alpha, A, w, 0.0, C2);
-    }
-    ASSERT_LE(rel_err(C2, C0), 1e-10)
-        << "case " << c << ": m " << m << " k " << k << " tA " << tA << " nb "
-        << nb;
-    for (int j = 0; j < m; ++j)
-      for (int i = 0; i < j; ++i) ASSERT_EQ(C2(i, j), C2(j, i));
-  }
-}
-
 TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
-  // End-to-end pin of the square-root analysis: the QR ensemble-space
-  // analysis must match the SVD path on the same problem (same innovation
-  // draws) to <= 1e-8 relative increment error, across shapes including
-  // m >> N image scale and rank-deficient ensembles. The shape generator cycles through the three panel regimes
-  // of the TSQR factorization: a multi-block split, a stacked panel too
-  // short to split (m + N < 256, one serial leaf), and m < N, where the qr
-  // path must factor the m x m (not N x N) square-root system.
+  // End-to-end pin of the square-root analysis: enkf_analysis (the QR
+  // square root) must match the SVD oracle on the same problem (same
+  // innovation draws) to <= 1e-8 relative increment error, across shapes
+  // including m >> N image scale and rank-deficient ensembles. The shape
+  // generator cycles through four regimes: a stacked panel that TSQR splits
+  // into row blocks; m > 2N with a panel too short to split (m + N < 256,
+  // one serial leaf); N <= m <= 2N, a few point observations rather than an
+  // image; and m < N, where the QR path must factor the m x m (not N x N)
+  // square-root system.
   CaseGen gen(0xE2DF4C70ULL);
-  int multi = 0, single = 0, wide = 0;
-  for (int c = 0; c < 12; ++c) {
+  int multi = 0, single = 0, band = 0, wide = 0;
+  for (int c = 0; c < 16; ++c) {
     const int N = 4 + static_cast<int>(gen.rng().uniform_int(24));
     int m;
-    switch (c % 3) {
+    switch (c % 4) {
       case 0:  // stacked panel splits into >= 2 row blocks
         m = 256 + static_cast<int>(gen.rng().uniform_int(700));
         break;
       case 1:  // m > 2N but the stacked panel stays a single leaf
         m = 2 * N + 1 +
             static_cast<int>(gen.rng().uniform_int(256 - 3 * N - 1));
+        break;
+      case 2:  // N <= m <= 2N
+        m = N + static_cast<int>(gen.rng().uniform_int(N + 1));
         break;
       default:  // m < N
         m = 2 + static_cast<int>(gen.rng().uniform_int(N - 2));
@@ -434,6 +337,8 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
     const int rdim = std::min(m, N);
     if (m < N)
       ++wide;
+    else if (m <= 2 * N)
+      ++band;
     else if (tsqr_nblocks(m + N, rdim) == 1)
       ++single;
     else
@@ -446,9 +351,9 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
     for (int k = 0; k < N; ++k)
       for (int i = 0; i < m; ++i)
         HX(i, k) = X(i % n, k) + 0.1 * gen.rng().normal();
-    if (c % 4 == 3 && N >= 3) {
+    if (c % 3 == 2 && N >= 3) {
       // Duplicated member (state and observed): exactly rank-deficient
-      // anomalies, the regime where the svd path leans on its rcond cutoff.
+      // anomalies, the regime where the SVD oracle leans on its rcond cutoff.
       std::copy(X.col(0).begin(), X.col(0).end(), X.col(1).begin());
       std::copy(HX.col(0).begin(), HX.col(0).end(), HX.col(1).begin());
     }
@@ -458,36 +363,32 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
       d[i] = gen.rng().normal();
       r_std[i] = gen.rng().uniform(0.3, 2.0);
     }
-
-    EnKFOptions opt;
-    opt.path = SolverPath::kEnsembleSpace;
     const std::uint64_t rng_seed = 1000 + c;
 
     Matrix Xs = X;
-    opt.factorization = Factorization::kSvd;
     Rng rs(rng_seed);
-    wfire::enkf::enkf_analysis(Xs, HX, d, r_std, rs, opt);
+    wfire::enkf::reference::analysis_svd(Xs, HX, d, r_std, rs);
 
-    // Relative to the size of the svd-path increment, not of X.
+    // Relative to the size of the SVD-oracle increment, not of X.
     Matrix inc(n, N);
     for (int k = 0; k < N; ++k)
       for (int i = 0; i < n; ++i) inc(i, k) = Xs(i, k) - X(i, k);
     const double scale = std::max(frobenius_norm(inc), 1e-12);
 
     Matrix Xq = X;
-    opt.factorization = Factorization::kQr;
     Rng rq(rng_seed);
-    wfire::enkf::enkf_analysis(Xq, HX, d, r_std, rq, opt);
+    wfire::enkf::enkf_analysis(Xq, HX, d, r_std, rq);
     ASSERT_LE(max_abs_diff(Xq, Xs) / scale, 1e-8)
         << "case " << c << ": n " << n << " m " << m << " N " << N
         << " blocks " << tsqr_nblocks(m + N, rdim);
   }
   EXPECT_GT(multi, 0) << "no multi-block panel drawn";
-  EXPECT_GT(single, 0) << "no single-leaf m >= N panel drawn";
+  EXPECT_GT(single, 0) << "no single-leaf m > 2N panel drawn";
+  EXPECT_GT(band, 0) << "no N <= m <= 2N system drawn";
   EXPECT_GT(wide, 0) << "no m < N system drawn";
 }
 
-// Regression for the PR 3 bug class: gemm/syrk pack shared panels into
+// Regression for the packed-panel sharing bug: gemm packs shared panels into
 // thread_local buffers; capturing the buffer (instead of its raw pointer)
 // in the OpenMP region made every worker read its own empty instance. The
 // bug is invisible with one thread, so tests/CMakeLists.txt re-runs this
@@ -504,17 +405,6 @@ TEST(PackedPanelRegression, BlockedKernelsWithTilesSmallerThanPanels) {
   reference::gemm(false, false, 1.0, A, B, 0.0, C0);
   gemm(false, false, 1.0, A, B, 0.0, C1);
   ASSERT_LE(rel_err(C1, C0), 1e-10) << "gemm";
-
-  Matrix S0(m, m), S1(m, m);
-  reference::syrk(false, 1.0, A, 0.0, S0);
-  syrk(false, 1.0, A, 0.0, S1);
-  ASSERT_LE(rel_err(S1, S0), 1e-10) << "syrk";
-
-  for (int i = 0; i < m; ++i) S0(i, i) += m;
-  Matrix L0, L1;
-  reference::cholesky_factor(S0, L0);
-  cholesky_factor(S0, L1);
-  ASSERT_LE(rel_err(L1, L0), 1e-10) << "cholesky";
 }
 
 // Regression for the TSQR row-block reduction tree under real OpenMP
@@ -541,9 +431,9 @@ TEST(TsqrTreeRegression, RowBlockTreeWithFourThreads) {
   normalize_r_signs(R_tsqr);
   ASSERT_LE(rel_err(R_tsqr, R_ref), 1e-10) << "tree R";
 
-  // End-to-end: an ensemble-space analysis whose stacked panel splits into
-  // many row blocks, against the svd reference on the same draws (the tree
-  // feeds the triangular solves).
+  // End-to-end: an analysis whose stacked panel splits into many row
+  // blocks, against the SVD oracle on the same draws (the tree feeds the
+  // triangular solves).
   const int nstate = 96, N = 16, mobs = 1500;
   ASSERT_GE(tsqr_nblocks(mobs + N, N), 11);
   Matrix X(nstate, N), HX(mobs, N);
@@ -557,16 +447,12 @@ TEST(TsqrTreeRegression, RowBlockTreeWithFourThreads) {
     d[i] = rng.normal();
     r_std[i] = 0.7;
   }
-  EnKFOptions opt;
-  opt.path = SolverPath::kEnsembleSpace;
-  opt.factorization = Factorization::kQr;
   Matrix Xt = X;
   Rng r1(77);
-  wfire::enkf::enkf_analysis(Xt, HX, d, r_std, r1, opt);
-  opt.factorization = Factorization::kSvd;
+  wfire::enkf::enkf_analysis(Xt, HX, d, r_std, r1);
   Matrix Xs = X;
   Rng r2(77);
-  wfire::enkf::enkf_analysis(Xs, HX, d, r_std, r2, opt);
+  wfire::enkf::reference::analysis_svd(Xs, HX, d, r_std, r2);
   Matrix inc(nstate, N);
   for (int c = 0; c < N; ++c)
     for (int i = 0; i < nstate; ++i) inc(i, c) = Xs(i, c) - X(i, c);

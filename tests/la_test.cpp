@@ -46,16 +46,6 @@ Matrix column(const Vector& v) {
 
 }  // namespace
 
-TEST(Blas, DotAxpyNorm) {
-  Vector x{1, 2, 3}, y{4, 5, 6};
-  EXPECT_DOUBLE_EQ(dot(x, y), 32.0);
-  axpy(2.0, x, y);
-  EXPECT_DOUBLE_EQ(y[0], 6.0);
-  EXPECT_DOUBLE_EQ(y[2], 12.0);
-  EXPECT_DOUBLE_EQ(nrm2(Vector{3, 4}), 5.0);
-  EXPECT_THROW((void)dot(x, Vector{1.0}), std::invalid_argument);
-}
-
 TEST(Blas, GemvMatchesManual) {
   Matrix A(2, 3);
   A(0, 0) = 1; A(0, 1) = 2; A(0, 2) = 3;
@@ -212,33 +202,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{5, 5}, std::pair{20, 4}, std::pair{4, 20},
                       std::pair{50, 8}, std::pair{8, 50}, std::pair{1, 6},
                       std::pair{6, 1}));
-
-TEST(Svd, SolveMatchesQrOnFullRank) {
-  Rng rng(12);
-  const Matrix A = Matrix::random_normal(30, 6, rng);
-  Vector b(30);
-  for (auto& v : b) v = rng.normal();
-  const SvdResult s = svd(A);
-  const Vector x_svd = svd_solve(s, b);
-  const Matrix x_qr = solve_via_r(A, column(b));
-  for (int i = 0; i < 6; ++i) EXPECT_NEAR(x_svd[i], x_qr(i, 0), 1e-8);
-}
-
-TEST(Svd, PseudoInverseHandlesRankDeficiency) {
-  // Duplicate columns -> rank 1; the pseudo-inverse solution is still finite.
-  Matrix A(4, 2);
-  for (int i = 0; i < 4; ++i) {
-    A(i, 0) = i + 1.0;
-    A(i, 1) = i + 1.0;
-  }
-  Vector b{1, 2, 3, 4};
-  const SvdResult s = svd(A);
-  EXPECT_NEAR(s.sigma[1], 0.0, 1e-10);
-  const Vector x = svd_solve(s, b);
-  EXPECT_TRUE(std::isfinite(x[0]));
-  // Minimum-norm solution splits the weight evenly.
-  EXPECT_NEAR(x[0], x[1], 1e-10);
-}
 
 TEST(Matrix, TransposeRoundTrip) {
   Rng rng(16);
