@@ -4,16 +4,14 @@
 //    filter produces (tall-skinny stacked [B; I] at image scale) and two
 //    wider panels, where TSQR splits into fewer blocks or none;
 //  - the factorization the analysis pays per cycle: TSQR of the stacked
-//    image-scale panel against the Jacobi SVD of B it replaced, across
-//    observation counts (BM_QR_Scheme; thread count is recorded so
-//    multi-core captures are self-describing).
+//    image-scale panel across observation counts (BM_QR_Scheme; thread
+//    count is recorded so multi-core captures are self-describing).
 #include <benchmark/benchmark.h>
 
 #include <string>
 
 #include "la/matrix.h"
 #include "la/qr.h"
-#include "la/svd.h"
 #include "la/workspace.h"
 #include "util/rng.h"
 
@@ -80,23 +78,16 @@ BENCHMARK(BM_QrFactor)
     ->Args({2, 1});
 
 // The analysis panel: factor the stacked [B; I_N] of an ensemble analysis
-// with TSQR (arg 1 = 0) against the Jacobi SVD of B (2) as the historical
-// reference, at N = 25 and image-scale observation counts. The arg values
-// keep the row names gated by bench/ci_baseline_ubuntu.json.
+// with TSQR at N = 25 and image-scale observation counts. The constant
+// arg 1 = 0 keeps the row names gated by bench/ci_baseline_ubuntu.json.
 static void BM_QR_Scheme(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
-  const bool use_svd = state.range(1) == 2;
   const int N = 25;
   wfire::util::Rng rng(31);
   const Matrix B = Matrix::random_normal(m, N, rng);
   Workspace ws;
   Matrix M(m + N, N);
   for (auto _ : state) {
-    if (use_svd) {
-      const SvdResult s = svd(B);
-      benchmark::DoNotOptimize(s.sigma.data());
-      continue;
-    }
     for (int k = 0; k < N; ++k) {
       const auto src = B.col(k);
       auto dst = M.col(k);
@@ -106,7 +97,6 @@ static void BM_QR_Scheme(benchmark::State& state) {
     tsqr_factor_r_in_place(M, &ws);
     benchmark::DoNotOptimize(M.data());
   }
-  state.SetLabel(use_svd ? "svd" : "tsqr");
   state.counters["m"] = m;
   state.counters["N"] = N;
   state.counters["threads"] = omp_threads();
@@ -114,10 +104,7 @@ static void BM_QR_Scheme(benchmark::State& state) {
 BENCHMARK(BM_QR_Scheme)
     ->Unit(benchmark::kMillisecond)
     ->Args({2000, 0})
-    ->Args({2000, 2})
     ->Args({10000, 0})
-    ->Args({10000, 2})
-    ->Args({40000, 0})
-    ->Args({40000, 2});
+    ->Args({40000, 0});
 
 BENCHMARK_MAIN();

@@ -72,15 +72,18 @@ const char* to_string(FallbackReason r) {
   switch (r) {
     case FallbackReason::kNone: return "none";
     case FallbackReason::kModeReference: return "mode_reference";
-    case FallbackReason::kEmpty: return "empty";
     case FallbackReason::kTimeSkew: return "time_skew";
     case FallbackReason::kReinitSkew: return "reinit_skew";
   }
   return "unknown";
 }
 
+void AssimilationCycle::require_initialized() const {
+  if (models_.empty())
+    throw std::runtime_error("AssimilationCycle: initialize() first");
+}
+
 FallbackReason AssimilationCycle::batch_blocker() const {
-  if (models_.empty()) return FallbackReason::kEmpty;
   const double t0 = models_.front()->state().time;
   const int r0 = models_.front()->steps_since_reinit();
   for (const auto& m : models_) {
@@ -92,6 +95,7 @@ FallbackReason AssimilationCycle::batch_blocker() const {
 }
 
 void AssimilationCycle::advance_to(double time) {
+  require_initialized();
   // A cycle starts here, so the phase log holds this cycle's phases only
   // and a long-running driver does not grow it without bound.
   runner_.clear_timings();
@@ -189,8 +193,7 @@ void AssimilationCycle::roundtrip_through_files() {
 }
 
 AnalysisResult AssimilationCycle::assimilate(const ObservationImage& obs) {
-  if (models_.empty())
-    throw std::runtime_error("AssimilationCycle: initialize() first");
+  require_initialized();
   const double time = models_.front()->state().time;
   const bool morphing_filter = opt_.filter == FilterKind::kMorphingEnKF;
   std::vector<morphing::MorphMember> fields = gather_fields(morphing_filter);
@@ -238,6 +241,7 @@ double AssimilationCycle::mean_position_error(
 
 double AssimilationCycle::mean_shape_error(
     const util::Array2D<double>& truth_psi) const {
+  require_initialized();
   double total = 0;
   for (const auto& m : models_)
     total += symmetric_difference_area(grid_, m->state().psi, truth_psi);
@@ -245,6 +249,7 @@ double AssimilationCycle::mean_shape_error(
 }
 
 double AssimilationCycle::state_spread() const {
+  require_initialized();
   const int n = static_cast<int>(pack_state(models_.front()->state()).size());
   la::Matrix X(n, members());
   for (int k = 0; k < members(); ++k) {

@@ -30,7 +30,6 @@ enum class FilterKind { kStandardEnKF, kMorphingEnKF };
 enum class FallbackReason {
   kNone,           // batched advance ran
   kModeReference,  // reference path selected by mode, not a fallback
-  kEmpty,          // initialize() has not built an ensemble yet
   kTimeSkew,       // members out of time lockstep
   kReinitSkew,     // members in different redistancing phases
 };
@@ -99,7 +98,8 @@ class AssimilationCycle {
   void initialize(const std::vector<levelset::Ignition>& base);
 
   // Advances all members to `time` (member-parallel). Starts a new cycle:
-  // clears the runner's phase log first.
+  // clears the runner's phase log first. Like assimilate(), mean_shape_error()
+  // and state_spread(), throws std::runtime_error before initialize().
   void advance_to(double time);
 
   // One analysis with the given observation image.
@@ -141,6 +141,8 @@ class AssimilationCycle {
   void scatter_fields(const std::vector<morphing::MorphMember>& fields,
                       double time);
   void roundtrip_through_files();
+  // Throws std::runtime_error while the ensemble is empty.
+  void require_initialized() const;
   // First failed precondition of the batched advance (kNone = batchable).
   // Delayed ignitions are no longer a blocker: EnsembleBatch carries each
   // member's queue in-batch and applies it as it comes due.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "enkf/ensemble.h"
 #include "la/blas.h"
@@ -19,6 +20,21 @@ double rms(const la::Vector& v) {
   return std::sqrt(s / static_cast<double>(v.size()));
 }
 
+// Throws, naming the member and row, on a non-finite entry of M. Such an
+// entry makes its row mean non-finite, so only the rows whose mean is not
+// finite are scanned: finite inputs cost no pass beyond the mean.
+void require_finite(const la::Matrix& M, const la::Vector& row_mean,
+                    const char* name) {
+  for (int i = 0; i < M.rows(); ++i) {
+    if (std::isfinite(row_mean[i])) continue;
+    for (int k = 0; k < M.cols(); ++k)
+      if (!std::isfinite(M(i, k)))
+        throw std::invalid_argument(
+            std::string("enkf: non-finite ") + name + " at member " +
+            std::to_string(k) + ", row " + std::to_string(i));
+  }
+}
+
 // The QR square-root solve: with B = R^{-1/2} HA / sqrt(N-1) and
 // Stilde = I + B B^T, the Sherman-Morrison-Woodbury identity gives the
 // analysis coefficients as the solution of a system in the *smaller* of the
@@ -32,8 +48,7 @@ double rms(const la::Vector& v) {
 // [B^T; I_m]) yields an upper-triangular Rs with Rs^T Rs = I + B^T B
 // (resp. I + B B^T), so W follows from gemm and two small triangular
 // solves. Since Rs^T Rs >= I, every |Rs_ii| >= 1: the solves cannot hit a
-// small pivot even for rank-deficient ensembles (where the SVD oracle relies
-// on its rcond cutoff).
+// small pivot even for rank-deficient ensembles.
 //
 // The m-sized work is one pass: in the image regime (m >= N) the scaled
 // stack B = R^{-1/2} HA / sqrt(N-1) is built directly from HA into the
@@ -140,8 +155,10 @@ EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
   // no copy of the full forecast ensemble is needed).
   la::Vector& mf = ws.vec("mf", static_cast<std::size_t>(n));
   ensemble_mean(X, mf);
+  require_finite(X, mf, "X");
 
-  inflate(X, opt.inflation);
+  // HX is inflated into a copy and checked before X is inflated, so a
+  // rejected input leaves X untouched.
   const la::Matrix* HXi = &HX;
   if (opt.inflation != 1.0) {
     la::Matrix& HXw = ws.mat("HXi", m, N);
@@ -153,14 +170,16 @@ EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
     inflate(HXw, opt.inflation);
     HXi = &HXw;
   }
+  la::Vector& hxm = ws.vec("hxm", static_cast<std::size_t>(m));
+  ensemble_mean(*HXi, hxm);
+  require_finite(HX, hxm, "HX");
 
+  inflate(X, opt.inflation);
   la::Vector& xm = ws.vec("xm", static_cast<std::size_t>(n));
   ensemble_mean(X, xm);
   la::Matrix& A = ws.mat("A", n, N);
   anomalies(X, xm, A);
 
-  la::Vector& hxm = ws.vec("hxm", static_cast<std::size_t>(m));
-  ensemble_mean(*HXi, hxm);
   la::Matrix& HA = ws.mat("HA", m, N);
   anomalies(*HXi, hxm, HA);
 

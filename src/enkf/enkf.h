@@ -19,9 +19,8 @@
 // (gemm_scaled), so the m-sized part of the analysis is one parallel sweep
 // plus the factorization — no separate B / Ytilde scaling passes.
 //
-// Two algebraically equivalent analyses are kept as oracles in
-// enkf/reference.h (tests and benches only): the observation-space Cholesky
-// of S and the Jacobi-SVD ensemble-space analysis.
+// An algebraically equivalent analysis, the observation-space Cholesky of
+// S, is kept as the oracle in enkf/reference.h (tests only).
 #pragma once
 
 #include <functional>
@@ -52,7 +51,8 @@ struct EnKFStats {
 //   r_std : m observation error standard deviations (R = diag(r_std^2);
 //           finite and > 0)
 // Throws std::invalid_argument, before touching X, on a shape mismatch,
-// N < 2, or a d, r_std or opt.inflation outside its range.
+// N < 2, a non-finite entry of X or HX (the message names its member and
+// row), or a d, r_std or opt.inflation outside its range.
 EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
                         const la::Vector& d, const la::Vector& r_std,
                         util::Rng& rng, const EnKFOptions& opt = {});

@@ -68,11 +68,4 @@ struct BilinearStencil {
   }
 };
 
-// Bilinear sample using fractional index coordinates (fi, fj) directly;
-// used by warps where the mapping is already in grid units.
-[[nodiscard]] inline double bilinear_frac(const util::Array2D<double>& field,
-                                          double fi, double fj) {
-  return BilinearStencil(field.nx(), field.ny(), fi, fj).apply(field.data());
-}
-
 }  // namespace wfire::grid

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "grid/interp.h"
-
 namespace wfire::grid {
 
 void restrict_average(const util::Array2D<double>& fine, int ratio,
@@ -18,19 +16,6 @@ void restrict_average(const util::Array2D<double>& fine, int ratio,
       for (int b = 0; b < ratio; ++b)
         for (int a = 0; a < ratio; ++a) s += fine(I * ratio + a, J * ratio + b);
       coarse(I, J) = s * inv;
-    }
-  }
-}
-
-void prolong_bilinear(const util::Array2D<double>& coarse, int ratio,
-                      util::Array2D<double>& fine) {
-  if (ratio < 1) throw std::invalid_argument("prolong_bilinear: ratio < 1");
-  const double inv = 1.0 / ratio;
-  for (int j = 0; j < fine.ny(); ++j) {
-    for (int i = 0; i < fine.nx(); ++i) {
-      const double fi = i * inv;
-      const double fj = j * inv;
-      fine(i, j) = bilinear_frac(coarse, fi, fj);
     }
   }
 }

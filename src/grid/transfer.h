@@ -1,7 +1,8 @@
 // Transfer operators between the fine fire mesh and the coarse atmosphere
 // mesh (paper Sec. 2.3: 6 m fire mesh inside a 60 m atmosphere mesh, 10:1).
-// Restriction conserves integrals (block averaging of fluxes); prolongation
-// is bilinear (winds are smooth fields).
+// Restriction conserves integrals (block averaging of fluxes). Prolongation
+// of the smooth winds onto the fire mesh is coupling::sample_ground_wind,
+// which samples the atmosphere's lowest level with grid::bilinear.
 #pragma once
 
 #include "grid/grid2d.h"
@@ -14,11 +15,6 @@ namespace wfire::grid {
 // it averages, restricting a flux density preserves the mean flux density.
 void restrict_average(const util::Array2D<double>& fine, int ratio,
                       util::Array2D<double>& coarse);
-
-// Bilinear prolongation of a coarse field onto a fine field with the given
-// refinement ratio; fine(i,j) samples coarse at (i/ratio, j/ratio).
-void prolong_bilinear(const util::Array2D<double>& coarse, int ratio,
-                      util::Array2D<double>& fine);
 
 // Integral of a node field times the cell area (trapezoid weights at edges):
 // used to verify flux conservation across the transfer.

@@ -139,6 +139,23 @@ TEST(Cycle, InitializeCreatesPerturbedMembers) {
   EXPECT_GT(cycle.state_spread(), 0.0);
 }
 
+TEST(Cycle, CallsBeforeInitializeThrow) {
+  // An empty ensemble has nothing to advance, score or spread: each call
+  // throws instead of crashing, returning NaN or counting a fallback.
+  const grid::Grid2D g = small_grid();
+  CycleOptions opt;
+  opt.members = 4;
+  opt.threads = 2;
+  AssimilationCycle cycle(g, fire::uniform_fuel(g.nx, g.ny, 0),
+                          fire::terrain_flat(g), {}, opt, 16);
+  const util::Array2D<double> psi(g.nx, g.ny, 1.0);
+  EXPECT_THROW(cycle.advance_to(10.0), std::runtime_error);
+  EXPECT_EQ(cycle.fallback_count(), 0);
+  EXPECT_THROW((void)cycle.mean_shape_error(psi), std::runtime_error);
+  EXPECT_THROW((void)cycle.state_spread(), std::runtime_error);
+  EXPECT_THROW(cycle.assimilate(ObservationImage{}), std::runtime_error);
+}
+
 TEST(Cycle, AdvanceToMovesAllMembers) {
   const grid::Grid2D g = small_grid();
   CycleOptions opt;

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "alloc_counter.h"
 #include "enkf/enkf.h"
@@ -194,7 +196,7 @@ TEST(EnKF, InputValidation) {
                std::invalid_argument);
 
   // Non-finite or non-positive values are rejected before any work; left
-  // through, each one turns every member into NaN. m = 2 < N and m = 11 > 2N
+  // through, each one turns members into NaN or inf. m = 2 < N and m = 11 > 2N
   // cover both stacked-panel shapes.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
@@ -206,31 +208,60 @@ TEST(EnKF, InputValidation) {
       for (int i = 0; i < m; ++i) HXm(i, k) = X0(i % 4, k);
     const Vector d(static_cast<std::size_t>(m), 0.5);
     const Vector r(static_cast<std::size_t>(m), 1.0);
-    const auto expect_rejected = [&](const Vector& dv, const Vector& rv,
+    const auto expect_rejected = [&](const Matrix& Xin, const Matrix& HXin,
+                                     const Vector& dv, const Vector& rv,
                                      double inflation, const char* what) {
-      Matrix Xc = X0;
+      Matrix Xc = Xin;
       EnKFOptions opt;
       opt.inflation = inflation;
-      EXPECT_THROW(enkf_analysis(Xc, HXm, dv, rv, rng, opt),
+      EXPECT_THROW(enkf_analysis(Xc, HXin, dv, rv, rng, opt),
                    std::invalid_argument)
           << what << ", m " << m;
-      EXPECT_TRUE(std::equal(Xc.data(), Xc.data() + 4 * 5, X0.data()))
+      // Bitwise: a NaN in Xin never compares equal to itself.
+      EXPECT_EQ(std::memcmp(Xc.data(), Xin.data(), sizeof(double) * 4 * 5), 0)
           << what << " touched X, m " << m;
     };
     Vector r_bad = r;
     r_bad[m - 1] = nan;
-    expect_rejected(d, r_bad, 1.0, "r_std NaN");
+    expect_rejected(X0, HXm, d, r_bad, 1.0, "r_std NaN");
     r_bad[m - 1] = inf;
-    expect_rejected(d, r_bad, 1.0, "r_std +inf");
+    expect_rejected(X0, HXm, d, r_bad, 1.0, "r_std +inf");
     Vector d_bad = d;
     d_bad[0] = nan;
-    expect_rejected(d_bad, r, 1.0, "d NaN");
+    expect_rejected(X0, HXm, d_bad, r, 1.0, "d NaN");
     d_bad[0] = -inf;
-    expect_rejected(d_bad, r, 1.0, "d -inf");
-    expect_rejected(d, r, nan, "inflation NaN");
-    expect_rejected(d, r, inf, "inflation +inf");
-    expect_rejected(d, r, 0.0, "inflation 0");
-    expect_rejected(d, r, -1.0, "inflation -1");
+    expect_rejected(X0, HXm, d_bad, r, 1.0, "d -inf");
+    expect_rejected(X0, HXm, d, r, nan, "inflation NaN");
+    expect_rejected(X0, HXm, d, r, inf, "inflation +inf");
+    expect_rejected(X0, HXm, d, r, 0.0, "inflation 0");
+    expect_rejected(X0, HXm, d, r, -1.0, "inflation -1");
+    // A non-finite forecast or observed member, with and without inflation
+    // (which copies HX before the check).
+    for (const double infl : {1.0, 1.1}) {
+      Matrix HX_bad = HXm;
+      HX_bad(m - 1, 3) = nan;
+      expect_rejected(X0, HX_bad, d, r, infl, "HX NaN");
+      HX_bad(m - 1, 3) = -inf;
+      expect_rejected(X0, HX_bad, d, r, infl, "HX -inf");
+      Matrix X_bad = X0;
+      X_bad(2, 1) = nan;
+      expect_rejected(X_bad, HXm, d, r, infl, "X NaN");
+      X_bad(2, 1) = inf;
+      expect_rejected(X_bad, HXm, d, r, infl, "X +inf");
+    }
+    // The message names the offending member and row.
+    Matrix HX_bad = HXm;
+    HX_bad(m - 1, 3) = nan;
+    Matrix Xc = X0;
+    try {
+      enkf_analysis(Xc, HX_bad, d, r, rng);
+      ADD_FAILURE() << "HX NaN not rejected, m " << m;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "HX at member 3, row " + std::to_string(m - 1)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -320,11 +351,12 @@ TEST(EnKFBackend, WarmAnalysisWithWorkspaceAllocatesNothing) {
 namespace {
 
 // Committed golden mean increment for the Fig. 2 image-regime ensemble-space
-// analysis below (n = 60, m = 400, N = 12, seeds 4242/321), produced by the
-// SVD factorization on the naive reference kernels when the QR square-root
-// path landed. Pins the full analysis end to end — anomalies, innovation draws,
-// factorization, solve, update — not just the kernels; the QR square root
-// and the SVD oracle must both reproduce it.
+// analysis below (n = 60, m = 400, N = 12, seeds 4242/321), produced by a
+// Jacobi-SVD factorization on the naive reference kernels when the QR
+// square-root path landed. Pins the full analysis end to end — anomalies,
+// innovation draws, factorization, solve, update — not just the kernels;
+// the QR square root and the observation-space oracle must both reproduce
+// it.
 constexpr double kGoldenIncrementRms = 0.26916308926474586;
 constexpr double kGoldenIncrement[60] = {
     -0.083778640138027133, 0.51818798228387564, -0.084693832259294249,
@@ -367,17 +399,18 @@ TEST(EnKFGolden, EnsembleSpaceIncrementMatchesCommittedVector) {
   // rtol with a small atol floor: near-zero components of the increment
   // carry rounding noise from the factorization differences.
   const double rtol = 1e-6, atol = 1e-9;
-  for (const bool svd : {true, false}) {
+  for (const bool oracle : {true, false}) {
     Matrix X = X0;
     Rng rng(321);
-    const EnKFStats s = svd ? reference::analysis_svd(X, HX, d, r_std, rng)
-                            : enkf_analysis(X, HX, d, r_std, rng);
+    const EnKFStats s =
+        oracle ? reference::analysis_obs_space(X, HX, d, r_std, rng)
+               : enkf_analysis(X, HX, d, r_std, rng);
     EXPECT_NEAR(s.increment_rms, kGoldenIncrementRms,
                 rtol * kGoldenIncrementRms);
     const Vector ma = ensemble_mean(X);
     for (int i = 0; i < n; ++i)
       EXPECT_NEAR(ma[i] - mb[i], kGoldenIncrement[i],
                   rtol * std::abs(kGoldenIncrement[i]) + atol)
-          << "component " << i << (svd ? " svd oracle" : " qr");
+          << "component " << i << (oracle ? " obs-space oracle" : " qr");
   }
 }

@@ -107,7 +107,9 @@ TEST(BilinearFrac, MatchesPhysicalSampling) {
   const Grid2D g(6, 6, 2.0, 2.0);
   const auto f = [](double x, double y) { return x + 10.0 * y; };
   const Array2D<double> a = sample(g, +f);
-  EXPECT_NEAR(bilinear_frac(a, 1.5, 2.25), bilinear(g, a, 3.0, 4.5), 1e-12);
+  // The warps sample in fractional index coordinates through the stencil.
+  EXPECT_NEAR(BilinearStencil(a.nx(), a.ny(), 1.5, 2.25).apply(a.data()),
+              bilinear(g, a, 3.0, 4.5), 1e-12);
 }
 
 class TransferParam : public ::testing::TestWithParam<int> {};
@@ -126,27 +128,6 @@ TEST_P(TransferParam, RestrictionPreservesMeanFluxDensity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ratios, TransferParam, ::testing::Values(1, 2, 5, 10));
-
-TEST(Transfer, ProlongReproducesLinearField) {
-  const int ratio = 4;
-  Array2D<double> coarse(6, 6);
-  for (int j = 0; j < 6; ++j)
-    for (int i = 0; i < 6; ++i) coarse(i, j) = 2.0 * i - 3.0 * j;
-  Array2D<double> fine(24, 24);
-  prolong_bilinear(coarse, ratio, fine);
-  for (int j = 0; j < 20; ++j)
-    for (int i = 0; i < 20; ++i)
-      EXPECT_NEAR(fine(i, j), 2.0 * i / ratio - 3.0 * j / ratio, 1e-12);
-}
-
-TEST(Transfer, RestrictThenProlongIsIdentityOnConstants) {
-  Array2D<double> fine(40, 40, 3.14);
-  Array2D<double> coarse(10, 10);
-  restrict_average(fine, 4, coarse);
-  Array2D<double> back(40, 40);
-  prolong_bilinear(coarse, 4, back);
-  for (const double v : back) EXPECT_NEAR(v, 3.14, 1e-12);
-}
 
 TEST(Transfer, RejectsMismatchedDims) {
   Array2D<double> fine(10, 10);

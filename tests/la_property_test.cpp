@@ -8,7 +8,8 @@
 //     single-leaf and multi-block panels, R^T R = A^T A on rank-deficient
 //     inputs, and the triangular solves against R,
 //   - gemm_scaled vs an explicitly materialized diagonal scaling, and
-//   - QR square-root vs SVD-oracle analysis increments <= 1e-8 end to end.
+//   - QR square-root vs obs-space-oracle analysis increments <= 1e-8 end to
+//     end.
 // This replaces the hand-enumerated shape lists that used to live in
 // la_backend_test.cpp. Every case logs its index and derived seed, so a
 // failure reproduces by construction (the master seeds below are fixed).
@@ -101,8 +102,8 @@ class CaseGen {
   Matrix dense(int m, int n) { return Matrix::random_normal(m, n, rng_); }
 
   // Rank-deficient contents: zero columns, duplicated columns, or a
-  // low-rank product — all shapes the SVD oracle handles via its rcond
-  // cutoff and the QR square root must handle without one.
+  // low-rank product — shapes the QR square root must handle without a
+  // rank cutoff.
   Matrix deficient(int m, int n) {
     Matrix A = dense(m, n);
     switch (rng_.uniform_int(3)) {
@@ -306,7 +307,7 @@ TEST(PropertyGemmScaled, MatchesMaterializedScaling) {
 
 TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
   // End-to-end pin of the square-root analysis: enkf_analysis (the QR
-  // square root) must match the SVD oracle on the same problem (same
+  // square root) must match the obs-space oracle on the same problem (same
   // innovation draws) to <= 1e-8 relative increment error, across shapes
   // including m >> N image scale and rank-deficient ensembles. The shape
   // generator cycles through four regimes: a stacked panel that TSQR splits
@@ -353,7 +354,8 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
         HX(i, k) = X(i % n, k) + 0.1 * gen.rng().normal();
     if (c % 3 == 2 && N >= 3) {
       // Duplicated member (state and observed): exactly rank-deficient
-      // anomalies, the regime where the SVD oracle leans on its rcond cutoff.
+      // anomalies. The QR path's pivots stay >= 1 and the oracle's S keeps
+      // R on its diagonal, so both stay well posed.
       std::copy(X.col(0).begin(), X.col(0).end(), X.col(1).begin());
       std::copy(HX.col(0).begin(), HX.col(0).end(), HX.col(1).begin());
     }
@@ -367,9 +369,9 @@ TEST(PropertyEnkf, QrAndSvdAnalysisIncrementsAgree) {
 
     Matrix Xs = X;
     Rng rs(rng_seed);
-    wfire::enkf::reference::analysis_svd(Xs, HX, d, r_std, rs);
+    wfire::enkf::reference::analysis_obs_space(Xs, HX, d, r_std, rs);
 
-    // Relative to the size of the SVD-oracle increment, not of X.
+    // Relative to the size of the oracle increment, not of X.
     Matrix inc(n, N);
     for (int k = 0; k < N; ++k)
       for (int i = 0; i < n; ++i) inc(i, k) = Xs(i, k) - X(i, k);
@@ -432,8 +434,8 @@ TEST(TsqrTreeRegression, RowBlockTreeWithFourThreads) {
   ASSERT_LE(rel_err(R_tsqr, R_ref), 1e-10) << "tree R";
 
   // End-to-end: an analysis whose stacked panel splits into many row
-  // blocks, against the SVD oracle on the same draws (the tree feeds the
-  // triangular solves).
+  // blocks, against the obs-space oracle on the same draws (the tree feeds
+  // the triangular solves).
   const int nstate = 96, N = 16, mobs = 1500;
   ASSERT_GE(tsqr_nblocks(mobs + N, N), 11);
   Matrix X(nstate, N), HX(mobs, N);
@@ -452,10 +454,10 @@ TEST(TsqrTreeRegression, RowBlockTreeWithFourThreads) {
   wfire::enkf::enkf_analysis(Xt, HX, d, r_std, r1);
   Matrix Xs = X;
   Rng r2(77);
-  wfire::enkf::reference::analysis_svd(Xs, HX, d, r_std, r2);
+  wfire::enkf::reference::analysis_obs_space(Xs, HX, d, r_std, r2);
   Matrix inc(nstate, N);
   for (int c = 0; c < N; ++c)
     for (int i = 0; i < nstate; ++i) inc(i, c) = Xs(i, c) - X(i, c);
   const double scale = std::max(frobenius_norm(inc), 1e-12);
-  ASSERT_LE(max_abs_diff(Xt, Xs) / scale, 1e-8) << "qr vs svd analysis";
+  ASSERT_LE(max_abs_diff(Xt, Xs) / scale, 1e-8) << "qr vs obs-space analysis";
 }

@@ -1,4 +1,4 @@
-// Linear algebra tests: BLAS kernels, Cholesky, QR least squares, and SVD,
+// Linear algebra tests: BLAS kernels, Cholesky and QR least squares,
 // including property-style sweeps on random matrices of varying shapes.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include "la/cholesky.h"
 #include "la/matrix.h"
 #include "la/qr.h"
-#include "la/svd.h"
 #include "util/rng.h"
 
 using namespace wfire::la;
@@ -169,39 +168,6 @@ TEST(Qr, ThrowsOnWide) {
   EXPECT_THROW(qr_factor_in_place(A1, beta), std::invalid_argument);
   EXPECT_THROW(tsqr_factor_r_in_place(A2), std::invalid_argument);
 }
-
-class SvdParam : public ::testing::TestWithParam<std::pair<int, int>> {};
-
-TEST_P(SvdParam, ReconstructsAndOrthonormal) {
-  const auto [m, n] = GetParam();
-  Rng rng(m * 31 + n);
-  const Matrix A = Matrix::random_normal(m, n, rng);
-  const SvdResult s = svd(A);
-  const int r = std::min(m, n);
-  ASSERT_EQ(static_cast<int>(s.sigma.size()), r);
-
-  // Singular values descending and nonnegative.
-  for (int i = 1; i < r; ++i) EXPECT_LE(s.sigma[i], s.sigma[i - 1] + 1e-12);
-  EXPECT_GE(s.sigma[r - 1], 0.0);
-
-  // U^T U = I, V^T V = I.
-  EXPECT_LT(max_abs_diff(matmul(s.U, s.U, true, false), Matrix::identity(r)),
-            1e-9);
-  EXPECT_LT(max_abs_diff(matmul(s.V, s.V, true, false), Matrix::identity(r)),
-            1e-9);
-
-  // A = U S V^T.
-  Matrix US = s.U;
-  for (int j = 0; j < r; ++j)
-    for (int i = 0; i < m; ++i) US(i, j) *= s.sigma[j];
-  EXPECT_LT(max_abs_diff(matmul(US, s.V, false, true), A), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, SvdParam,
-    ::testing::Values(std::pair{5, 5}, std::pair{20, 4}, std::pair{4, 20},
-                      std::pair{50, 8}, std::pair{8, 50}, std::pair{1, 6},
-                      std::pair{6, 1}));
 
 TEST(Matrix, TransposeRoundTrip) {
   Rng rng(16);
