@@ -107,4 +107,36 @@ BENCHMARK(BM_EnKF_EnsembleSpaceFactorization)
     ->Args({1000, 0})
     ->Args({10000, 0});
 
+// The morphing cycle's analysis as the cycle runs it: the 101 x 101 image's
+// extended state (n = 5 * 101^2 rows: three residual fields and the two
+// mapping components), its m = 3 * 101^2 observations, N = 25 members, the
+// perturbations drawn beforehand (the cycle draws them during its encode)
+// and a warm workspace. Run with OMP_NUM_THREADS=1 and with the default
+// team for the serial/OpenMP ratio of the analysis's regions: the
+// row-blocked ensemble statistics, the column-split coefficient product,
+// the TSQR and the X += A W update. Ungated.
+static void BM_EnKF_CycleShape(benchmark::State& state) {
+  const int npix = 101 * 101;
+  const int n = 5 * npix, m = 3 * npix, N = 25;
+  util::Rng rng(31);
+  const Problem base = make_problem(n, m, N, rng);
+  Matrix E0(m, N);
+  draw_perturbations(rng, E0);
+  Workspace ws;
+  EnKFOptions opt;
+  opt.workspace = &ws;
+  Matrix X = base.X, E = E0;
+  (void)enkf_analysis_from_draws(X, base.HX, base.d, base.r_std, E, opt);
+  for (auto _ : state) {
+    state.PauseTiming();
+    X = base.X;
+    E = E0;
+    state.ResumeTiming();
+    const EnKFStats s =
+        enkf_analysis_from_draws(X, base.HX, base.d, base.r_std, E, opt);
+    benchmark::DoNotOptimize(s.increment_rms);
+  }
+}
+BENCHMARK(BM_EnKF_CycleShape)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 BENCHMARK_MAIN();

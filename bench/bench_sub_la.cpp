@@ -69,3 +69,31 @@ BENCHMARK(BM_LA_GemmTallSkinny)
     ->Unit(benchmark::kMillisecond)
     ->Args({20000, 0})
     ->Args({20000, 1});
+
+static void BM_LA_GemmCoefficients(benchmark::State& state) {
+  // The analysis's coefficient product W = HA^T diag(w) Y: N x N from an
+  // m-long contraction. One tile row, so the blocked gemm splits the output
+  // columns across the team.
+  const int m = static_cast<int>(state.range(0));
+  const std::int64_t be = state.range(1);
+  const int N = 25;
+  Rng rng(3);
+  const Matrix HA = Matrix::random_normal(m, N, rng);
+  const Matrix Y = Matrix::random_normal(m, N, rng);
+  const Vector w(static_cast<std::size_t>(m), 0.5);
+  Matrix W(N, N);
+  for (auto _ : state) {
+    if (be == 0)
+      gemm_scaled(true, false, 0.2, HA, w, Y, 0.0, W);
+    else
+      reference::gemm_scaled(true, false, 0.2, HA, w, Y, 0.0, W);
+    benchmark::DoNotOptimize(W.data());
+  }
+  state.SetLabel(impl_name(be));
+  state.counters["m"] = m;
+}
+BENCHMARK(BM_LA_GemmCoefficients)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime()
+    ->Args({30603, 0})
+    ->Args({30603, 1});

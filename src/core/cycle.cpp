@@ -138,9 +138,18 @@ void AssimilationCycle::advance_to(double time) {
 }
 
 std::vector<morphing::MorphMember> AssimilationCycle::gather_fields(
-    bool distance_observable) {
+    const ObservationImage& obs, bool distance_observable,
+    util::Array2D<double>& data_field) {
   std::vector<morphing::MorphMember> fields(models_.size());
-  runner_.run_phase("obs_function", members(), [&](int k) {
+  // Task N puts the observed image through the same observable transform as
+  // the members (synthetic and real data compared like-for-like).
+  const int tasks = members() + (distance_observable ? 1 : 0);
+  runner_.run_phase("obs_function", tasks, [&](int k) {
+    if (k == members()) {
+      data_field = obs::front_distance_field(obs.image, grid_,
+                                             opt_.front_flux_threshold);
+      return;
+    }
     const fire::FireState& s = models_[k]->state();
     morphing::MorphMember m;
     m.fields.resize(3);
@@ -196,16 +205,14 @@ AnalysisResult AssimilationCycle::assimilate(const ObservationImage& obs) {
   require_initialized();
   const double time = models_.front()->state().time;
   const bool morphing_filter = opt_.filter == FilterKind::kMorphingEnKF;
-  std::vector<morphing::MorphMember> fields = gather_fields(morphing_filter);
+  util::Array2D<double> data_field;
+  std::vector<morphing::MorphMember> fields =
+      gather_fields(obs, morphing_filter, data_field);
 
   AnalysisResult result;
   la::Workspace* ws = opt_.la_workspace ? opt_.la_workspace : &la_ws_;
   runner_.run_serial_phase("enkf", [&] {
     if (morphing_filter) {
-      // The observed image goes through the same observable transform as
-      // the members (synthetic and real data compared like-for-like).
-      const util::Array2D<double> data_field = obs::front_distance_field(
-          obs.image, grid_, opt_.front_flux_threshold);
       const morphing::MorphingStats stats =
           menkf_.analyze(fields, data_field, rng_, ws);
       result.enkf = stats.enkf;

@@ -137,7 +137,11 @@ class AssimilationCycle {
   [[nodiscard]] double state_spread() const;
 
  private:
-  std::vector<morphing::MorphMember> gather_fields(bool distance_observable);
+  // The observation function of every member and, for the morphing filter
+  // (distance_observable), the data image's observable into data_field.
+  std::vector<morphing::MorphMember> gather_fields(
+      const ObservationImage& obs, bool distance_observable,
+      util::Array2D<double>& data_field);
   void scatter_fields(const std::vector<morphing::MorphMember>& fields,
                       double time);
   void roundtrip_through_files();

@@ -1,10 +1,10 @@
 #include "enkf/enkf.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
-#include "enkf/ensemble.h"
 #include "la/blas.h"
 #include "la/qr.h"
 #include "util/omp_compat.h"
@@ -35,20 +35,73 @@ void require_finite(const la::Matrix& M, const la::Vector& row_mean,
   }
 }
 
+// Rows per block of the ensemble-statistics passes: a block of every
+// member's rows (25 members: 400 KB) stays in cache between the pass's mean
+// and centring sweeps.
+constexpr int kRowBlock = 2048;
+
+// Runs fx(i0, i1) over the row blocks of [0, nx) and fh(i0, i1) over those
+// of [0, nh), as one loop across the OpenMP team once the two matrices of N
+// columns hold more than 65536 entries (below that, waking the team costs
+// more than the pass). Every entry is computed as a serial pass computes it,
+// so the bits do not depend on the blocking or the thread count. Neither
+// function may throw.
+template <typename FX, typename FH>
+void for_row_blocks(int nx, int nh, int N, const FX& fx, const FH& fh) {
+  const int bx = (nx + kRowBlock - 1) / kRowBlock;
+  const int bh = (nh + kRowBlock - 1) / kRowBlock;
+  [[maybe_unused]] const bool team =
+      bx + bh > 1 && static_cast<long>(nx + nh) * N > 65536;
+WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (team))
+  for (int b = 0; b < bx + bh; ++b) {
+    const int i0 = (b < bx ? b : b - bx) * kRowBlock;
+    if (b < bx)
+      fx(i0, std::min(nx, i0 + kRowBlock));
+    else
+      fh(i0, std::min(nh, i0 + kRowBlock));
+  }
+}
+
+// mean[i0:i1) = the row means of M, each row's members summed in member
+// order (ensemble_mean's arithmetic, restricted to the rows).
+void row_means(const la::Matrix& M, int i0, int i1, double* mean) {
+  for (int i = i0; i < i1; ++i) mean[i] = 0.0;
+  for (int k = 0; k < M.cols(); ++k) {
+    const double* c = M.col(k).data();
+    for (int i = i0; i < i1; ++i) mean[i] += c[i];
+  }
+  const double inv = 1.0 / M.cols();
+  for (int i = i0; i < i1; ++i) mean[i] *= inv;
+}
+
+// Rows [i0, i1) of dst = mean + f (src - mean), inflate()'s arithmetic; dst
+// may be src.
+void inflate_rows(const la::Matrix& src, const double* mean, double f,
+                  la::Matrix& dst, int i0, int i1) {
+  for (int k = 0; k < src.cols(); ++k) {
+    const double* s = src.col(k).data();
+    double* o = dst.col(k).data();
+    for (int i = i0; i < i1; ++i) o[i] = mean[i] + f * (s[i] - mean[i]);
+  }
+}
+
 // The QR square-root solve: with B = R^{-1/2} HA / sqrt(N-1) and
 // Stilde = I + B B^T, the Sherman-Morrison-Woodbury identity gives the
 // analysis coefficients as the solution of a system in the *smaller* of the
 // two dimensions:
 //
 //   m >= N:  W = B^T Stilde^{-1} Ytilde = (I + B^T B)^{-1} B^T Ytilde,
-//   m <  N:  W = B^T (I + B B^T)^{-1} Ytilde directly.
+//   m <  N:  W = B^T (I + B B^T)^{-1} Ytilde directly,
+//
+// and X += A W / sqrt(N-1). For m < N the product is associated as
+// (A B^T)(I + B B^T)^{-1} Ytilde, so W (N x N) is never formed.
 //
 // Instead of forming B^T B / B B^T (which would square the condition
 // number), the Householder QR of the stacked matrix [B; I_N] (resp.
 // [B^T; I_m]) yields an upper-triangular Rs with Rs^T Rs = I + B^T B
-// (resp. I + B B^T), so W follows from gemm and two small triangular
-// solves. Since Rs^T Rs >= I, every |Rs_ii| >= 1: the solves cannot hit a
-// small pivot even for rank-deficient ensembles.
+// (resp. I + B B^T), so the increment follows from gemms and two small
+// triangular solves. Since Rs^T Rs >= I, every |Rs_ii| >= 1: the solves
+// cannot hit a small pivot even for rank-deficient ensembles.
 //
 // The m-sized work is one pass: in the image regime (m >= N) the scaled
 // stack B = R^{-1/2} HA / sqrt(N-1) is built directly from HA into the
@@ -63,7 +116,6 @@ void analyze_qr(la::Matrix& X, const la::Matrix& A, const la::Matrix& HA,
   const double inv_sqrtn1 = 1.0 / std::sqrt(static_cast<double>(N - 1));
   const int r = std::min(m, N);  // factored system dimension
   la::Matrix& M = ws.mat("ens.M", m + N, r);
-  la::Matrix& W = ws.mat("ens.W", N, N);
 
   // Pack-time weights (m >= N): winv scales rows by R^{-1/2}/sqrt(N-1)
   // while the stack is built; w2 carries the full R^{-1} (both B and Ytilde
@@ -107,24 +159,34 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) \
   if (m >= N) {
     // W = B^T Ytilde = HA^T R^{-1} Y / sqrt(N-1), R^{-1} applied at pack
     // time — neither B nor Ytilde is materialized.
+    la::Matrix& W = ws.mat("ens.W", N, N);
     la::gemm_scaled(true, false, inv_sqrtn1, HA, w2, Y, 0.0, W);
     la::rt_solve_in_place(M, W);  // W <- Rs^-T W
     la::r_solve_in_place(M, W);   // W <- Rs^-1 W = (I+B^T B)^-1 B^T Yt
+    la::gemm(false, false, inv_sqrtn1, A, W, 1.0, X);  // X += A W/sqrt(N-1)
   } else {
-    la::rt_solve_in_place(M, *Yt);                // Yt <- Rs^-T Yt
-    la::r_solve_in_place(M, *Yt);                 // Yt <- Stilde^-1 Ytilde
-    la::gemm(true, false, 1.0, *B, *Yt, 0.0, W);  // W = B^T Stilde^-1 Yt
+    la::rt_solve_in_place(M, *Yt);  // Yt <- Rs^-T Yt
+    la::r_solve_in_place(M, *Yt);   // Yt <- Stilde^-1 Ytilde
+    // X += (A B^T) Stilde^-1 Ytilde / sqrt(N-1): the n x m product first,
+    // so no N x N coefficient matrix is formed (N may be in the thousands).
+    la::Matrix& AB = ws.mat("ens.AB", X.rows(), m);
+    la::gemm(false, true, 1.0, A, *B, 0.0, AB);
+    la::gemm(false, false, inv_sqrtn1, AB, *Yt, 1.0, X);
   }
-  la::gemm(false, false, inv_sqrtn1, A, W, 1.0, X);  // X += A W / sqrt(N-1)
 }
 
 }  // namespace
+
+void draw_perturbations(util::Rng& rng, la::Matrix& E) {
+  for (int k = 0; k < E.cols(); ++k)
+    for (double& e : E.col(k)) e = rng.normal();
+}
 
 namespace detail {
 
 EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
                        const la::Vector& d, const la::Vector& r_std,
-                       util::Rng& rng, const EnKFOptions& opt,
+                       la::Matrix& E, const EnKFOptions& opt,
                        const SolveStage& solve) {
   const int n = X.rows();
   const int N = X.cols();
@@ -132,6 +194,8 @@ EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
   if (HX.cols() != N) throw std::invalid_argument("enkf: HX column mismatch");
   if (static_cast<int>(d.size()) != m || static_cast<int>(r_std.size()) != m)
     throw std::invalid_argument("enkf: obs size mismatch");
+  if (E.rows() != m || E.cols() != N)
+    throw std::invalid_argument("enkf: perturbation shape mismatch");
   if (N < 2) throw std::invalid_argument("enkf: need at least 2 members");
   // A non-finite value here would turn every member into NaN silently.
   for (const double r : r_std)
@@ -140,7 +204,8 @@ EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
   for (const double v : d)
     if (!std::isfinite(v))
       throw std::invalid_argument("enkf: observations must be finite");
-  if (!std::isfinite(opt.inflation) || opt.inflation <= 0)
+  const double f = opt.inflation;
+  if (!std::isfinite(f) || f <= 0)
     throw std::invalid_argument("enkf: inflation must be finite and positive");
 
   EnKFStats stats;
@@ -151,45 +216,68 @@ EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
   la::Workspace local_ws;
   la::Workspace& ws = opt.workspace ? *opt.workspace : local_ws;
 
-  // Forecast mean, for the increment diagnostic (inflation preserves it, so
-  // no copy of the full forecast ensemble is needed).
+  // Forecast means (mf also serves the increment diagnostic: inflation
+  // preserves the mean, so no copy of the forecast ensemble is needed),
+  // anomalies and the perturbed innovations Y(:,k) = d + r_std .* E(:,k) -
+  // HX(:,k), built in place in E. Without inflation one pass does it all,
+  // each row block centred while it is still in cache; what it writes
+  // besides the means is discarded if the checks below throw.
+  const bool inflated = f != 1.0;
   la::Vector& mf = ws.vec("mf", static_cast<std::size_t>(n));
-  ensemble_mean(X, mf);
-  require_finite(X, mf, "X");
-
-  // HX is inflated into a copy and checked before X is inflated, so a
-  // rejected input leaves X untouched.
-  const la::Matrix* HXi = &HX;
-  if (opt.inflation != 1.0) {
-    la::Matrix& HXw = ws.mat("HXi", m, N);
-    for (int k = 0; k < N; ++k) {
-      const auto src = HX.col(k);
-      auto dst = HXw.col(k);
-      for (int i = 0; i < m; ++i) dst[i] = src[i];
-    }
-    inflate(HXw, opt.inflation);
-    HXi = &HXw;
-  }
   la::Vector& hxm = ws.vec("hxm", static_cast<std::size_t>(m));
-  ensemble_mean(*HXi, hxm);
+  la::Matrix& A = ws.mat("A", n, N);
+  la::Matrix& HA = ws.mat("HA", m, N);
+  const auto center_x = [&](const la::Matrix& Xs, const double* mean, int i0,
+                            int i1) {
+    for (int k = 0; k < N; ++k) {
+      const double* src = Xs.col(k).data();
+      double* dst = A.col(k).data();
+      for (int i = i0; i < i1; ++i) dst[i] = src[i] - mean[i];
+    }
+  };
+  const auto center_hx = [&](const la::Matrix& HXs, int i0, int i1) {
+    for (int k = 0; k < N; ++k) {
+      const double* src = HXs.col(k).data();
+      double* ha = HA.col(k).data();
+      double* y = E.col(k).data();
+      for (int i = i0; i < i1; ++i) {
+        ha[i] = src[i] - hxm[i];
+        y[i] = d[i] + r_std[i] * y[i] - src[i];
+      }
+    }
+  };
+  for_row_blocks(
+      n, m, N,
+      [&](int i0, int i1) {
+        row_means(X, i0, i1, mf.data());
+        if (!inflated) center_x(X, mf.data(), i0, i1);
+      },
+      [&](int i0, int i1) {
+        row_means(HX, i0, i1, hxm.data());
+        if (!inflated) center_hx(HX, i0, i1);
+      });
+  // A non-finite HX entry makes both its raw and its inflated row mean
+  // non-finite, so the raw means flag the same rows either way.
+  require_finite(X, mf, "X");
   require_finite(HX, hxm, "HX");
 
-  inflate(X, opt.inflation);
-  la::Vector& xm = ws.vec("xm", static_cast<std::size_t>(n));
-  ensemble_mean(X, xm);
-  la::Matrix& A = ws.mat("A", n, N);
-  anomalies(X, xm, A);
-
-  la::Matrix& HA = ws.mat("HA", m, N);
-  anomalies(*HXi, hxm, HA);
-
-  // Innovations with perturbed observations: Y(:,k) = d + e_k - HX(:,k).
-  la::Matrix& Y = ws.mat("Y", m, N);
-  for (int k = 0; k < N; ++k) {
-    const auto src = HXi->col(k);
-    auto dst = Y.col(k);
-    for (int i = 0; i < m; ++i)
-      dst[i] = d[i] + r_std[i] * rng.normal() - src[i];
+  if (inflated) {
+    // X and a copy of HX inflated about their forecast means, then re-meaned
+    // (hxm is overwritten block by block) and centred, in a second pass.
+    la::Vector& xm = ws.vec("xm", static_cast<std::size_t>(n));
+    la::Matrix& HXi = ws.mat("HXi", m, N);
+    for_row_blocks(
+        n, m, N,
+        [&](int i0, int i1) {
+          inflate_rows(X, mf.data(), f, X, i0, i1);
+          row_means(X, i0, i1, xm.data());
+          center_x(X, xm.data(), i0, i1);
+        },
+        [&](int i0, int i1) {
+          inflate_rows(HX, hxm.data(), f, HXi, i0, i1);
+          row_means(HXi, i0, i1, hxm.data());
+          center_hx(HXi, i0, i1);
+        });
   }
 
   {
@@ -198,15 +286,38 @@ EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
     stats.innovation_rms = rms(innov);
   }
 
-  solve(X, A, HA, Y, r_std, ws);
+  solve(X, A, HA, E, r_std, ws);
 
   {
     la::Vector& ma = ws.vec("ma", static_cast<std::size_t>(n));
-    ensemble_mean(X, ma);
-    for (int i = 0; i < n; ++i) ma[i] -= mf[i];
+    for_row_blocks(
+        n, 0, N,
+        [&](int i0, int i1) {
+          row_means(X, i0, i1, ma.data());
+          for (int i = i0; i < i1; ++i) ma[i] -= mf[i];
+        },
+        [](int, int) {});
     stats.increment_rms = rms(ma);
   }
   return stats;
+}
+
+EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
+                       const la::Vector& d, const la::Vector& r_std,
+                       util::Rng& rng, const EnKFOptions& opt,
+                       const SolveStage& solve) {
+  la::Workspace local_ws;
+  EnKFOptions o = opt;
+  if (!o.workspace) o.workspace = &local_ws;
+  la::Matrix& E = o.workspace->mat("E", HX.rows(), X.cols());
+  const util::Rng before = rng;
+  draw_perturbations(rng, E);
+  try {
+    return run_analysis(X, HX, d, r_std, E, o, solve);
+  } catch (...) {
+    rng = before;
+    throw;
+  }
 }
 
 }  // namespace detail
@@ -215,6 +326,13 @@ EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
                         const la::Vector& d, const la::Vector& r_std,
                         util::Rng& rng, const EnKFOptions& opt) {
   return detail::run_analysis(X, HX, d, r_std, rng, opt, analyze_qr);
+}
+
+EnKFStats enkf_analysis_from_draws(la::Matrix& X, const la::Matrix& HX,
+                                   const la::Vector& d,
+                                   const la::Vector& r_std, la::Matrix& E,
+                                   const EnKFOptions& opt) {
+  return detail::run_analysis(X, HX, d, r_std, E, opt, analyze_qr);
 }
 
 }  // namespace wfire::enkf

@@ -50,12 +50,30 @@ struct EnKFStats {
 //   d  : m observations (finite)
 //   r_std : m observation error standard deviations (R = diag(r_std^2);
 //           finite and > 0)
-// Throws std::invalid_argument, before touching X, on a shape mismatch,
-// N < 2, a non-finite entry of X or HX (the message names its member and
-// row), or a d, r_std or opt.inflation outside its range.
+// Draws the m x N observation perturbations from `rng` (member k = 0..N-1,
+// then row) and runs enkf_analysis_from_draws on them. Throws
+// std::invalid_argument, before touching X and leaving `rng` as it was, on
+// a shape mismatch, N < 2, a non-finite entry of X or HX (the message names
+// its member and row), or a d, r_std or opt.inflation outside its range.
 EnKFStats enkf_analysis(la::Matrix& X, const la::Matrix& HX,
                         const la::Vector& d, const la::Vector& r_std,
                         util::Rng& rng, const EnKFOptions& opt = {});
+
+// The same analysis on perturbations drawn beforehand: E (m x N) holds the
+// standard normal draws, member k's in column k, and is overwritten with the
+// perturbed innovations. Drawing E from an rng in enkf_analysis's order
+// (draw_perturbations below) gives enkf_analysis's bits, so a caller can
+// make the draws while other work runs. E must not be one of the
+// analysis's own workspace buffers. Throws as enkf_analysis does (also on
+// E's shape), before touching X.
+EnKFStats enkf_analysis_from_draws(la::Matrix& X, const la::Matrix& HX,
+                                   const la::Vector& d,
+                                   const la::Vector& r_std, la::Matrix& E,
+                                   const EnKFOptions& opt = {});
+
+// Fills E (already shaped m x N) with standard normal draws in the order
+// every stochastic analysis makes them: member k = 0..N-1, then row.
+void draw_perturbations(util::Rng& rng, la::Matrix& E);
 
 namespace detail {
 
@@ -68,8 +86,17 @@ using SolveStage = std::function<void(
 
 // Everything of an analysis but the solve, shared by enkf_analysis and the
 // oracles in enkf/reference.h: the input checks, inflation, anomalies, the
-// perturbed innovations (the same draws in the same order for every
-// solver) and the statistics.
+// perturbed innovations (built in place in E from its draws) and the
+// statistics. The O(n N) and O(m N) passes run in row blocks across the
+// OpenMP team; each row sums its members in member order, so the bits do
+// not depend on the thread count.
+EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
+                       const la::Vector& d, const la::Vector& r_std,
+                       la::Matrix& E, const EnKFOptions& opt,
+                       const SolveStage& solve);
+
+// Draws E into the workspace (opt.workspace, or a temporary one) and runs
+// the analysis above; a rejected call leaves `rng` as it was.
 EnKFStats run_analysis(la::Matrix& X, const la::Matrix& HX,
                        const la::Vector& d, const la::Vector& r_std,
                        util::Rng& rng, const EnKFOptions& opt,

@@ -32,10 +32,18 @@ void solve_obs_space(la::Matrix& X, const la::Matrix& A, const la::Matrix& HA,
   for (int i = 0; i < m; ++i) S(i, i) += r_std[i] * r_std[i];
   la::Matrix& L = ws.mat("obs.L", m, m);
   la::cholesky_factor(S, L);
-  la::cholesky_solve_in_place(L, Y);                    // Y <- S^{-1} Y
-  la::Matrix& W = ws.mat("obs.W", N, N);
-  la::gemm(true, false, 1.0, HA, Y, 0.0, W);            // W = HA^T S^{-1} Y
-  la::gemm(false, false, 1.0 / (N - 1), A, W, 1.0, X);  // X += A W/(N-1)
+  la::cholesky_solve_in_place(L, Y);  // Y <- S^{-1} Y
+  // X += A HA^T S^{-1} Y / (N-1), associated so that the intermediate is
+  // the smaller of W = HA^T S^{-1} Y (N x N) and A HA^T (n x m).
+  if (m >= N) {
+    la::Matrix& W = ws.mat("obs.W", N, N);
+    la::gemm(true, false, 1.0, HA, Y, 0.0, W);
+    la::gemm(false, false, inv_n1, A, W, 1.0, X);
+  } else {
+    la::Matrix& AH = ws.mat("obs.AH", X.rows(), m);
+    la::gemm(false, true, 1.0, A, HA, 0.0, AH);
+    la::gemm(false, false, inv_n1, AH, Y, 1.0, X);
+  }
 }
 
 }  // namespace

@@ -64,8 +64,9 @@ namespace {
 // A panels of MC x KC are packed into contiguous scratch so the micro-kernel
 // streams unit-stride regardless of the transpose flags, four C columns are
 // kept live per pass for register reuse, and the MC tile-row loop is the
-// OpenMP dimension. Scratch buffers are thread_local so repeated calls are
-// allocation-free in steady state.
+// OpenMP dimension (the output columns when there is one tile row). Scratch
+// buffers are thread_local so repeated calls are allocation-free in steady
+// state.
 
 // Packs op(A)(i0:i0+mb, p0:p0+kb) column-major into dst (mb x kb). When
 // `scale` is non-null, packed column p is multiplied by scale[p0 + p] — the
@@ -118,6 +119,30 @@ void pack_b(const Matrix& B, bool trans, int p0, int j0, int kb, int nb,
       for (int j = 0; j < nb; ++j) dst[static_cast<std::size_t>(j) * kb + p] = col[j];
     }
   }
+}
+
+// Multiply-adds below which a one-tile-row product stays on one thread:
+// waking the team costs more than a product this small (25 x 25 x 420).
+constexpr double kColumnSplitWork = 262144;
+
+// The calling thread's A-panel and C-columns scratch, kept across calls.
+double* a_panel(std::size_t size) {
+  static thread_local std::vector<double> buf;
+  buf.resize(size);
+  return buf.data();
+}
+double* c_panel(std::size_t size) {
+  static thread_local std::vector<double> buf;
+  buf.resize(size);
+  return buf.data();
+}
+
+int max_threads() {
+#if defined(WFIRE_HAVE_OPENMP)
+  return omp_get_max_threads();
+#else
+  return 1;
+#endif
 }
 
 // C(0:mb, 0:nb) += alpha * Ap * Bp with Ap (mb x kb) and Bp (kb x nb) packed
@@ -194,13 +219,58 @@ void gemm_blocked(bool transA, bool transB, double alpha, const Matrix& A,
     return;
   }
 
-  // The packed-B panel is written by the calling thread and read by every
-  // worker, so it must be shared across the parallel region — capture the
-  // raw pointer, NOT the thread_local vector (each worker would otherwise
-  // dereference its own, empty instance). The A panels are per-worker.
+  // The packed-B panel is shared across the parallel region (the calling
+  // thread packs it for the tile-row split; each range packs its own columns
+  // of it for the column split) — capture the raw pointer, NOT the
+  // thread_local vector (each worker would otherwise dereference its own,
+  // empty instance). The A panels are per-worker.
   static thread_local std::vector<double> bp_buf;
   bp_buf.resize(static_cast<std::size_t>(KC) * NC);
   double* const Bp = bp_buf.data();
+  const int n_ic = (m + MC - 1) / MC;
+
+  // One macro tile row (such as the EnKF's N x N coefficient product over
+  // all m observations) leaves the tile-row loop nothing to split, so the
+  // output columns are split instead: one contiguous range per thread, cut
+  // at the micro-kernel's groups of 4 with the leftover columns in the last
+  // range. Every column then takes the same kernel branch as in an unsplit
+  // call (the leftover branch skips zero B entries, the grouped one does
+  // not), so the bits do not depend on the split. Each range packs its own
+  // A panels and its own columns of the shared B panel, and accumulates its
+  // columns of C in a private copy: C's columns are shorter than a few
+  // cache lines, and ranges updating a shared line on every multiply-add
+  // would run slower than one thread. All of it is one region.
+  const int groups = n / 4;
+  const int n_chunks =
+      n_ic == 1 && static_cast<double>(m) * n * k >= kColumnSplitWork
+          ? std::min(groups, max_threads())
+          : 1;
+  if (n_chunks > 1) {
+WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
+    for (int t = 0; t < n_chunks; ++t) {
+      const int j0 = 4 * (t * groups / n_chunks);
+      const int j1 = t + 1 == n_chunks ? n : 4 * ((t + 1) * groups / n_chunks);
+      double* const Ap = a_panel(static_cast<std::size_t>(MC) * KC);
+      double* const Cp = c_panel(static_cast<std::size_t>(m) * (j1 - j0));
+      for (int jc = 0; jc < n; jc += NC) {
+        const int a = std::max(j0, jc), b = std::min(j1, jc + NC);
+        if (a >= b) continue;
+        double* const Bt = Bp + static_cast<std::size_t>(a - jc) * KC;
+        double* const Ct = Cd + static_cast<std::size_t>(a) * ldc;
+        const std::size_t c_len = ldc * (b - a);
+        std::memcpy(Cp, Ct, sizeof(double) * c_len);
+        for (int pc = 0; pc < k; pc += KC) {
+          const int kc = std::min(KC, k - pc);
+          pack_a(A, transA, 0, pc, m, kc, scale, Ap);
+          pack_b(B, transB, pc, a, kc, b - a, Bt);
+          scale_tile(pc == 0 ? beta : 1.0, Cp, ldc, m, b - a);
+          micro_kernel(m, b - a, kc, alpha, Ap, Bt, Cp, ldc);
+        }
+        std::memcpy(Ct, Cp, sizeof(double) * c_len);
+      }
+    }
+    return;
+  }
 
   for (int jc = 0; jc < n; jc += NC) {
     const int nc = std::min(NC, n - jc);
@@ -208,17 +278,15 @@ void gemm_blocked(bool transA, bool transB, double alpha, const Matrix& A,
       const int kc = std::min(KC, k - pc);
       pack_b(B, transB, pc, jc, kc, nc, Bp);
       const double tile_beta = pc == 0 ? beta : 1.0;
-      const int n_ic = (m + MC - 1) / MC;
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (n_ic > 1))
       for (int ib = 0; ib < n_ic; ++ib) {
         const int ic = ib * MC;
         const int mc = std::min(MC, m - ic);
-        static thread_local std::vector<double> ap_buf;
-        ap_buf.resize(static_cast<std::size_t>(MC) * KC);
-        pack_a(A, transA, ic, pc, mc, kc, scale, ap_buf.data());
+        double* const Ap = a_panel(static_cast<std::size_t>(MC) * KC);
+        pack_a(A, transA, ic, pc, mc, kc, scale, Ap);
         double* Ct = Cd + static_cast<std::size_t>(jc) * ldc + ic;
         scale_tile(tile_beta, Ct, ldc, mc, nc);
-        micro_kernel(mc, nc, kc, alpha, ap_buf.data(), Bp, Ct, ldc);
+        micro_kernel(mc, nc, kc, alpha, Ap, Bp, Ct, ldc);
       }
     }
   }

@@ -3,6 +3,7 @@
 #include "util/omp_compat.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -20,7 +21,7 @@ void check_members(const std::vector<MorphMember>& members,
   const auto fail = [who](const char* what) {
     throw std::invalid_argument(std::string(who) + ": " + what);
   };
-  if (members.empty()) fail("no members");
+  if (members.size() < 2) fail("need at least 2 members");
   const std::size_t nfields = members.front().fields.size();
   if (nfields == 0) fail("members have no fields");
   check_image(data, who);
@@ -31,6 +32,21 @@ void check_members(const std::vector<MorphMember>& members,
       check_image(f, who);
     }
   }
+}
+
+// The filter options the analysis divides by or scales with: each must be
+// finite and > 0. Checked before the encode, so a bad option costs no
+// registration.
+void check_options(const MorphingEnKFOptions& opt) {
+  const auto positive = [](double v, const char* name) {
+    if (!std::isfinite(v) || v <= 0)
+      throw std::invalid_argument(std::string("MorphingEnKF: ") + name +
+                                  " must be finite and positive");
+  };
+  positive(opt.sigma_r, "sigma_r");
+  positive(opt.sigma_T, "sigma_T");
+  positive(opt.t_weight, "t_weight");
+  positive(opt.inflation, "inflation");
 }
 
 // Ensemble mean of one field index across members.
@@ -51,6 +67,7 @@ util::Array2D<double> field_mean(const std::vector<MorphMember>& members,
 MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
                                     const util::Array2D<double>& data,
                                     util::Rng& rng, la::Workspace* ws) {
+  check_options(opt_);
   check_members(members, data, "MorphingEnKF");
   la::Workspace& arena = ws ? *ws : ws_;
   const std::size_t nfields = members.front().fields.size();
@@ -65,21 +82,31 @@ MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
   const RegistrationReference ref(u0[0], opt_.reg);
 
   // Extended state: [r_f0, r_f1, ..., w*Tx, w*Ty]; the observation selects
-  // [r_f0, w*Tx, w*Ty], the layout of the data vector d.
+  // [r_f0, w*Tx, w*Ty], the layout of the data vector d and of HX.
   const std::size_t t_row = nfields * npix;
+  const int m = static_cast<int>(3 * npix);
   la::Matrix& X = arena.mat("menkf.X", static_cast<int>(t_row + 2 * npix), N);
-  la::Matrix& HX = arena.mat("menkf.HX", static_cast<int>(3 * npix), N);
+  la::Matrix& HX = arena.mat("menkf.HX", m, N);
+  la::Matrix& E = arena.mat("menkf.E", m, N);
   la::Vector& d = arena.vec("menkf.d", 3 * npix);
   la::Vector& r_std = arena.vec("menkf.r", 3 * npix);
 
-  // Encode images 0..N-1 (the members, into X's columns) and image N (the
-  // data image, into d): register field 0, invert its mapping once, and
-  // write every field's residual and w*T. Per-image slots are reduced in
-  // image order below, so the stats do not depend on the thread schedule.
+  // Encode images 0..N-1 (the members, into X's and HX's columns) and image
+  // N (the data image, into d): register field 0, invert its mapping once,
+  // and write every field's residual and w*T. Task N + 1 draws the
+  // analysis's observation perturbations into E, in enkf_analysis's order,
+  // while the registrations run; the rng is restored if the analysis rejects
+  // its input. Per-image slots are reduced in image order below, so the
+  // stats do not depend on the thread schedule.
+  const util::Rng rng_before = rng;
   std::vector<double> reg_res(static_cast<std::size_t>(N) + 1);
   std::vector<double> map_norm(static_cast<std::size_t>(N) + 1);
 WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
-  for (int k = 0; k <= N; ++k) {
+  for (int k = 0; k <= N + 1; ++k) {
+    if (k == N + 1) {
+      enkf::draw_perturbations(rng, E);
+      continue;
+    }
     const bool is_data = k == N;
     const auto image = [&](std::size_t f) -> const util::Array2D<double>& {
       return is_data ? data : members[k].fields[f];
@@ -98,6 +125,11 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
       col[nf * npix + p] = w * tx[p];
       col[(nf + 1) * npix + p] = w * ty[p];
     }
+    if (!is_data) {
+      const auto hc = HX.col(k);
+      std::copy_n(col.begin(), npix, hc.begin());
+      std::copy_n(col.begin() + t_row, 2 * npix, hc.begin() + npix);
+    }
   }
 
   MorphingStats stats;
@@ -109,19 +141,18 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
   stats.mean_registration_residual = reg_sum / N;
   stats.data_registration_residual = reg_res[N];
 
-  for (int k = 0; k < N; ++k) {
-    const auto xc = X.col(k);
-    const auto hc = HX.col(k);
-    std::copy_n(xc.begin(), npix, hc.begin());
-    std::copy_n(xc.begin() + t_row, 2 * npix, hc.begin() + npix);
-  }
   std::fill_n(r_std.begin(), npix, opt_.sigma_r);
   std::fill(r_std.begin() + npix, r_std.end(), w * opt_.sigma_T);
 
   enkf::EnKFOptions eopt;
   eopt.inflation = opt_.inflation;
   eopt.workspace = &arena;
-  stats.enkf = enkf::enkf_analysis(X, HX, d, r_std, rng, eopt);
+  try {
+    stats.enkf = enkf::enkf_analysis_from_draws(X, HX, d, r_std, E, eopt);
+  } catch (...) {
+    rng = rng_before;
+    throw;
+  }
 
   // Decode: each member's analysed mapping, read once, moves all its fields.
 WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))

@@ -29,7 +29,7 @@ struct MorphingEnKFOptions {
   double sigma_r = 1.0;       // obs error std on the amplitude residual
   double sigma_T = 1.0;       // obs error std on the mapping [grid units]
   double t_weight = 1.0;      // relative weight of T vs r in the state
-  double inflation = 1.0;
+  double inflation = 1.0;     // all four: finite, > 0
 };
 
 // One ensemble member in field form: fields[0] is the registration /
@@ -50,8 +50,12 @@ class MorphingEnKF {
   explicit MorphingEnKF(MorphingEnKFOptions opt = {}) : opt_(opt) {}
 
   // Analysis step, in place on `members`. `data` is the observed image;
-  // every member needs the same number (>= 1) of fields, each shaped like
-  // `data` (std::invalid_argument otherwise, before any work). The reference
+  // there must be >= 2 members, each with the same number (>= 1) of fields,
+  // each shaped like `data`, and the options' sigma_r, sigma_T, t_weight and
+  // inflation must be finite and > 0 (std::invalid_argument otherwise,
+  // before any work). A rejected call leaves `members` and `rng` as they
+  // were. The observation perturbations are drawn from `rng` exactly as
+  // enkf::enkf_analysis draws them, during the encode. The reference
   // u0 is the ensemble mean of each field (a common, self-consistent choice;
   // the companion references use the same member weights). The
   // extended-state matrices and the inner EnKF scratch live in `ws` when

@@ -1,11 +1,13 @@
 // EnKF tests: ensemble statistics, the QR square-root analysis against its
-// named oracles (enkf/reference.h) and against the exact Kalman filter in
-// the linear-Gaussian limit, input validation, inflation, workspace reuse,
-// allocation-free warm analyses, and a committed golden increment.
+// named oracles (enkf/reference.h), against its serial loops bit for bit
+// and against the exact Kalman filter in the linear-Gaussian limit, input
+// validation, inflation, workspace reuse, allocation-free warm analyses,
+// memory linear in N, and a committed golden increment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -17,6 +19,8 @@
 #include "enkf/reference.h"
 #include "la/blas.h"
 #include "la/workspace.h"
+#include "serial_reference.h"
+#include "util/omp_compat.h"
 
 using namespace wfire::enkf;
 using namespace wfire::la;
@@ -249,10 +253,13 @@ TEST(EnKF, InputValidation) {
       X_bad(2, 1) = inf;
       expect_rejected(X_bad, HXm, d, r, infl, "X +inf");
     }
-    // The message names the offending member and row.
+    // The message names the offending member and row, and the rejected
+    // call leaves the rng where it was (its draws come before the checks
+    // that need the ensemble means).
     Matrix HX_bad = HXm;
     HX_bad(m - 1, 3) = nan;
     Matrix Xc = X0;
+    Rng before = rng;
     try {
       enkf_analysis(Xc, HX_bad, d, r, rng);
       ADD_FAILURE() << "HX NaN not rejected, m " << m;
@@ -262,6 +269,7 @@ TEST(EnKF, InputValidation) {
                 std::string::npos)
           << e.what();
     }
+    EXPECT_EQ(rng.next_u64(), before.next_u64()) << "m " << m;
   }
 }
 
@@ -322,9 +330,10 @@ TEST(EnKFBackend, WorkspaceReuseGivesIdenticalResults) {
   EXPECT_EQ(max_abs_diff(with_ws, without), 0.0);
 }
 
-// enkf.h promises that a warm analysis with a workspace allocates nothing.
-// m = 10 < N runs the [B^T; I_m] stack; m = 40 is a single TSQR leaf and
-// m = 200 splits into row blocks.
+// enkf.h promises that a warm analysis with a workspace allocates nothing,
+// from an rng or from perturbations drawn beforehand. m = 10 < N runs the
+// [B^T; I_m] stack; m = 40 is a single TSQR leaf and m = 200 splits into
+// row blocks.
 TEST(EnKFBackend, WarmAnalysisWithWorkspaceAllocatesNothing) {
 #if !WFIRE_ALLOC_COUNTING
   GTEST_SKIP() << "allocation counting disabled under sanitizers";
@@ -344,8 +353,100 @@ TEST(EnKFBackend, WarmAnalysisWithWorkspaceAllocatesNothing) {
               }),
               0)
         << "m " << m;
+    Matrix E(m, N);
+    X = p.X0;
+    EXPECT_EQ(count_allocs([&] {
+                draw_perturbations(rng, E);
+                enkf_analysis_from_draws(X, p.HX, p.d, p.r_std, E, opt);
+              }),
+              0)
+        << "from draws, m " << m;
   }
 #endif
+}
+
+// With few observations and a large ensemble (m < N) the analysis works in
+// O((n + m) N) memory: the increment is (A B^T) times the solved
+// innovations, and no N x N coefficient matrix (128 MB at N = 4000) is
+// requested. The first call warms the gemm's per-thread panels.
+TEST(EnKFBackend, FewObservationsLargeEnsembleAllocatesLinearly) {
+#if !WFIRE_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  const int n = 4, m = 2, N = 4000;
+  const AnalysisProblem p = analysis_problem(n, m, N, 43);
+  Matrix X = p.X0;
+  Rng rng(321);
+  enkf_analysis(X, p.HX, p.d, p.r_std, rng);
+  const std::size_t bound = sizeof(double) * (n + m) * N;
+  for (const bool oracle : {false, true}) {
+    X = p.X0;
+    const std::size_t largest = largest_alloc([&] {
+      if (oracle)
+        reference::analysis_obs_space(X, p.HX, p.d, p.r_std, rng);
+      else
+        enkf_analysis(X, p.HX, p.d, p.r_std, rng);
+    });
+    EXPECT_GT(largest, 0u);
+    EXPECT_LE(largest, bound) << (oracle ? "obs-space oracle" : "qr");
+  }
+#endif
+}
+
+// Bitwise oracle for the parallel analysis: the ensemble statistics, the
+// in-place innovations and the column-split coefficient product must give
+// the serial loops' bits (tests/serial_reference.h, draws made inside the
+// analysis) at OpenMP widths 1, 2 and 4, with and without inflation, from
+// an rng (and at width 4 from perturbations drawn beforehand), and leave
+// the rng where the serial analysis leaves it. The shape is the cycle's
+// regime (m >= N, N = 25) with two row blocks each of X and HX, a split
+// coefficient product, several X += A W tile rows and a multi-block TSQR,
+// and no larger: under ThreadSanitizer every entry handed across an
+// (uninstrumented) OpenMP join costs a suppressed report.
+TEST(EnKFBitwise, AnalysisMatchesSerialLoops) {
+  const int n = 2100, m = 2100, N = 25;
+  Rng gen(2202);
+  const Matrix X0 = gaussian_ensemble(Vector(n, 1.0), 1.0, N, gen);
+  Matrix HX(m, N);
+  for (int k = 0; k < N; ++k)
+    for (int i = 0; i < m; ++i) HX(i, k) = X0(i, k) + 0.1 * gen.normal();
+  Vector d(static_cast<std::size_t>(m)), r_std(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) {
+    d[i] = 1.0 + 0.5 * std::sin(0.01 * i);
+    r_std[i] = 0.3 + 0.2 * (i % 7);
+  }
+  const auto same = [](const Matrix& a, const Matrix& b) {
+    return std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
+  };
+  for (const double inflation : {1.0, 1.1}) {
+    Matrix want = X0;
+    Rng r_want(77);
+    serial_reference::enkf_analysis(want, HX, d, r_std, r_want, inflation);
+    const std::uint64_t next = r_want.next_u64();
+    for (const int width : {1, 2, 4}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "inflation " << inflation << " width " << width);
+      wfire::util::ScopedOmpNumThreads omp(width);
+      wfire::la::Workspace ws;
+      EnKFOptions opt;
+      opt.inflation = inflation;
+      opt.workspace = &ws;
+      Matrix X = X0;
+      Rng rng(77);
+      enkf_analysis(X, HX, d, r_std, rng, opt);
+      EXPECT_TRUE(same(X, want)) << "from rng";
+      EXPECT_EQ(rng.next_u64(), next) << "from rng";
+
+      if (width != 4) continue;
+      X = X0;
+      Rng r_draw(77);
+      Matrix E(m, N);
+      draw_perturbations(r_draw, E);
+      enkf_analysis_from_draws(X, HX, d, r_std, E, opt);
+      EXPECT_TRUE(same(X, want)) << "from draws";
+      EXPECT_EQ(r_draw.next_u64(), next) << "from draws";
+    }
+  }
 }
 
 namespace {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,8 @@
 #include "morphing/morph.h"
 #include "morphing/registration.h"
 #include "morphing/warp.h"
+#include "serial_reference.h"
+#include "util/omp_compat.h"
 
 using namespace wfire::morphing;
 using wfire::util::Array2D;
@@ -837,6 +840,49 @@ TEST(MorphingEnKF, ValidatesInputs) {
                  std::invalid_argument)
         << nx << "x" << ny;
   }
+
+  // One member, and options the analysis divides by or scales with, are
+  // rejected before the encode: the members and the rng (whose draws the
+  // encode makes) are left exactly as they were.
+  const Array2D<double> clean_data = blob(16, 16, 9, 8, 3, 10.0);
+  const auto expect_untouched = [&](MorphingEnKF& f,
+                                    std::vector<MorphMember>& members,
+                                    const char* what) {
+    const std::vector<MorphMember> before = members;
+    Rng r(5), r_copy(5);
+    EXPECT_THROW(f.analyze(members, clean_data, r), std::invalid_argument)
+        << what;
+    EXPECT_EQ(r.next_u64(), r_copy.next_u64()) << what;
+    for (std::size_t k = 0; k < members.size(); ++k)
+      for (std::size_t fi = 0; fi < members[k].fields.size(); ++fi)
+        EXPECT_TRUE(members[k].fields[fi] == before[k].fields[fi]) << what;
+  };
+  std::vector<MorphMember> single = blobs(16, 16);
+  single.resize(1);
+  expect_untouched(filter, single, "one member");
+  const double bad_values[] = {0.0, -1.0, std::nan(""), HUGE_VAL};
+  const std::pair<double MorphingEnKFOptions::*, const char*> options[] = {
+      {&MorphingEnKFOptions::sigma_r, "sigma_r"},
+      {&MorphingEnKFOptions::sigma_T, "sigma_T"},
+      {&MorphingEnKFOptions::t_weight, "t_weight"},
+      {&MorphingEnKFOptions::inflation, "inflation"}};
+  for (const auto& [opt, name] : options) {
+    for (const double bad : bad_values) {
+      MorphingEnKFOptions o;
+      o.*opt = bad;
+      MorphingEnKF bad_filter(o);
+      std::vector<MorphMember> members = blobs(16, 16);
+      expect_untouched(bad_filter, members, name);
+      // The filter's own check names the option (the inner analysis
+      // would only see a bad r_std or inflation, after the encode).
+      try {
+        bad_filter.analyze(members, clean_data, rng);
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
@@ -932,4 +978,90 @@ TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
     for (int f = 0; f < nf; ++f)
       EXPECT_TRUE(members[k].fields[f] == expected[k].fields[f])
           << "member " << k << " field " << f;
+}
+
+TEST(MorphingEnKF, AnalyzeMatchesSerialDrawOrder) {
+  // analyze() draws the observation perturbations during its encode and
+  // builds HX there; the bits must be those of encoding first and then
+  // running the serial analysis that draws inside itself
+  // (tests/serial_reference.h), at OpenMP widths 1, 2 and 4, and the rng
+  // must end where that analysis leaves it.
+  const int n = 24, N = 6, nf = 2;
+  const int npix = n * n;
+  Rng gen(2203);
+  std::vector<MorphMember> members(N);
+  for (auto& m : members) {
+    const double cx = 10 + 1.5 * gen.normal(), cy = 12 + 1.5 * gen.normal();
+    m.fields.push_back(blob(n, n, cx, cy, 3, 10.0));
+    m.fields.push_back(blob(n, n, cx, cy, 5, -20.0));
+  }
+  const Array2D<double> data = blob(n, n, 14, 12, 3, 10.0);
+  MorphingEnKFOptions mopt;
+  mopt.sigma_r = 0.5;
+  mopt.sigma_T = 0.7;
+  mopt.t_weight = 1.5;
+  const double w = mopt.t_weight;
+
+  std::vector<Array2D<double>> u0(nf, Array2D<double>(n, n, 0.0));
+  for (int f = 0; f < nf; ++f) {
+    for (const auto& m : members)
+      for (int p = 0; p < npix; ++p) u0[f].data()[p] += m.fields[f].data()[p];
+    for (double& v : u0[f]) v *= 1.0 / N;
+  }
+  const auto encode = [&](const std::vector<Array2D<double>>& fields,
+                          int count, std::span<double> col) {
+    const RegistrationResult reg = register_fields(fields[0], u0[0], mopt.reg);
+    const Mapping Tinv = invert(reg.T);
+    std::size_t pos = 0;
+    for (int f = 0; f < count; ++f) {
+      Array2D<double> warped;
+      warp(fields[f], Tinv, warped);
+      for (int p = 0; p < npix; ++p)
+        col[pos++] = warped.data()[p] - u0[f].data()[p];
+    }
+    for (const double v : reg.T.tx) col[pos++] = w * v;
+    for (const double v : reg.T.ty) col[pos++] = w * v;
+  };
+  wfire::la::Matrix X(nf * npix + 2 * npix, N), HX(3 * npix, N);
+  for (int k = 0; k < N; ++k) {
+    encode(members[k].fields, nf, X.col(k));
+    for (int p = 0; p < 3 * npix; ++p)
+      HX(p, k) = X(p < npix ? p : p + (nf - 1) * npix, k);
+  }
+  wfire::la::Vector d(3 * npix), r_std(3 * npix);
+  encode({data}, 1, d);
+  for (int p = 0; p < 3 * npix; ++p)
+    r_std[p] = p < npix ? mopt.sigma_r : w * mopt.sigma_T;
+  Rng rng_expected(78);
+  serial_reference::enkf_analysis(X, HX, d, r_std, rng_expected,
+                                  mopt.inflation);
+  const std::uint64_t next = rng_expected.next_u64();
+
+  std::vector<MorphMember> expected = members;
+  for (int k = 0; k < N; ++k) {
+    const auto xc = X.col(k);
+    Mapping T(n, n);
+    for (int p = 0; p < npix; ++p) {
+      T.tx.data()[p] = xc[nf * npix + p] / w;
+      T.ty.data()[p] = xc[nf * npix + npix + p] / w;
+    }
+    for (int f = 0; f < nf; ++f) {
+      Array2D<double> base(n, n);
+      for (int p = 0; p < npix; ++p)
+        base.data()[p] = u0[f].data()[p] + xc[f * npix + p];
+      warp(base, T, expected[k].fields[f]);
+    }
+  }
+
+  for (const int width : {1, 2, 4}) {
+    wfire::util::ScopedOmpNumThreads omp(width);
+    std::vector<MorphMember> got = members;
+    Rng rng(78);
+    MorphingEnKF(mopt).analyze(got, data, rng);
+    EXPECT_EQ(rng.next_u64(), next) << "width " << width;
+    for (int k = 0; k < N; ++k)
+      for (int f = 0; f < nf; ++f)
+        EXPECT_TRUE(got[k].fields[f] == expected[k].fields[f])
+            << "width " << width << " member " << k << " field " << f;
+  }
 }
