@@ -153,10 +153,8 @@ static void BM_Batch_Advance(benchmark::State& state) {
         0.0}}});
     models.push_back(std::move(m));
   }
-  core::EnsembleBatchOptions bopt;
-  bopt.band_cells = band_cells;
   core::EnsembleBatch batch(g, fuel, terrain, fire::FireModelOptions{},
-                            members, bopt);
+                            members, band_cells);
   for (int k = 0; k < members; ++k) {
     util::Rng wrng = util::Rng::stream(9, 100 + k);
     batch.set_member_wind(k, 3.0 + wrng.normal(0.0, 0.5),

@@ -191,10 +191,9 @@ void compute_tendencies(const grid::Grid3D& g, const AmbientProfile& amb,
             (s.w(i, wrap(j - 1, ny), k) - 2 * ww + s.w(i, wrap(j + 1, ny), k)) *
                 ihy * ihy +
             (s.w(i, j, k - 1) - 2 * ww + s.w(i, j, k + 1)) * ihz * ihz;
-        // Buoyancy from theta' (and optionally qv') averaged to the face.
+        // Buoyancy from theta' and qv' averaged to the face.
         double thp = 0.5 * (s.theta(i, j, k - 1) + s.theta(i, j, k));
-        if (p.moisture_buoyancy)
-          thp += 0.61 * amb.theta0 * 0.5 * (s.qv(i, j, k - 1) + s.qv(i, j, k));
+        thp += 0.61 * amb.theta0 * 0.5 * (s.qv(i, j, k - 1) + s.qv(i, j, k));
         double val = adv + nu * lap + p.gravity * thp / amb.theta0;
         if (zf > sponge_z0) {
           const double r = (zf - sponge_z0) / (g.height() - sponge_z0);

@@ -23,7 +23,6 @@ struct DynamicsParams {
   double sponge_coeff = 0.05;     // max damping rate [1/s]
   double nudge_coeff = 0.002;     // relaxation of horizontal-mean wind [1/s]
   double gravity = 9.81;          // [m/s^2]
-  bool moisture_buoyancy = true;  // include 0.61 qv' in buoyancy
 };
 
 struct Tendencies {

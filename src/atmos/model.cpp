@@ -11,7 +11,6 @@ inline int wrap(int i, int n) { return (i + n) % n; }
 WrfLite::WrfLite(const grid::Grid3D& g, const AmbientProfile& amb,
                  WrfLiteOptions opt)
     : grid_(g), amb_(amb), opt_(opt) {
-  opt_.mg.tol = opt_.projection_tol;
   initialize_ambient(grid_, amb_, state_);
   mg_ = std::make_unique<Multigrid>(grid_, opt_.mg);
   rhs_ = Field3(g.nx, g.ny, g.nz, 0.0);
@@ -58,21 +57,17 @@ WrfLiteStepInfo WrfLite::step(double dt) {
 
   compute_tendencies(grid_, amb_, opt_.dynamics, state_, theta_src_, qv_src_,
                      tend1_);
-  if (opt_.use_rk2) {
-    // Predictor: full step, project, re-evaluate tendencies, then average.
-    predictor_ = state_;
-    apply_tendencies(grid_, tend1_, dt, predictor_);
-    std::swap(predictor_, state_);
-    project();
-    std::swap(predictor_, state_);
-    compute_tendencies(grid_, amb_, opt_.dynamics, predictor_, theta_src_,
-                       qv_src_, tend2_);
-    // Corrector on the original state with averaged tendencies.
-    apply_tendencies(grid_, tend1_, 0.5 * dt, state_);
-    apply_tendencies(grid_, tend2_, 0.5 * dt, state_);
-  } else {
-    apply_tendencies(grid_, tend1_, dt, state_);
-  }
+  // Predictor: full step, project, re-evaluate tendencies, then average.
+  predictor_ = state_;
+  apply_tendencies(grid_, tend1_, dt, predictor_);
+  std::swap(predictor_, state_);
+  project();
+  std::swap(predictor_, state_);
+  compute_tendencies(grid_, amb_, opt_.dynamics, predictor_, theta_src_,
+                     qv_src_, tend2_);
+  // Corrector on the original state with averaged tendencies.
+  apply_tendencies(grid_, tend1_, 0.5 * dt, state_);
+  apply_tendencies(grid_, tend2_, 0.5 * dt, state_);
   last_proj_ = project();
   time_ += dt;
 

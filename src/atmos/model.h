@@ -17,9 +17,7 @@ namespace wfire::atmos {
 
 struct WrfLiteOptions {
   DynamicsParams dynamics;
-  MultigridOptions mg;
-  bool use_rk2 = true;          // false = forward Euler (substrate ablation)
-  double projection_tol = 1e-6; // overrides mg.tol
+  MultigridOptions mg{.tol = 1e-6};  // the pressure projection's solver
 };
 
 struct WrfLiteStepInfo {

@@ -9,18 +9,6 @@
 
 namespace wfire::core {
 
-namespace {
-
-// Caps tig for filtering; the morphing warp needs finite fields.
-util::Array2D<double> capped_tig(const util::Array2D<double>& tig) {
-  util::Array2D<double> out = tig;
-  for (double& v : out)
-    if (!std::isfinite(v) || v > kTigCap) v = kTigCap;
-  return out;
-}
-
-}  // namespace
-
 AssimilationCycle::AssimilationCycle(const grid::Grid2D& g, fire::FuelMap fuel,
                                      util::Array2D<double> terrain,
                                      fire::FireModelOptions fire_opt,
@@ -113,8 +101,7 @@ void AssimilationCycle::advance_to(double time) {
     runner_.run_batch_phase("advance", [&] {
       if (!batch_) {
         batch_ = std::make_unique<EnsembleBatch>(
-            grid_, fuel_, terrain_, fire_opt_, members(),
-            EnsembleBatchOptions{.band_cells = opt_.band_cells});
+            grid_, fuel_, terrain_, fire_opt_, members(), opt_.band_cells);
       }
       for (int k = 0; k < members(); ++k)
         batch_->set_member_wind(k, member_wind_[k].first,
@@ -158,7 +145,8 @@ std::vector<morphing::MorphMember> AssimilationCycle::gather_fields(
       m.fields[0] = obs::front_distance_field(m.fields[0], grid_,
                                               opt_.front_flux_threshold);
     m.fields[1] = s.psi;
-    m.fields[2] = capped_tig(s.tig);
+    m.fields[2] = s.tig;
+    for (double& v : m.fields[2]) v = capped_tig(v);
     fields[k] = std::move(m);
   });
   return fields;
@@ -210,19 +198,17 @@ AnalysisResult AssimilationCycle::assimilate(const ObservationImage& obs) {
       gather_fields(obs, morphing_filter, data_field);
 
   AnalysisResult result;
-  la::Workspace* ws = opt_.la_workspace ? opt_.la_workspace : &la_ws_;
   runner_.run_serial_phase("enkf", [&] {
     if (morphing_filter) {
       const morphing::MorphingStats stats =
-          menkf_.analyze(fields, data_field, rng_, ws);
+          menkf_.analyze(fields, data_field, rng_, &la_ws_);
       result.enkf = stats.enkf;
       result.mean_registration_residual = stats.mean_registration_residual;
       result.max_mapping_norm = stats.max_mapping_norm;
     } else {
       // Paper Fig. 4(c): the standard EnKF compares raw images pixelwise.
       result.enkf = morphing::standard_enkf_on_fields(
-          fields, obs.image, opt_.standard_sigma_obs, opt_.standard_inflation,
-          rng_, ws);
+          fields, obs.image, opt_.standard_sigma_obs, rng_, &la_ws_);
     }
   });
 

@@ -48,13 +48,12 @@ struct CycleOptions {
   // standard-EnKF baseline assimilates the raw flux image pixelwise, which
   // is the paper's Fig. 4(c) configuration (and what diverges there).
   double front_flux_threshold = 5000.0;  // [W/m^2] active-band cut
+  // sigma_T / sigma_r is also the T-vs-r weight of the morphing analysis.
   morphing::MorphingEnKFOptions morph{.reg = {},
                                       .sigma_r = 50.0,   // [m]
                                       .sigma_T = 0.5,    // [fire cells]
-                                      .t_weight = 1.0,
                                       .inflation = 1.0};
   double standard_sigma_obs = 2000.0;  // [W/m^2], raw-image baseline
-  double standard_inflation = 1.0;
   // Member forcing: ambient wind plus per-member jitter (ensemble spread in
   // the driving weather).
   double wind_u = 3.0, wind_v = 0.0;
@@ -70,13 +69,9 @@ struct CycleOptions {
   // selects that path outright (the oracle the batched path is tested
   // against).
   AdvanceMode advance = AdvanceMode::kBatched;
-  // Narrow-band half width in cells for the batched path; 0 disables the
-  // band.
+  // Narrow-band half width in cells for the batched path (the one default
+  // of EnsembleBatch's band); 0 disables the band.
   int band_cells = 8;
-  // Dense-LA scratch arena for the analysis. When null the cycle owns one,
-  // so a cycling driver is allocation-free in steady state either way; pass
-  // a pointer to share one arena across several cycles/filters.
-  la::Workspace* la_workspace = nullptr;
 };
 
 struct AnalysisResult {
@@ -168,7 +163,7 @@ class AssimilationCycle {
   FallbackReason last_fallback_reason_ = FallbackReason::kNone;
   long fallback_count_ = 0;
   morphing::MorphingEnKF menkf_;
-  la::Workspace la_ws_;  // analysis scratch when opt_.la_workspace is null
+  la::Workspace la_ws_;  // analysis scratch, reused across cycles
 };
 
 }  // namespace wfire::core

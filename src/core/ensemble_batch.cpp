@@ -30,7 +30,7 @@ int round_up(int n, int pad) { return ((n + pad - 1) / pad) * pad; }
 EnsembleBatch::EnsembleBatch(const grid::Grid2D& g, const fire::FuelMap& fuel,
                              const util::Array2D<double>& terrain,
                              fire::FireModelOptions opt, int members,
-                             EnsembleBatchOptions bopt)
+                             int band_cells)
     : grid_(g), opt_(opt), members_(members) {
   if (members_ < 1)
     throw std::invalid_argument("EnsembleBatch: members < 1");
@@ -52,9 +52,9 @@ EnsembleBatch::EnsembleBatch(const grid::Grid2D& g, const fire::FuelMap& fuel,
   pending_.assign(static_cast<std::size_t>(members_), {});
   band_pos_.assign(lay_.cells(), -1);
 
-  if (bopt.band_cells > 0) {
+  if (band_cells > 0) {
     const double h = std::max(g.dx, g.dy);
-    band_width_m_ = std::max(bopt.band_cells, 4) * h;
+    band_width_m_ = std::max(band_cells, 4) * h;
     // Rebuild before the front can get within ~2 cells of the band edge;
     // under the level set CFL bound a step travels at most one cell.
     rebuild_margin_m_ = band_width_m_ - 2.0 * h;

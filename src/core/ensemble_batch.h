@@ -45,22 +45,17 @@ namespace wfire::core {
 // scalar path stays as the property-tested reference.
 enum class AdvanceMode { kBatched, kReference };
 
-struct EnsembleBatchOptions {
-  // Narrow-band half width in cells (distance from the nearest member
-  // front); 0 disables the band (full-grid sweeps, bitwise-equal to the
-  // reference path). Values 1..3 are clamped to 4: the band needs room for
-  // the 2-cell rebuild slack plus the stencil.
-  int band_cells = 8;
-};
-
 class EnsembleBatch {
  public:
   // Shared grid/fuel/terrain and stepping options; `members` is fixed for
   // the batch lifetime (load() expects exactly that many models).
+  // `band_cells` is the narrow-band half width in cells (distance from the
+  // nearest member front); 0 disables the band (full-grid sweeps,
+  // bitwise-equal to the reference path). Values 1..3 are clamped to 4: the
+  // band needs room for the 2-cell rebuild slack plus the stencil.
   EnsembleBatch(const grid::Grid2D& g, const fire::FuelMap& fuel,
                 const util::Array2D<double>& terrain,
-                fire::FireModelOptions opt, int members,
-                EnsembleBatchOptions bopt = {});
+                fire::FireModelOptions opt, int members, int band_cells);
 
   [[nodiscard]] int members() const { return members_; }
   [[nodiscard]] double time() const { return time_; }

@@ -2,34 +2,17 @@
 
 #include <cmath>
 #include <limits>
-#include <stdexcept>
 
 namespace wfire::core {
 
-la::Vector pack_state(const fire::FireState& s, double tig_cap) {
+la::Vector pack_state(const fire::FireState& s) {
   const std::size_t n = s.psi.size();
   la::Vector v(2 * n);
   const auto psi = s.psi.span();
   const auto tig = s.tig.span();
   for (std::size_t i = 0; i < n; ++i) v[i] = psi[i];
-  for (std::size_t i = 0; i < n; ++i)
-    v[n + i] = std::isfinite(tig[i]) ? std::min(tig[i], tig_cap) : tig_cap;
+  for (std::size_t i = 0; i < n; ++i) v[n + i] = capped_tig(tig[i]);
   return v;
-}
-
-void unpack_state(const la::Vector& v, int nx, int ny, double time,
-                  fire::FireState& out, double tig_cap) {
-  const std::size_t n = static_cast<std::size_t>(nx) * ny;
-  if (v.size() != 2 * n)
-    throw std::invalid_argument("unpack_state: size mismatch");
-  out.psi = util::Array2D<double>(nx, ny);
-  out.tig = util::Array2D<double>(nx, ny);
-  out.time = time;
-  auto psi = out.psi.span();
-  auto tig = out.tig.span();
-  for (std::size_t i = 0; i < n; ++i) psi[i] = v[i];
-  for (std::size_t i = 0; i < n; ++i)
-    tig[i] = v[n + i] > 0.5 * tig_cap ? fire::kNotIgnited : v[n + i];
 }
 
 bool burning_centroid(const grid::Grid2D& g, const util::Array2D<double>& psi,

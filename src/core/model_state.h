@@ -3,21 +3,25 @@
 // cycle and its benches.
 #pragma once
 
+#include <cmath>
+
 #include "fire/model.h"
 #include "la/matrix.h"
 
 namespace wfire::core {
 
-// Flattens (psi, tig) into one vector [psi..., tig...]. The unburned marker
-// +inf in tig is mapped to `tig_cap` (a large finite sentinel) so the EnKF
-// linear algebra stays finite; unpack restores +inf above 0.5 * tig_cap.
+// The unburned marker +inf in tig, and any other non-finite or larger
+// ignition time, becomes kTigCap (a large finite sentinel) wherever tig
+// enters the filter, so the EnKF linear algebra and the morphing warp see
+// finite fields.
 inline constexpr double kTigCap = 1.0e6;
 
-[[nodiscard]] la::Vector pack_state(const fire::FireState& s,
-                                    double tig_cap = kTigCap);
+[[nodiscard]] inline double capped_tig(double tig) {
+  return std::isfinite(tig) && tig <= kTigCap ? tig : kTigCap;
+}
 
-void unpack_state(const la::Vector& v, int nx, int ny, double time,
-                  fire::FireState& out, double tig_cap = kTigCap);
+// Flattens (psi, capped tig) into one vector [psi..., tig...].
+[[nodiscard]] la::Vector pack_state(const fire::FireState& s);
 
 // Centroid (x, y) of the burning region {psi < 0}, area-weighted on nodes;
 // returns false if nothing burns. The Fig. 4 position-error metric.

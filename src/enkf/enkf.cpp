@@ -63,7 +63,8 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) if (team))
 }
 
 // mean[i0:i1) = the row means of M, each row's members summed in member
-// order (ensemble_mean's arithmetic, restricted to the rows).
+// order (the serial mean of tests/serial_reference.h, restricted to the
+// rows).
 void row_means(const la::Matrix& M, int i0, int i1, double* mean) {
   for (int i = i0; i < i1; ++i) mean[i] = 0.0;
   for (int k = 0; k < M.cols(); ++k) {
@@ -74,8 +75,8 @@ void row_means(const la::Matrix& M, int i0, int i1, double* mean) {
   for (int i = i0; i < i1; ++i) mean[i] *= inv;
 }
 
-// Rows [i0, i1) of dst = mean + f (src - mean), inflate()'s arithmetic; dst
-// may be src.
+// Rows [i0, i1) of dst = mean + f (src - mean), the serial inflation's
+// arithmetic; dst may be src.
 void inflate_rows(const la::Matrix& src, const double* mean, double f,
                   la::Matrix& dst, int i0, int i1) {
   for (int k = 0; k < src.cols(); ++k) {

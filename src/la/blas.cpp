@@ -25,19 +25,6 @@ void gemv(double alpha, const Matrix& A, const Vector& x, double beta,
   }
 }
 
-void gemv_t(double alpha, const Matrix& A, const Vector& x, double beta,
-            Vector& y) {
-  if (static_cast<int>(x.size()) != A.rows() ||
-      static_cast<int>(y.size()) != A.cols())
-    throw std::invalid_argument("gemv_t: size mismatch");
-  for (int j = 0; j < A.cols(); ++j) {
-    const auto col = A.col(j);
-    double s = 0;
-    for (int i = 0; i < A.rows(); ++i) s += col[i] * x[i];
-    y[j] = beta * y[j] + alpha * s;
-  }
-}
-
 namespace {
 
 // Relaxed atomic: tests move the tile edge between cases, never during a

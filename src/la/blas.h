@@ -35,10 +35,6 @@ class ScopedBlockSize {
 void gemv(double alpha, const Matrix& A, const Vector& x, double beta,
           Vector& y);
 
-// y = alpha * A^T * x + beta * y
-void gemv_t(double alpha, const Matrix& A, const Vector& x, double beta,
-            Vector& y);
-
 // C = alpha * op(A) * op(B) + beta * C with op in {identity, transpose}.
 void gemm(bool transA, bool transB, double alpha, const Matrix& A,
           const Matrix& B, double beta, Matrix& C);

@@ -45,7 +45,6 @@ void check_options(const MorphingEnKFOptions& opt) {
   };
   positive(opt.sigma_r, "sigma_r");
   positive(opt.sigma_T, "sigma_T");
-  positive(opt.t_weight, "t_weight");
   positive(opt.inflation, "inflation");
 }
 
@@ -73,7 +72,6 @@ MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
   const std::size_t nfields = members.front().fields.size();
   const int N = static_cast<int>(members.size());
   const std::size_t npix = data.size();
-  const double w = opt_.t_weight;
 
   // References: per-field ensemble means; field 0's registration pyramid is
   // built once for all N + 1 images.
@@ -81,8 +79,8 @@ MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
   for (std::size_t f = 0; f < nfields; ++f) u0[f] = field_mean(members, f);
   const RegistrationReference ref(u0[0], opt_.reg);
 
-  // Extended state: [r_f0, r_f1, ..., w*Tx, w*Ty]; the observation selects
-  // [r_f0, w*Tx, w*Ty], the layout of the data vector d and of HX.
+  // Extended state: [r_f0, r_f1, ..., Tx, Ty]; the observation selects
+  // [r_f0, Tx, Ty], the layout of the data vector d and of HX.
   const std::size_t t_row = nfields * npix;
   const int m = static_cast<int>(3 * npix);
   la::Matrix& X = arena.mat("menkf.X", static_cast<int>(t_row + 2 * npix), N);
@@ -93,7 +91,7 @@ MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
 
   // Encode images 0..N-1 (the members, into X's and HX's columns) and image
   // N (the data image, into d): register field 0, invert its mapping once,
-  // and write every field's residual and w*T. Task N + 1 draws the
+  // and write every field's residual and T. Task N + 1 draws the
   // analysis's observation perturbations into E, in enkf_analysis's order,
   // while the registrations run; the rng is restored if the analysis rejects
   // its input. Per-image slots are reduced in image order below, so the
@@ -120,11 +118,8 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
     const Mapping Tinv = invert(reg.T);
     for (std::size_t f = 0; f < nf; ++f)
       morph_residual(image(f), u0[f], Tinv, col.subspan(f * npix, npix));
-    const std::span<const double> tx = reg.T.tx.span(), ty = reg.T.ty.span();
-    for (std::size_t p = 0; p < npix; ++p) {
-      col[nf * npix + p] = w * tx[p];
-      col[(nf + 1) * npix + p] = w * ty[p];
-    }
+    std::ranges::copy(reg.T.tx.span(), col.begin() + nf * npix);
+    std::ranges::copy(reg.T.ty.span(), col.begin() + (nf + 1) * npix);
     if (!is_data) {
       const auto hc = HX.col(k);
       std::copy_n(col.begin(), npix, hc.begin());
@@ -142,7 +137,7 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
   stats.data_registration_residual = reg_res[N];
 
   std::fill_n(r_std.begin(), npix, opt_.sigma_r);
-  std::fill(r_std.begin() + npix, r_std.end(), w * opt_.sigma_T);
+  std::fill(r_std.begin() + npix, r_std.end(), opt_.sigma_T);
 
   enkf::EnKFOptions eopt;
   eopt.inflation = opt_.inflation;
@@ -159,10 +154,8 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
   for (int k = 0; k < N; ++k) {
     const auto xc = X.col(k);
     Mapping T(data.nx(), data.ny());
-    for (std::size_t p = 0; p < npix; ++p) {
-      T.tx.data()[p] = xc[t_row + p] / w;
-      T.ty.data()[p] = xc[t_row + npix + p] / w;
-    }
+    std::copy_n(xc.begin() + t_row, npix, T.tx.data());
+    std::copy_n(xc.begin() + t_row + npix, npix, T.ty.data());
     for (std::size_t f = 0; f < nfields; ++f)
       morph_decode(u0[f], xc.subspan(f * npix, npix), T, members[k].fields[f]);
   }
@@ -171,8 +164,8 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
 
 enkf::EnKFStats standard_enkf_on_fields(std::vector<MorphMember>& members,
                                         const util::Array2D<double>& data,
-                                        double sigma_obs, double inflation,
-                                        util::Rng& rng, la::Workspace* ws) {
+                                        double sigma_obs, util::Rng& rng,
+                                        la::Workspace* ws) {
   check_members(members, data, "standard_enkf_on_fields");
   const std::size_t nfields = members.front().fields.size();
   const int N = static_cast<int>(members.size());
@@ -200,7 +193,6 @@ enkf::EnKFStats standard_enkf_on_fields(std::vector<MorphMember>& members,
     std::fill(r_std.begin(), r_std.end(), sigma_obs);
   }
   enkf::EnKFOptions opt;
-  opt.inflation = inflation;
   opt.workspace = &arena;
   const enkf::EnKFStats stats = enkf::enkf_analysis(X, HX, d, r_std, rng, opt);
 

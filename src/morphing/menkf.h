@@ -26,10 +26,12 @@ namespace wfire::morphing {
 
 struct MorphingEnKFOptions {
   RegistrationOptions reg;
+  // The observation error stds also balance the mapping T against the
+  // amplitude residual r: the T-vs-r weight is sigma_T / sigma_r (a smaller
+  // sigma_T pulls harder on position).
   double sigma_r = 1.0;       // obs error std on the amplitude residual
   double sigma_T = 1.0;       // obs error std on the mapping [grid units]
-  double t_weight = 1.0;      // relative weight of T vs r in the state
-  double inflation = 1.0;     // all four: finite, > 0
+  double inflation = 1.0;     // all three: finite, > 0
 };
 
 // One ensemble member in field form: fields[0] is the registration /
@@ -51,7 +53,7 @@ class MorphingEnKF {
 
   // Analysis step, in place on `members`. `data` is the observed image;
   // there must be >= 2 members, each with the same number (>= 1) of fields,
-  // each shaped like `data`, and the options' sigma_r, sigma_T, t_weight and
+  // each shaped like `data`, and the options' sigma_r, sigma_T and
   // inflation must be finite and > 0 (std::invalid_argument otherwise,
   // before any work). A rejected call leaves `members` and `rng` as they
   // were. The observation perturbations are drawn from `rng` exactly as
@@ -79,8 +81,7 @@ class MorphingEnKF {
 // MorphingEnKF::analyze.
 enkf::EnKFStats standard_enkf_on_fields(std::vector<MorphMember>& members,
                                         const util::Array2D<double>& data,
-                                        double sigma_obs, double inflation,
-                                        util::Rng& rng,
+                                        double sigma_obs, util::Rng& rng,
                                         la::Workspace* ws = nullptr);
 
 }  // namespace wfire::morphing

@@ -5,10 +5,6 @@
 
 namespace wfire::obs {
 
-WeatherStationOperator::WeatherStationOperator(const grid::Grid2D& g,
-                                               StationOperatorOptions opt)
-    : grid_(g), opt_(opt) {}
-
 StationComparison WeatherStationOperator::compare(
     const StationReport& rep, const util::Array2D<double>& temperature,
     const util::Array2D<double>& wind_u, const util::Array2D<double>& wind_v,
@@ -24,9 +20,9 @@ StationComparison WeatherStationOperator::compare(
   cmp.model_wind_v = grid::biquadratic(grid_, wind_v, rep.x, rep.y);
   cmp.model_humidity = grid::biquadratic(grid_, humidity, rep.x, rep.y);
 
-  // Fireline proximity: any burning node in the (2r+1)^2 neighborhood of
-  // the containing cell.
-  const int r = opt_.fireline_check_radius;
+  // Fireline proximity: any burning node within r cells of the containing
+  // cell's nodes.
+  constexpr int r = 1;
   for (int dj = -r; dj <= r + 1 && !cmp.fireline_nearby; ++dj)
     for (int di = -r; di <= r + 1; ++di) {
       const int i = std::clamp(cmp.cell.i + di, 0, grid_.nx - 1);

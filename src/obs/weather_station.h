@@ -30,19 +30,14 @@ struct StationComparison {
   double model_wind_u = 0;
   double model_wind_v = 0;
   double model_humidity = 0;
-  bool fireline_nearby = false;  // psi < 0 within the check radius
+  bool fireline_nearby = false;  // a burning node at or next to the cell
   // Innovations (observed - model).
   double d_temperature = 0, d_wind_u = 0, d_wind_v = 0, d_humidity = 0;
 };
 
-struct StationOperatorOptions {
-  int fireline_check_radius = 1;  // cells around the station to scan
-};
-
 class WeatherStationOperator {
  public:
-  WeatherStationOperator(const grid::Grid2D& g,
-                         StationOperatorOptions opt = {});
+  explicit WeatherStationOperator(const grid::Grid2D& g) : grid_(g) {}
 
   // Compares a report against model fields (all node fields on the grid).
   [[nodiscard]] StationComparison compare(
@@ -62,7 +57,6 @@ class WeatherStationOperator {
 
  private:
   grid::Grid2D grid_;
-  StationOperatorOptions opt_;
 };
 
 }  // namespace wfire::obs

@@ -209,6 +209,26 @@ TEST(WrfLite, StepInfoReportsDiagnostics) {
   EXPECT_GT(info.mg_cycles, 0);
 }
 
+TEST(WrfLite, HonoursCallerProjectionTolerance) {
+  // The projection solves to the caller's mg.tol: a loose tolerance stops
+  // after fewer V-cycles and leaves more divergence than a tight one.
+  const Grid3D g(16, 16, 8, 60.0, 60.0, 60.0);
+  AmbientProfile amb;
+  wfire::util::Array3D<double> theta_src(g.nx, g.ny, g.nz, 0.0);
+  for (int k = 0; k < 2; ++k) theta_src(8, 8, k) = 0.5;
+  const auto one_step = [&](double tol) {
+    WrfLiteOptions opt;
+    opt.mg.tol = tol;
+    WrfLite model(g, amb, opt);
+    model.set_forcing(&theta_src, nullptr);
+    return model.step(0.5);
+  };
+  const WrfLiteStepInfo loose = one_step(1e-3);
+  const WrfLiteStepInfo tight = one_step(1e-10);
+  EXPECT_LT(loose.mg_cycles, tight.mg_cycles);
+  EXPECT_GT(loose.max_div_after, tight.max_div_after);
+}
+
 TEST(Dynamics, ScalarAdvectionConservesIntegral) {
   // Flux-form upwind advection in a periodic divergence-free flow conserves
   // the scalar integral (no sources, no diffusion loss through walls).

@@ -93,10 +93,9 @@ TEST(BatchVsReference, BitwiseEqualWithBandDisabled) {
   auto ref = make_members(g, centers, fopt);
   auto bat = make_members(g, centers, fopt);
 
-  EnsembleBatchOptions bopt;
-  bopt.band_cells = 0;  // full-grid sweeps
   EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt,
-                      static_cast<int>(centers.size()), bopt);
+                      static_cast<int>(centers.size()),
+                      /*band_cells=*/0);  // full-grid sweeps
   for (int k = 0; k < batch.members(); ++k)
     batch.set_member_wind(k, wind[k].first, wind[k].second);
 
@@ -127,9 +126,8 @@ TEST(BatchVsReference, SingleMemberBitwise) {
   auto ref = make_members(g, {{120, 120}}, fopt);
   auto bat = make_members(g, {{120, 120}}, fopt);
 
-  EnsembleBatchOptions bopt;
-  bopt.band_cells = 0;
-  EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt, 1, bopt);
+  EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt, 1,
+                      /*band_cells=*/0);
   batch.set_member_wind(0, 3.0, 0.0);
 
   advance_reference(ref, {{3.0, 0.0}}, 10.0, 0.5);
@@ -155,10 +153,8 @@ TEST(BatchVsReference, NarrowBandMatchesIgnitionTimes) {
   auto ref = make_members(g, centers, fopt);
   auto bat = make_members(g, centers, fopt);
 
-  EnsembleBatchOptions bopt;
-  bopt.band_cells = 8;
   EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt,
-                      static_cast<int>(centers.size()), bopt);
+                      static_cast<int>(centers.size()), /*band_cells=*/8);
   for (int k = 0; k < batch.members(); ++k)
     batch.set_member_wind(k, wind[k].first, wind[k].second);
 
@@ -196,9 +192,8 @@ TEST(BatchVsReference, BandTouchingDomainEdge) {
   auto ref = make_members(g, {{10, 10}, {230, 120}}, fopt);
   auto bat = make_members(g, {{10, 10}, {230, 120}}, fopt);
 
-  EnsembleBatchOptions bopt;
-  bopt.band_cells = 6;
-  EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt, 2, bopt);
+  EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt, 2,
+                      /*band_cells=*/6);
   batch.set_member_wind(0, 3.0, 1.0);
   batch.set_member_wind(1, -2.0, 0.0);
 
@@ -227,9 +222,8 @@ TEST(BatchVsReference, FullyBurnedMemberIsStable) {
   bat[0]->ignite({levelset::Ignition{
       levelset::CircleIgnition{120.0, 120.0, 500.0, 0.0}}});
 
-  EnsembleBatchOptions bopt;
-  bopt.band_cells = 8;
-  EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt, 2, bopt);
+  EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt, 2,
+                      /*band_cells=*/8);
   batch.set_member_wind(0, 3.0, 0.0);
   batch.set_member_wind(1, 3.0, 0.0);
 
@@ -262,9 +256,8 @@ TEST(BatchVsReference, DelayedIgnitionsApplyInBatchBitwise) {
   bat[0]->ignite(shapes);
   ASSERT_TRUE(bat[0]->has_pending_ignitions());
 
-  EnsembleBatchOptions bopt;
-  bopt.band_cells = 0;
-  EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt, 2, bopt);
+  EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt, 2,
+                      /*band_cells=*/0);
   batch.set_member_wind(0, 3.0, 0.0);
   batch.set_member_wind(1, 2.5, 0.5);
 

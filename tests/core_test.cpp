@@ -33,27 +33,27 @@ std::unique_ptr<fire::FireModel> ignited_model(double cx, double cy) {
 
 }  // namespace
 
-TEST(ModelState, PackUnpackRoundTrip) {
+TEST(ModelState, PackStateCapsIgnitionTime) {
   fire::FireState s;
   s.psi = util::Array2D<double>(4, 3, 2.5);
   s.tig = util::Array2D<double>(4, 3, fire::kNotIgnited);
   s.psi(1, 1) = -3.0;
   s.tig(1, 1) = 17.0;
+  s.tig(2, 1) = 2.0 * kTigCap;
+  s.tig(3, 1) = std::nan("");
   s.time = 99.0;
 
   const la::Vector v = pack_state(s);
   ASSERT_EQ(v.size(), 24u);
   EXPECT_DOUBLE_EQ(v[0], 2.5);
-  // +inf mapped to the finite cap.
+  EXPECT_DOUBLE_EQ(v[5], -3.0);
+  EXPECT_DOUBLE_EQ(v[12 + 5], 17.0);
+  // +inf, a time past the cap and NaN all map to the finite cap.
   EXPECT_DOUBLE_EQ(v[12], kTigCap);
-
-  fire::FireState r;
-  unpack_state(v, 4, 3, 99.0, r);
-  EXPECT_TRUE(r.psi == s.psi);
-  EXPECT_DOUBLE_EQ(r.tig(1, 1), 17.0);
-  EXPECT_TRUE(std::isinf(r.tig(0, 0)));
-  EXPECT_THROW(unpack_state(la::Vector(7), 4, 3, 0.0, r),
-               std::invalid_argument);
+  EXPECT_DOUBLE_EQ(v[12 + 6], kTigCap);
+  EXPECT_DOUBLE_EQ(v[12 + 7], kTigCap);
+  EXPECT_DOUBLE_EQ(capped_tig(kTigCap), kTigCap);
+  EXPECT_DOUBLE_EQ(capped_tig(-HUGE_VAL), kTigCap);
 }
 
 TEST(ModelState, CentroidOfCircularFire) {

@@ -1,4 +1,4 @@
-// EnKF tests: ensemble statistics, the QR square-root analysis against its
+// EnKF tests: the ensemble spread, the QR square-root analysis against its
 // named oracles (enkf/reference.h), against its serial loops bit for bit
 // and against the exact Kalman filter in the linear-Gaussian limit, input
 // validation, inflation, workspace reuse, allocation-free warm analyses,
@@ -37,27 +37,22 @@ Matrix gaussian_ensemble(const Vector& mean, double std_dev, int N, Rng& rng) {
   return X;
 }
 
-}  // namespace
-
-TEST(Ensemble, MeanAndAnomalies) {
-  Matrix X(2, 3);
-  X(0, 0) = 1; X(0, 1) = 2; X(0, 2) = 3;
-  X(1, 0) = 4; X(1, 1) = 4; X(1, 2) = 4;
-  const Vector m = ensemble_mean(X);
-  EXPECT_DOUBLE_EQ(m[0], 2.0);
-  EXPECT_DOUBLE_EQ(m[1], 4.0);
-  const Matrix A = anomalies(X);
-  EXPECT_DOUBLE_EQ(A(0, 0), -1.0);
-  EXPECT_DOUBLE_EQ(A(1, 2), 0.0);
+// Row means of X: the ensemble mean of each state coordinate.
+Vector mean_of(const Matrix& X) {
+  Vector mean;
+  serial_reference::ensemble_mean(X, mean);
+  return mean;
 }
+
+}  // namespace
 
 TEST(Ensemble, InflationPreservesMeanScalesSpread) {
   Rng rng(1);
   Matrix X = gaussian_ensemble(Vector{1.0, 2.0}, 1.0, 50, rng);
-  const Vector m0 = ensemble_mean(X);
+  const Vector m0 = mean_of(X);
   const double s0 = spread(X);
-  inflate(X, 1.5);
-  const Vector m1 = ensemble_mean(X);
+  serial_reference::inflate(X, 1.5);
+  const Vector m1 = mean_of(X);
   EXPECT_NEAR(m1[0], m0[0], 1e-12);
   EXPECT_NEAR(spread(X), 1.5 * s0, 1e-9);
 }
@@ -131,7 +126,7 @@ TEST_P(EnKFPathParam, ConvergesToKalmanInLinearGaussianLimit) {
   for (int i = 0; i < n; ++i) prior.cov(i, i) = prior_std * prior_std;
   const KalmanState post = kalman_update(prior, H, d, r_std);
 
-  const Vector mean = ensemble_mean(X);
+  const Vector mean = mean_of(X);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(mean[i], post.mean[i], 0.12);
 }
 
@@ -170,7 +165,7 @@ TEST(EnKF, AnalysisMovesTowardObservations) {
   const Vector d(n, 5.0);
   const Vector r_std(n, 0.1);  // trust the data
   const EnKFStats stats = enkf_analysis(X, HX, d, r_std, rng);
-  const Vector mean = ensemble_mean(X);
+  const Vector mean = mean_of(X);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(mean[i], 5.0, 0.6);
   EXPECT_GT(stats.innovation_rms, 4.0);
   EXPECT_GT(stats.increment_rms, 4.0);
@@ -495,7 +490,7 @@ TEST(EnKFGolden, EnsembleSpaceIncrementMatchesCommittedVector) {
   Vector d(static_cast<std::size_t>(m));
   for (int i = 0; i < m; ++i) d[i] = 1.0 + 0.5 * std::sin(0.05 * i);
   const Vector r_std(static_cast<std::size_t>(m), 0.5);
-  const Vector mb = ensemble_mean(X0);
+  const Vector mb = mean_of(X0);
 
   // rtol with a small atol floor: near-zero components of the increment
   // carry rounding noise from the factorization differences.
@@ -508,7 +503,7 @@ TEST(EnKFGolden, EnsembleSpaceIncrementMatchesCommittedVector) {
                : enkf_analysis(X, HX, d, r_std, rng);
     EXPECT_NEAR(s.increment_rms, kGoldenIncrementRms,
                 rtol * kGoldenIncrementRms);
-    const Vector ma = ensemble_mean(X);
+    const Vector ma = mean_of(X);
     for (int i = 0; i < n; ++i)
       EXPECT_NEAR(ma[i] - mb[i], kGoldenIncrement[i],
                   rtol * std::abs(kGoldenIncrement[i]) + atol)

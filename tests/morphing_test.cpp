@@ -718,7 +718,7 @@ TEST(MorphingEnKF, PullsDisplacedEnsembleTowardData) {
   // Standard EnKF baseline.
   Rng rng_s(22);
   std::vector<MorphMember> std_members = make_members(rng_s);
-  standard_enkf_on_fields(std_members, data, 0.5, 1.0, rng_s);
+  standard_enkf_on_fields(std_members, data, 0.5, rng_s);
   double std_mean_x = 0;
   for (const auto& m : std_members) std_mean_x += centroid_x(m.fields[0]);
   std_mean_x /= std_members.size();
@@ -797,12 +797,12 @@ TEST(MorphingEnKF, ValidatesInputs) {
   for (auto& m : fields8) m.fields.push_back(Array2D<double>(8, 8, 0.0));
   for (const int n : {7, 9})
     EXPECT_THROW(standard_enkf_on_fields(fields8, Array2D<double>(n, n, 0.0),
-                                         1.0, 1.0, rng),
+                                         1.0, rng),
                  std::invalid_argument)
         << n << "x" << n << " image";
-  EXPECT_THROW(standard_enkf_on_fields(ragged, data, 1.0, 1.0, rng),
+  EXPECT_THROW(standard_enkf_on_fields(ragged, data, 1.0, rng),
                std::invalid_argument);
-  EXPECT_THROW(standard_enkf_on_fields(fieldless, data, 1.0, 1.0, rng),
+  EXPECT_THROW(standard_enkf_on_fields(fieldless, data, 1.0, rng),
                std::invalid_argument);
 
   // Images the kernels cannot sample: a non-finite value in the data image
@@ -823,7 +823,7 @@ TEST(MorphingEnKF, ValidatesInputs) {
     spoiled_data(4, 11) = bad;
     EXPECT_THROW(filter.analyze(members, spoiled_data, rng),
                  std::invalid_argument);
-    EXPECT_THROW(standard_enkf_on_fields(members, spoiled_data, 1.0, 1.0, rng),
+    EXPECT_THROW(standard_enkf_on_fields(members, spoiled_data, 1.0, rng),
                  std::invalid_argument);
     const Array2D<double> clean_data = blob(16, 16, 9, 8, 3, 10.0);
     for (const std::size_t f : {0u, 1u}) {
@@ -864,7 +864,6 @@ TEST(MorphingEnKF, ValidatesInputs) {
   const std::pair<double MorphingEnKFOptions::*, const char*> options[] = {
       {&MorphingEnKFOptions::sigma_r, "sigma_r"},
       {&MorphingEnKFOptions::sigma_T, "sigma_T"},
-      {&MorphingEnKFOptions::t_weight, "t_weight"},
       {&MorphingEnKFOptions::inflation, "inflation"}};
   for (const auto& [opt, name] : options) {
     for (const double bad : bad_values) {
@@ -889,7 +888,7 @@ TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
   // Bitwise oracle for analyze(), rebuilt from the public pieces: each of
   // the N members and the data image is registered against the field-0
   // ensemble mean, its mapping is inverted, every field's residual
-  // r = u o (I+T)^{-1} - u0 goes into the extended state with w*T, the
+  // r = u o (I+T)^{-1} - u0 goes into the extended state with T, the
   // stochastic EnKF runs on the same column layout, and each member is
   // decoded as (u0 + r) o (I + T).
   const int n = 41, N = 8, nf = 3;
@@ -906,9 +905,7 @@ TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
   MorphingEnKFOptions mopt;
   mopt.sigma_r = 0.5;
   mopt.sigma_T = 0.7;
-  mopt.t_weight = 1.5;
   mopt.inflation = 1.1;
-  const double w = mopt.t_weight;
 
   std::vector<Array2D<double>> u0(nf, Array2D<double>(n, n, 0.0));
   for (int f = 0; f < nf; ++f) {
@@ -916,7 +913,7 @@ TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
       for (int p = 0; p < npix; ++p) u0[f].data()[p] += m.fields[f].data()[p];
     for (double& v : u0[f]) v *= 1.0 / N;
   }
-  // Encodes one image: column = [r_0 .. r_{count-1}, w*Tx, w*Ty].
+  // Encodes one image: column = [r_0 .. r_{count-1}, Tx, Ty].
   const auto encode = [&](const std::vector<Array2D<double>>& fields,
                           int count, std::span<double> col) {
     const RegistrationResult reg = register_fields(fields[0], u0[0], mopt.reg);
@@ -928,8 +925,8 @@ TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
       for (int p = 0; p < npix; ++p)
         col[pos++] = warped.data()[p] - u0[f].data()[p];
     }
-    for (const double v : reg.T.tx) col[pos++] = w * v;
-    for (const double v : reg.T.ty) col[pos++] = w * v;
+    for (const double v : reg.T.tx) col[pos++] = v;
+    for (const double v : reg.T.ty) col[pos++] = v;
     return reg;
   };
   wfire::la::Matrix X(nf * npix + 2 * npix, N), HX(3 * npix, N);
@@ -944,7 +941,7 @@ TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
   wfire::la::Vector d(3 * npix), r_std(3 * npix);
   const double data_res = encode({data}, 1, d).data_term;
   for (int p = 0; p < 3 * npix; ++p)
-    r_std[p] = p < npix ? mopt.sigma_r : w * mopt.sigma_T;
+    r_std[p] = p < npix ? mopt.sigma_r : mopt.sigma_T;
 
   Rng rng_expected(77), rng_actual(77);
   wfire::la::Workspace ws;
@@ -958,8 +955,8 @@ TEST(MorphingEnKF, AnalyzeMatchesPerImageComposition) {
     const auto xc = X.col(k);
     Mapping T(n, n);
     for (int p = 0; p < npix; ++p) {
-      T.tx.data()[p] = xc[nf * npix + p] / w;
-      T.ty.data()[p] = xc[nf * npix + npix + p] / w;
+      T.tx.data()[p] = xc[nf * npix + p];
+      T.ty.data()[p] = xc[nf * npix + npix + p];
     }
     for (int f = 0; f < nf; ++f) {
       Array2D<double> base(n, n);
@@ -999,8 +996,6 @@ TEST(MorphingEnKF, AnalyzeMatchesSerialDrawOrder) {
   MorphingEnKFOptions mopt;
   mopt.sigma_r = 0.5;
   mopt.sigma_T = 0.7;
-  mopt.t_weight = 1.5;
-  const double w = mopt.t_weight;
 
   std::vector<Array2D<double>> u0(nf, Array2D<double>(n, n, 0.0));
   for (int f = 0; f < nf; ++f) {
@@ -1019,8 +1014,8 @@ TEST(MorphingEnKF, AnalyzeMatchesSerialDrawOrder) {
       for (int p = 0; p < npix; ++p)
         col[pos++] = warped.data()[p] - u0[f].data()[p];
     }
-    for (const double v : reg.T.tx) col[pos++] = w * v;
-    for (const double v : reg.T.ty) col[pos++] = w * v;
+    for (const double v : reg.T.tx) col[pos++] = v;
+    for (const double v : reg.T.ty) col[pos++] = v;
   };
   wfire::la::Matrix X(nf * npix + 2 * npix, N), HX(3 * npix, N);
   for (int k = 0; k < N; ++k) {
@@ -1031,7 +1026,7 @@ TEST(MorphingEnKF, AnalyzeMatchesSerialDrawOrder) {
   wfire::la::Vector d(3 * npix), r_std(3 * npix);
   encode({data}, 1, d);
   for (int p = 0; p < 3 * npix; ++p)
-    r_std[p] = p < npix ? mopt.sigma_r : w * mopt.sigma_T;
+    r_std[p] = p < npix ? mopt.sigma_r : mopt.sigma_T;
   Rng rng_expected(78);
   serial_reference::enkf_analysis(X, HX, d, r_std, rng_expected,
                                   mopt.inflation);
@@ -1042,8 +1037,8 @@ TEST(MorphingEnKF, AnalyzeMatchesSerialDrawOrder) {
     const auto xc = X.col(k);
     Mapping T(n, n);
     for (int p = 0; p < npix; ++p) {
-      T.tx.data()[p] = xc[nf * npix + p] / w;
-      T.ty.data()[p] = xc[nf * npix + npix + p] / w;
+      T.tx.data()[p] = xc[nf * npix + p];
+      T.ty.data()[p] = xc[nf * npix + npix + p];
     }
     for (int f = 0; f < nf; ++f) {
       Array2D<double> base(n, n);

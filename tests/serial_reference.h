@@ -1,8 +1,8 @@
 // Serial copies of the blocked gemm and the EnKF analysis as they were
 // before their passes went parallel: the gemm's tile-row loop without its
-// OpenMP region, and the analysis's serial mean, anomaly and innovation
-// loops with the draws made inside the analysis. The loops are kept
-// verbatim, so the bitwise oracle tests (la_backend_test, enkf_test,
+// OpenMP region, and the analysis's serial mean, anomaly, inflation and
+// innovation loops with the draws made inside the analysis. The loops are
+// kept verbatim, so the bitwise oracle tests (la_backend_test, enkf_test,
 // morphing_test) compare the parallel code against the exact arithmetic it
 // must reproduce, at every OpenMP width. Test-only; include once per test
 // binary.
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "enkf/enkf.h"
-#include "enkf/ensemble.h"
 #include "la/blas.h"
 #include "la/matrix.h"
 #include "la/qr.h"
@@ -164,12 +163,46 @@ inline void gemm(bool transA, bool transB, double alpha, const Matrix& A,
   }
 }
 
+// Column-wise mean of X, members summed in member order.
+inline void ensemble_mean(const Matrix& X, Vector& mean) {
+  const int n = X.rows(), N = X.cols();
+  mean.assign(static_cast<std::size_t>(n), 0.0);
+  for (int k = 0; k < N; ++k) {
+    const auto col = X.col(k);
+    for (int i = 0; i < n; ++i) mean[i] += col[i];
+  }
+  const double inv = 1.0 / N;
+  for (double& m : mean) m *= inv;
+}
+
+// A = X - mean * 1^T.
+inline void anomalies(const Matrix& X, const Vector& mean, Matrix& A) {
+  const int n = X.rows(), N = X.cols();
+  A.resize(n, N);
+  for (int k = 0; k < N; ++k) {
+    const auto src = X.col(k);
+    auto dst = A.col(k);
+    for (int i = 0; i < n; ++i) dst[i] = src[i] - mean[i];
+  }
+}
+
+// Multiplicative inflation about the mean: X <- mean + factor * (X - mean).
+inline void inflate(Matrix& X, double factor) {
+  if (factor == 1.0) return;
+  Vector mean;
+  ensemble_mean(X, mean);
+  for (int k = 0; k < X.cols(); ++k) {
+    auto col = X.col(k);
+    for (int i = 0; i < X.rows(); ++i)
+      col[i] = mean[i] + factor * (col[i] - mean[i]);
+  }
+}
+
 // The stochastic QR square-root analysis in the image regime (m >= N), its
 // draws made inside the analysis, for finite inputs of the right shapes.
 inline void enkf_analysis(Matrix& X, const Matrix& HX, const Vector& d,
                           const Vector& r_std, wfire::util::Rng& rng,
                           double inflation) {
-  using namespace wfire::enkf;
   namespace la = wfire::la;
   const int N = X.cols();
   const int m = HX.rows();
