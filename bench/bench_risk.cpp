@@ -1,16 +1,16 @@
 // Monte Carlo burn-probability products end to end: a K-member sweep
-// through one scenario-server fleet reduced into a probability grid, and
+// advanced as one batched ensemble and reduced into a probability grid, and
 // the product-cache hit path that serves repeat fetches of the finished
 // grid without re-simulation.
 //
-// Expected shape: sweep throughput (member runs/s, fleet cell-steps/s)
-// scales with pool threads until the members' stencil work saturates the
-// cores; the reduction itself is a per-member O(cells) fold and never
-// shows. Cache hits are a key hash plus an LRU splice — nanoseconds,
-// independent of K and grid size — which is the entire point of serving
-// products instead of simulations.
+// Expected shape: sweep throughput (member runs/s, cell-steps/s) scales
+// with the OpenMP width until the batch's grid sweeps saturate the cores;
+// the reduction itself is a per-member O(cells) fold and never shows.
+// Cache hits are a key hash plus an LRU splice — nanoseconds, independent
+// of K and grid size — which is the entire point of serving products
+// instead of simulations.
 //
-// BM_Risk_Sweep arguments: (members, threads).
+// BM_Risk_Sweep arguments: (members, OpenMP width).
 #include <benchmark/benchmark.h>
 
 #include "risk/product_cache.h"
@@ -53,10 +53,6 @@ static void BM_Risk_Sweep(benchmark::State& state) {
   opt.members = static_cast<int>(state.range(0));
   opt.threads = static_cast<int>(state.range(1));
   opt.horizon = 30.0;
-  // Force every member through the pool: each member's advance is small
-  // enough for default admission to serve it inline on the caller thread,
-  // which would serialize the sweep and hide the pool-width axis.
-  opt.inline_cell_steps = 0;
 
   long long runs = 0;
   for (auto _ : state) {
@@ -64,10 +60,6 @@ static void BM_Risk_Sweep(benchmark::State& state) {
     const risk::BurnProbabilityGrid grid = driver.run();
     benchmark::DoNotOptimize(grid.probability.data());
     runs += opt.members;
-    state.counters["inline_members"] =
-        static_cast<double>(driver.last_inline());
-    state.counters["pooled_members"] =
-        static_cast<double>(driver.last_pooled());
   }
   const double cell_steps_per_run =
       (opt.horizon / base.dt) * base.nx * base.ny;

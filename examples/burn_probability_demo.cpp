@@ -1,14 +1,14 @@
 // Monte Carlo burn-probability products end to end: a twin-experiment
 // "truth" fire supplies the reference burn; a K-member sweep of Gaussian
-// perturbations around a deliberately wind-biased analyst spec runs through
-// one scenario-server fleet and reduces into a per-cell burn-probability
-// grid; the product cache serves a repeat fetch of the same product without
+// perturbations around a deliberately wind-biased analyst spec runs as one
+// batched ensemble and reduces into a per-cell burn-probability grid; the
+// product cache serves a repeat fetch of the same product without
 // re-simulating; and the thresholded surface is validated against the
 // reference burn with precision / recall / F1.
 //
 // The product is bitwise-reproducible: the same (base spec, perturbation)
-// on any pool width or admission routing yields the identical grid, which
-// the demo verifies by re-running the sweep with opposite execution knobs.
+// at any OpenMP width yields the identical grid, which the demo verifies by
+// re-running the sweep at width 1.
 //
 // Run:  ./burn_probability_demo [members=64] [minutes=4] [threads=4]
 #include <cmath>
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   opt.horizon = horizon;
   opt.threads = threads;
 
-  // --- First fetch computes (one sweep through a private server fleet);
+  // --- First fetch computes (one batched sweep);
   // the second is served from the cache without touching a fire model.
   risk::ProductCache cache;
   const auto product = cache.fetch(base, pert, opt);
@@ -95,16 +95,15 @@ int main(int argc, char** argv) {
     std::printf("median arrival at domain center: %.1f s\n", t_med);
 
   // --- The reproducibility contract, demonstrated: the identical product
-  // from the opposite execution regime (one thread, everything inline).
+  // from the opposite execution regime (one thread).
   risk::SweepOptions solo = opt;
   solo.threads = 1;
-  solo.inline_cell_steps = 1L << 40;
   risk::SweepDriver driver(base, pert, solo);
   const risk::BurnProbabilityGrid alt = driver.run();
   const bool invariant = alt.probability == product->probability &&
                          alt.arrivals == product->arrivals &&
                          alt.key == product->key;
-  std::printf("pool-width invariance (inline x1 vs pooled x%d): %s\n",
+  std::printf("width invariance (x1 vs team x%d): %s\n",
               threads, invariant ? "bitwise identical" : "DIVERGED");
 
   // Machine-readable summary for the golden-value smoke check. Every key is

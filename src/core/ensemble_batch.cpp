@@ -49,6 +49,8 @@ EnsembleBatch::EnsembleBatch(const grid::Grid2D& g, const fire::FuelMap& fuel,
   fuel_.assign(lay_.size(), 0.0);  // padding lanes: no fuel -> speed 0
   wind_u_.assign(lay_.stride, 0.0);
   wind_v_.assign(lay_.stride, 0.0);
+  burn_time_scale_.assign(lay_.stride, 1.0);
+  wind_.assign(static_cast<std::size_t>(members_), {});
   pending_.assign(static_cast<std::size_t>(members_), {});
   band_pos_.assign(lay_.cells(), -1);
 
@@ -62,11 +64,22 @@ EnsembleBatch::EnsembleBatch(const grid::Grid2D& g, const fire::FuelMap& fuel,
   rebuild_band();
 }
 
-void EnsembleBatch::set_member_wind(int k, double u, double v) {
+void EnsembleBatch::check_member(int k) const {
   if (k < 0 || k >= members_)
-    throw std::invalid_argument("EnsembleBatch: wind member out of range");
-  wind_u_[k] = u;
-  wind_v_[k] = v;
+    throw std::invalid_argument("EnsembleBatch: member out of range");
+}
+
+void EnsembleBatch::set_member_wind(int k, double u, double v, double jitter,
+                                    std::uint64_t seed) {
+  check_member(k);
+  wind_[k] = Wind{u, v, jitter, seed};
+}
+
+void EnsembleBatch::set_member_burn_time_scale(int k, double scale) {
+  check_member(k);
+  if (!(scale > 0))
+    throw std::invalid_argument("EnsembleBatch: burn time scale <= 0");
+  burn_time_scale_[k] = scale;
 }
 
 void EnsembleBatch::load(
@@ -74,6 +87,7 @@ void EnsembleBatch::load(
   if (static_cast<int>(models.size()) != members_)
     throw std::invalid_argument("EnsembleBatch: load with wrong member count");
   time_ = models.front()->state().time;
+  steps_ = 0;
   steps_since_reinit_ = models.front()->steps_since_reinit();
   for (const auto& m : models) {
     if (std::abs(m->state().time - time_) > 1e-9)
@@ -100,6 +114,18 @@ void EnsembleBatch::load(
   travel_ = 0;
   travel_since_reinit_ = 0;
   rebuild_band();
+}
+
+// Fills this step's wind rows with the scenario server's rule
+// (fire::gust_wind at this step index).
+void EnsembleBatch::fill_wind_rows() {
+  for (int k = 0; k < members_; ++k) {
+    const Wind& w = wind_[k];
+    double u = w.u, v = w.v;
+    fire::gust_wind(u, v, w.jitter, w.seed, steps_);
+    wind_u_[k] = u;
+    wind_v_[k] = v;
+  }
 }
 
 // Applies each member's due delayed ignitions with the reference path's
@@ -180,6 +206,7 @@ void EnsembleBatch::advance_to(double time, double dt) {
 void EnsembleBatch::step(double dt) {
   const int stride = lay_.stride;
   const double h = std::max(grid_.dx, grid_.dy);
+  fill_wind_rows();
   if (apply_due_ignitions() && band_width_m_ > 0) rebuild_band();
   if (band_width_m_ > 0 && travel_ + h >= rebuild_margin_m_) rebuild_band();
   const int nband = static_cast<int>(band_.size());
@@ -207,6 +234,7 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
 
   const double t_before = time_;
   time_ += dt;
+  ++steps_;
 
   // Ignition-time crossing + post-frontal fuel decay, fused over the band
   // (update_ignition_times / the flux loop in fire/model.cpp, per node). The
@@ -226,6 +254,7 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(max : max_drop))
     const double* bef = &before_[static_cast<std::size_t>(b) * stride];
     const bool burnable = tables_.burnable[cell] != 0;
     const double tau = tables_.tau[cell];
+    const double* scale = burn_time_scale_.data();
     for (int k = 0; k < stride; ++k) {
       const double drop = bef[k] - after[k];
       if (drop > max_drop) max_drop = drop;
@@ -235,7 +264,7 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(max : max_drop))
         tg[k] = t_before + frac * dt;
       }
       if (burnable && tg[k] != fire::kNotIgnited && tg[k] <= time_now)
-        ff[k] = std::exp(-(time_now - tg[k]) / tau);
+        ff[k] = std::exp(-(time_now - tg[k]) / (tau * scale[k]));
     }
   }
 
@@ -276,6 +305,16 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     levelset::reinitialize(grid_, scratch);
     for (std::size_t c = 0; c < cells; ++c) psi_[c * stride + k] = s[c];
   }
+}
+
+util::Array2D<double> EnsembleBatch::member_tig(int k) const {
+  check_member(k);
+  util::Array2D<double> tig(grid_.nx, grid_.ny);
+  double* out = tig.data();
+  const std::size_t cells = lay_.cells();
+  const int stride = lay_.stride;
+  for (std::size_t c = 0; c < cells; ++c) out[c] = tig_[c * stride + k];
+  return tig;
 }
 
 void EnsembleBatch::store(

@@ -32,6 +32,7 @@
 // rebuilds (the same arena discipline as la::Workspace in the analysis).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -47,7 +48,8 @@ enum class AdvanceMode { kBatched, kReference };
 
 class EnsembleBatch {
  public:
-  // Shared grid/fuel/terrain and stepping options; `members` is fixed for
+  // Shared grid/fuel/terrain and stepping options (members differ in wind,
+  // burn-time scale and state); `members` is fixed for
   // the batch lifetime (load() expects exactly that many models).
   // `band_cells` is the narrow-band half width in cells (distance from the
   // nearest member front); 0 disables the band (full-grid sweeps,
@@ -62,8 +64,17 @@ class EnsembleBatch {
   [[nodiscard]] int band_size() const { return static_cast<int>(band_.size()); }
   [[nodiscard]] const levelset::BatchLayout& layout() const { return lay_; }
 
-  // Per-member uniform wind forcing [m/s] (the assimilation-cycle regime).
-  void set_member_wind(int k, double u, double v);
+  // Per-member uniform wind forcing [m/s]. With jitter > 0 each step adds
+  // the scenario server's gusts, fire::gust_wind(u, v, jitter, seed, step),
+  // where step counts the steps since load(). jitter = 0 (the
+  // assimilation-cycle regime) is a steady wind.
+  void set_member_wind(int k, double u, double v, double jitter = 0,
+                       std::uint64_t seed = 0);
+
+  // Per-member scale on the fuel catalog's mass-loss e-folding time: the
+  // decay divides by fl(tau * scale), the tau a FireModel whose catalog was
+  // scaled by the same factor holds (serve::make_model). Default 1.
+  void set_member_burn_time_scale(int k, double scale);
 
   // Packs the models' states into the SoA fields. All members must share
   // the model time and the reinitialization phase (they do when advanced in
@@ -72,8 +83,9 @@ class EnsembleBatch {
   // arrives, with the reference path's min-merge arithmetic.
   void load(const std::vector<std::unique_ptr<fire::FireModel>>& models);
 
-  // Advances all members to `time` in steps of `dt` (the last step is
-  // shortened to land exactly). Matches FireModel::step semantics: spread
+  // Advances all members to `time` in steps of min(dt, time - now) while
+  // now < time - 1e-9, the scenario server's step sequence. Matches
+  // FireModel::step semantics: spread
   // from current psi and fuel fraction, Heun/Euler Godunov update, linear
   // ignition-time crossing, post-frontal fuel decay, periodic fast-sweep
   // redistancing.
@@ -84,8 +96,14 @@ class EnsembleBatch {
   // still-pending delayed ignitions.
   void store(std::vector<std::unique_ptr<fire::FireModel>>& models) const;
 
+  // Member k's ignition-time field, copied out without a model round trip
+  // (so a caller can free its models before the advance).
+  [[nodiscard]] util::Array2D<double> member_tig(int k) const;
+
  private:
   void step(double dt);
+  void check_member(int k) const;
+  void fill_wind_rows();
   bool apply_due_ignitions();
   void maybe_reinit();
   void rebuild_band();
@@ -97,6 +115,7 @@ class EnsembleBatch {
   int members_ = 0;
   double time_ = 0;
   int steps_since_reinit_ = 0;
+  std::uint64_t steps_ = 0;         // since load(): the gust stream index
   double travel_since_reinit_ = 0;  // front travel [m] for the band cadence
   double step_travel_ = 0;          // travel of the last step
 
@@ -105,8 +124,15 @@ class EnsembleBatch {
 
   // Full-grid SoA fields.
   std::vector<double> psi_, tig_, fuel_;
-  // Per-member forcing rows (length stride; padding lanes 0).
-  std::vector<double> wind_u_, wind_v_;
+  // Per-member rows (length stride): this step's wind (padding lanes 0) and
+  // the mass-loss time scales (padding lanes 1).
+  std::vector<double> wind_u_, wind_v_, burn_time_scale_;
+  // Per-member steady wind and gust stream (jitter 0: no gusts).
+  struct Wind {
+    double u = 0, v = 0, jitter = 0;
+    std::uint64_t seed = 0;
+  };
+  std::vector<Wind> wind_;
   // Per-member delayed-ignition queues, applied in-batch as they come due.
   std::vector<std::vector<levelset::Ignition>> pending_;
   util::Array2D<double> ignite_scratch_;

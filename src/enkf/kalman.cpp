@@ -4,6 +4,7 @@
 
 #include "la/blas.h"
 #include "la/cholesky.h"
+#include "la/reference.h"
 
 namespace wfire::enkf {
 
@@ -29,9 +30,9 @@ KalmanState kalman_update(const KalmanState& prior, const la::Matrix& H,
   post.mean = prior.mean;
   la::Vector innov(d);
   la::Vector hm(static_cast<std::size_t>(m));
-  la::gemv(1.0, H, prior.mean, 0.0, hm);
+  la::reference::gemv(1.0, H, prior.mean, 0.0, hm);
   for (int i = 0; i < m; ++i) innov[i] = d[i] - hm[i];
-  la::gemv(1.0, K, innov, 1.0, post.mean);
+  la::reference::gemv(1.0, K, innov, 1.0, post.mean);
 
   // P_a = (I - K H) P.
   la::Matrix KH = la::matmul(K, H);  // n x n
@@ -49,7 +50,7 @@ KalmanState kalman_forecast(const KalmanState& state, const la::Matrix& M,
     throw std::invalid_argument("kalman_forecast: size mismatch");
   KalmanState out;
   out.mean.assign(static_cast<std::size_t>(n), 0.0);
-  la::gemv(1.0, M, state.mean, 0.0, out.mean);
+  la::reference::gemv(1.0, M, state.mean, 0.0, out.mean);
   const la::Matrix MP = la::matmul(M, state.cov);
   out.cov = la::matmul(MP, M, false, true);
   for (int j = 0; j < n; ++j)

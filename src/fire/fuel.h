@@ -2,8 +2,10 @@
 // after Clark et al. 2004 / Rothermel 1972). Each category carries the
 // spread-law coefficients (R0, a, b, d, Smax), the fuel load and the
 // post-frontal mass-loss e-folding time ("rapid mass loss in grass, slow
-// mass loss in larger fuel particles"), plus heat content and moisture for
-// the sensible/latent flux split.
+// mass loss in larger fuel particles"), plus heat content and the
+// sensible/latent flux split. The fuel moisture M is carried but read by no
+// model: the spread law has no moisture term and the flux split is the
+// fixed latent_fraction.
 //
 // Values are representative of the 13 Anderson (1982) fire-behavior
 // categories; laboratory-exact coefficients are proprietary to the original
@@ -28,8 +30,9 @@ struct FuelCategory {
   double d = 0.10;
   double Smax = 2.0;
   // Fuel bed: load w0 [kg/m^2], mass-loss e-folding time tau [s], heat of
-  // combustion h [J/kg], fuel moisture fraction M (mass water / dry mass),
-  // and the fraction of released heat carried as latent flux.
+  // combustion h [J/kg], fuel moisture fraction M (mass water / dry mass;
+  // no model reads it), and the fraction of released heat carried as
+  // latent flux.
   double w0 = 0.5;
   double tau = 20.0;
   double h = 1.74e7;

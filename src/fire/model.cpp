@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/rng.h"
+
 namespace wfire::fire {
 
 FireModel::FireModel(const grid::Grid2D& g, FuelMap fuel,
@@ -195,6 +197,15 @@ double FireModel::burned_area() const {
 
 double FireModel::front_length() const {
   return levelset::front_length(levelset::extract_front(grid_, state_.psi));
+}
+
+void gust_wind(double& u, double& v, double jitter, std::uint64_t seed,
+               std::uint64_t step) {
+  if (jitter > 0) {
+    util::Rng gust = util::Rng::stream(seed, step);
+    u += jitter * gust.normal();
+    v += jitter * gust.normal();
+  }
 }
 
 }  // namespace wfire::fire

@@ -8,6 +8,7 @@
 // the two arrays assimilated by the (morphing) EnKF.
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -129,5 +130,13 @@ class FireModel {
   levelset::StepScratch step_scratch_;
   util::Array2D<double> reinit_scratch_;
 };
+
+// A scenario's wind at one step: the steady (u, v), plus, when jitter > 0,
+// gusts jitter * N(0,1) added to u, then to v, drawn from
+// util::Rng::stream(seed, step). A pure function of its arguments, so a
+// trajectory does not depend on who steps it: the scenario server and the
+// batched sweep (core::EnsembleBatch) both call it.
+void gust_wind(double& u, double& v, double jitter, std::uint64_t seed,
+               std::uint64_t step);
 
 }  // namespace wfire::fire

@@ -11,20 +11,6 @@
 
 namespace wfire::la {
 
-void gemv(double alpha, const Matrix& A, const Vector& x, double beta,
-          Vector& y) {
-  if (static_cast<int>(x.size()) != A.cols() ||
-      static_cast<int>(y.size()) != A.rows())
-    throw std::invalid_argument("gemv: size mismatch");
-  for (double& v : y) v *= beta;
-  // Column-major: accumulate column contributions for unit-stride access.
-  for (int j = 0; j < A.cols(); ++j) {
-    const double xj = alpha * x[j];
-    const auto col = A.col(j);
-    for (int i = 0; i < A.rows(); ++i) y[i] += col[i] * xj;
-  }
-}
-
 namespace {
 
 // Relaxed atomic: tests move the tile edge between cases, never during a

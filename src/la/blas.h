@@ -31,10 +31,6 @@ class ScopedBlockSize {
   int prev_;
 };
 
-// y = alpha * A * x + beta * y  (A: m x n, x: n, y: m)
-void gemv(double alpha, const Matrix& A, const Vector& x, double beta,
-          Vector& y);
-
 // C = alpha * op(A) * op(B) + beta * C with op in {identity, transpose}.
 void gemm(bool transA, bool transB, double alpha, const Matrix& A,
           const Matrix& B, double beta, Matrix& C);

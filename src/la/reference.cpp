@@ -1,5 +1,7 @@
 #include "la/reference.h"
 
+#include <stdexcept>
+
 namespace wfire::la::reference {
 
 namespace {
@@ -27,6 +29,20 @@ void gemm_impl(bool transA, bool transB, double alpha, const Matrix& A,
 }
 
 }  // namespace
+
+void gemv(double alpha, const Matrix& A, const Vector& x, double beta,
+          Vector& y) {
+  if (static_cast<int>(x.size()) != A.cols() ||
+      static_cast<int>(y.size()) != A.rows())
+    throw std::invalid_argument("gemv: size mismatch");
+  for (double& v : y) v *= beta;
+  // Column-major: accumulate column contributions for unit-stride access.
+  for (int j = 0; j < A.cols(); ++j) {
+    const double xj = alpha * x[j];
+    const auto col = A.col(j);
+    for (int i = 0; i < A.rows(); ++i) y[i] += col[i] * xj;
+  }
+}
 
 void gemm(bool transA, bool transB, double alpha, const Matrix& A,
           const Matrix& B, double beta, Matrix& C) {

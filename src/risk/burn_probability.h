@@ -1,5 +1,5 @@
-// Monte Carlo burn-probability products: the per-cell burned fraction of a
-// fleet of perturbed scenario runs at a forecast horizon, plus arrival-time
+// Monte Carlo burn-probability products: the per-cell burned fraction of an
+// ensemble of perturbed scenario runs at a forecast horizon, plus arrival-time
 // quantiles — the probability surface of the Adhikari et al. risk platform
 // (SNIPPETS.md #3), validated the way Beezley et al. validate forecast
 // surfaces against reference burns (F1 / precision / recall).
@@ -8,13 +8,12 @@
 //  - BurnProbabilityGrid is a plain value: immutable once finalized, safe to
 //    share read-only across any number of serving threads (the product cache
 //    hands out shared_ptr<const BurnProbabilityGrid>).
-//  - BurnProbabilityAccumulator is the streaming reduction point: members
-//    are folded in as their scenarios finish, from whichever serving thread
-//    the completion hook fires on (one internal mutex; completions are rare
-//    events, so contention is nil). The reduction is independent of arrival
-//    order — and therefore of pool width and admission routing — because
-//    burned counts are integer sums and arrival times land in member-indexed
-//    slots; finalize() derives the float surface in fixed cell order.
+//  - BurnProbabilityAccumulator is the reduction point: members are folded
+//    in one at a time, from any thread (one internal mutex; folds are rare
+//    events, so contention is nil). The reduction is independent of fold
+//    order because burned counts are integer sums and arrival times land in
+//    member-indexed slots; finalize() derives the float surface in fixed
+//    cell order.
 //  - Allocation: the accumulator carves everything at construction; per
 //    member, add_member() writes in place. arrival_quantile() allocates its
 //    result (a product query, not a serving-path call).

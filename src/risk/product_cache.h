@@ -33,8 +33,8 @@ class ProductCache {
 
   // The product for (base, pert, opt): served from cache when present,
   // computed by one SweepDriver run otherwise (concurrent misses for the
-  // same key share that one run). Execution knobs in `opt` (threads,
-  // inline threshold) do not participate in the key — the product is
+  // same key share that one run). Execution knobs in `opt` (threads)
+  // do not participate in the key — the product is
   // bitwise-independent of them.
   [[nodiscard]] std::shared_ptr<const BurnProbabilityGrid> fetch(
       const serve::ScenarioSpec& base, const PerturbationSpec& pert,

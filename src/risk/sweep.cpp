@@ -1,10 +1,14 @@
 #include "risk/sweep.h"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "core/ensemble_batch.h"
+#include "fire/terrain.h"
 #include "util/hash.h"
+#include "util/omp_compat.h"
 #include "util/rng.h"
 
 namespace wfire::risk {
@@ -74,38 +78,35 @@ SweepDriver::SweepDriver(serve::ScenarioSpec base, PerturbationSpec pert,
 }
 
 BurnProbabilityGrid SweepDriver::run() {
-  serve::ServerOptions sopt;
-  sopt.threads = opt_.threads;
-  if (opt_.inline_cell_steps >= 0)
-    sopt.inline_cell_steps = opt_.inline_cell_steps;
-  sopt.max_scenarios = opt_.members;
-  serve::ScenarioServer server(sopt);
+  serve::validate(base_);
+  const int members = opt_.members;
+  const grid::Grid2D g(base_.nx, base_.ny, base_.dx, base_.dy);
+  core::EnsembleBatch batch(
+      g, fire::uniform_fuel(base_.nx, base_.ny, base_.fuel_category),
+      fire::terrain_flat(g), base_.fire, members, /*band_cells=*/0);
+  {
+    // Members differ from the base only in wind, fuel scales, ignitions and
+    // gust seed; each model is its spec's serve::make_model. The models are
+    // freed before the advance (member_tig reads the result).
+    std::vector<std::unique_ptr<fire::FireModel>> models;
+    models.reserve(static_cast<std::size_t>(members));
+    for (int k = 0; k < members; ++k) {
+      const serve::ScenarioSpec spec = perturb_member(base_, pert_, k);
+      models.push_back(serve::make_model(spec));
+      batch.set_member_wind(k, spec.wind_u, spec.wind_v, spec.wind_jitter,
+                            spec.seed);
+      batch.set_member_burn_time_scale(k, spec.burn_time_scale);
+    }
+    batch.load(models);
+  }
+  {
+    util::ScopedOmpNumThreads width(opt_.threads);
+    batch.advance_to(opt_.horizon, base_.dt);
+  }
 
   BurnProbabilityAccumulator acc(base_.nx, base_.ny, base_.dx, base_.dy,
-                                 opt_.members, opt_.horizon);
-
-  // Sweep admission: every member's hook is installed before its first
-  // request, so the reduction can never miss a completion.
-  std::vector<serve::ScenarioId> ids;
-  ids.reserve(static_cast<std::size_t>(opt_.members));
-  for (int k = 0; k < opt_.members; ++k) {
-    const serve::ScenarioId id = server.admit(perturb_member(base_, pert_, k));
-    server.set_completion_hook(
-        id, [&acc, k](serve::ScenarioId, const fire::FireState& st) {
-          acc.add_member(k, st.tig);
-        });
-    ids.push_back(id);
-  }
-  for (const serve::ScenarioId id : ids)
-    server.request_advance(id, opt_.horizon);
-  server.wait_all();
-  for (const serve::ScenarioId id : ids)
-    if (server.status(id).failed)
-      throw std::runtime_error("SweepDriver: member " + std::to_string(id) +
-                               " failed: " + server.error(id));
-  last_inline_ = server.total_inline();
-  last_pooled_ = server.total_pooled();
-
+                                 members, opt_.horizon);
+  for (int k = 0; k < members; ++k) acc.add_member(k, batch.member_tig(k));
   BurnProbabilityGrid grid = acc.finalize();
   grid.key = product_key(base_, pert_, opt_);
   return grid;

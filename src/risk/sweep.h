@@ -1,27 +1,25 @@
-// Monte Carlo scenario sweep over the scenario server: K Gaussian
-// perturbations of one base ScenarioSpec (current observation as the mean,
-// configurable variance — the Adhikari et al. transformation, SNIPPETS.md
-// #3), admitted as a fleet to one serve::ScenarioServer and reduced into a
-// BurnProbabilityGrid as members finish.
+// Monte Carlo scenario sweep: K Gaussian perturbations of one base
+// ScenarioSpec (current observation as the mean, configurable variance —
+// the Adhikari et al. transformation, SNIPPETS.md #3), advanced together as
+// one core::EnsembleBatch and reduced into a BurnProbabilityGrid.
 //
 // Reproducibility contract: the whole sweep is a pure function of
 // (base, perturbation) — member k's spec comes from the counter-based
-// util::Rng::stream(pert.seed, k), its trajectory from the server's own
-// pure-function-of-spec contract, and the reduction is arrival-order-free.
-// The same sweep on any pool width, admission threshold, or thread count
-// produces a bitwise-identical product; product_key() therefore hashes only
-// the fields that determine the product, never the execution knobs.
+// util::Rng::stream(pert.seed, k), and the batch runs full-grid sweeps
+// (band_cells = 0), bitwise-equal to stepping each member's FireModel on a
+// serve::ScenarioServer. The same sweep at any OpenMP width produces a
+// bitwise-identical product; product_key() therefore hashes only the fields
+// that determine the product, never the execution knobs.
 //
-// Threading: run() owns a private server fleet for its duration; member
-// reductions happen on serving threads via completion hooks. A SweepDriver
-// is single-use-at-a-time (run() is not reentrant); the returned grid is an
-// immutable value.
+// Threading: run() advances the batch with its OpenMP kernels on the
+// calling thread's team. A SweepDriver is single-use-at-a-time (run() is
+// not reentrant); the returned grid is an immutable value.
 #pragma once
 
 #include <cstdint>
 
 #include "risk/burn_probability.h"
-#include "serve/scenario_server.h"
+#include "serve/spec.h"
 
 namespace wfire::risk {
 
@@ -29,6 +27,8 @@ namespace wfire::risk {
 // speed/direction space (speed additive in m/s, clamped at 0; direction in
 // radians); the fuel scales are lognormal (exp(sigma * z), median 1, always
 // positive); ignition centers jitter by an isotropic offset per shape.
+// moisture_sigma scales fuel_moisture_scale, which no model reads: it
+// changes the product key and not the product.
 struct PerturbationSpec {
   double wind_speed_sigma = 0;  // [m/s]
   double wind_dir_sigma = 0;    // [rad]
@@ -42,8 +42,10 @@ struct SweepOptions {
   int members = 64;             // K, the Monte Carlo sample size
   double horizon = 120.0;       // forecast horizon [s] (advance target)
   // Execution knobs — bitwise-irrelevant to the product (see contract):
-  int threads = 0;              // server pool width (<= 0: hardware)
-  long inline_cell_steps = -1;  // < 0: ServerOptions default
+  int threads = 0;              // OpenMP width (<= 0: the library default)
+  // No effect: every sweep runs at `threads`. Kept so callers that still
+  // set it compile.
+  long inline_cell_steps = 0;
 };
 
 // Member k's perturbed spec: a pure function of (base, pert, k). The draw
@@ -56,8 +58,8 @@ struct SweepOptions {
 
 // Content hash of everything that determines the product bitwise: the base
 // spec's keyed fields (serve::hash_spec), the perturbation, K and the
-// horizon. Execution knobs (threads, admission threshold, realtime pacing)
-// are deliberately excluded.
+// horizon. Execution knobs (threads, realtime pacing) are deliberately
+// excluded.
 [[nodiscard]] std::uint64_t product_key(const serve::ScenarioSpec& base,
                                         const PerturbationSpec& pert,
                                         const SweepOptions& opt);
@@ -67,21 +69,16 @@ class SweepDriver {
   SweepDriver(serve::ScenarioSpec base, PerturbationSpec pert,
               SweepOptions opt = {});
 
-  // Admits the K perturbed scenarios to a private server, advances them all
-  // to the horizon, folds each finished member into the accumulator from
-  // its completion hook, and returns the finalized product (key set).
-  // Throws if any member scenario fails.
+  // Builds the K perturbed members, advances them as one batch to the
+  // horizon, folds each member's ignition times into the accumulator, and
+  // returns the finalized product (key set). Throws std::invalid_argument
+  // if the base spec or a member spec fails serve::validate.
   [[nodiscard]] BurnProbabilityGrid run();
-
-  // Admission split of the last run() (how the fleet was served).
-  [[nodiscard]] long last_inline() const { return last_inline_; }
-  [[nodiscard]] long last_pooled() const { return last_pooled_; }
 
  private:
   serve::ScenarioSpec base_;
   PerturbationSpec pert_;
   SweepOptions opt_;
-  long last_inline_ = 0, last_pooled_ = 0;
 };
 
 }  // namespace wfire::risk

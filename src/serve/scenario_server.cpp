@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "util/rng.h"
 #include "util/stopwatch.h"
 
 namespace wfire::serve {
@@ -41,23 +40,9 @@ ScenarioServer::Scenario& ScenarioServer::at(ScenarioId id) const {
 }
 
 ScenarioId ScenarioServer::admit(const ScenarioSpec& spec) {
-  validate(spec);
   auto s = std::make_unique<Scenario>();
+  s->model = make_model(spec);
   s->spec = spec;
-  s->grid = grid::Grid2D(spec.nx, spec.ny, spec.dx, spec.dy);
-  fire::FuelMap fuel = fire::uniform_fuel(spec.nx, spec.ny, spec.fuel_category);
-  if (spec.fuel_moisture_scale != 1.0 || spec.burn_time_scale != 1.0) {
-    // Monte Carlo fuel perturbation: one multiplicative factor over the
-    // whole catalog, so the perturbed scenario stays a pure function of its
-    // spec (and round-trips through the checkpoint meta).
-    for (fire::FuelCategory& c : fuel.catalog) {
-      c.M *= spec.fuel_moisture_scale;
-      c.tau *= spec.burn_time_scale;
-    }
-  }
-  s->model = std::make_unique<fire::FireModel>(
-      s->grid, std::move(fuel), fire::terrain_flat(s->grid), spec.fire);
-  if (!spec.ignitions.empty()) s->model->ignite(spec.ignitions);
   // Carve the per-scenario arenas up front: flux outputs, the request ring,
   // and the checkpoint section buffers. Steady-state serving reuses these.
   s->out.sensible_flux = util::Array2D<double>(spec.nx, spec.ny);
@@ -264,16 +249,12 @@ void ScenarioServer::drain_requests(Scenario& s,
     while (s.model->state().time < r.until - 1e-9) {
       const double remaining = r.until - s.model->state().time;
       const double dt = std::min(s.spec.dt, remaining);
+      // Counter-based gusts, a pure function of (seed, step): the trajectory
+      // is independent of pool width, admission route, and any
+      // checkpoint/restore in between.
       double u = s.spec.wind_u, v = s.spec.wind_v;
-      if (s.spec.wind_jitter > 0) {
-        // Counter-based gust stream: a pure function of (seed, step), so the
-        // trajectory is independent of pool width, admission route, and any
-        // checkpoint/restore in between.
-        util::Rng gust = util::Rng::stream(
-            s.spec.seed, static_cast<std::uint64_t>(s.steps));
-        u += s.spec.wind_jitter * gust.normal();
-        v += s.spec.wind_jitter * gust.normal();
-      }
+      fire::gust_wind(u, v, s.spec.wind_jitter, s.spec.seed,
+                      static_cast<std::uint64_t>(s.steps));
       s.model->step_uniform_wind_into(dt, u, v, s.out);
       ++s.steps;
       if (s.model->state().time + 1e-9 >= s.next_checkpoint) {

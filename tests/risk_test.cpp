@@ -1,9 +1,10 @@
-// Risk-layer tests: the order-free burn-probability reduction, sweep
-// determinism across pool widths (the product is a pure function of
-// (base, perturbation) — execution knobs are bitwise-irrelevant), the
-// single-flight product cache, risk::score() on hand-constructed grids
-// with known confusion matrices, and the scenario-spec schema pinned across
-// admit validation, checkpoints and product keys.
+// Risk-layer tests: the order-free burn-probability reduction, the batched
+// sweep against per-member server runs, sweep determinism across OpenMP
+// widths (the product is a pure function of (base, perturbation) —
+// execution knobs are bitwise-irrelevant), the single-flight product cache,
+// risk::score() on hand-constructed grids with known confusion matrices,
+// and the scenario-spec schema pinned across admit validation, checkpoints
+// and product keys.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +21,7 @@
 #include "obs/statefile.h"
 #include "risk/product_cache.h"
 #include "risk/sweep.h"
+#include "serve/scenario_server.h"
 
 using namespace wfire;
 using namespace wfire::risk;
@@ -273,7 +275,6 @@ TEST(Sweep, ProductKeyTracksProductNotExecution) {
   // Execution knobs are excluded by contract.
   SweepOptions exec = opt;
   exec.threads = 7;
-  exec.inline_cell_steps = 0;
   EXPECT_EQ(product_key(base, pert, exec), key);
 
   SweepOptions more = opt;
@@ -416,8 +417,49 @@ TEST(Sweep, DriverRejectsDegenerateOptions) {
 }
 
 // ---------------------------------------------------------------------------
+// The batched sweep against its oracle: each member's spec advanced alone on
+// a ScenarioServer (the scalar FireModel), reduced by the same accumulator.
+
+TEST(Sweep, BatchedMatchesPerMemberServerRuns) {
+  serve::ScenarioSpec base = sweep_base(5);  // gusts on, reinit every 8 steps
+  base.burn_time_scale = 0.1;  // tau 2 s: cells burn out inside the horizon
+  base.ignitions.push_back(levelset::Ignition{
+      levelset::CircleIgnition{90.0, 84.0, 8.0, 3.2}});  // lights at t = 3.5
+  const PerturbationSpec pert = sweep_pert();  // burn_time_sigma > 0
+  SweepOptions opt;
+  opt.members = 13;    // not a multiple of the batch's 4-lane pad
+  opt.horizon = 10.3;  // 20 steps of 0.5 s, one of 0.3 s; reinit at 8, 16
+
+  serve::ServerOptions sopt;
+  sopt.threads = 1;
+  sopt.inline_cell_steps = 1L << 40;
+  serve::ScenarioServer server(sopt);
+  BurnProbabilityAccumulator acc(base.nx, base.ny, base.dx, base.dy,
+                                 opt.members, opt.horizon);
+  for (int k = 0; k < opt.members; ++k) {
+    const serve::ScenarioId id = server.admit(perturb_member(base, pert, k));
+    server.request_advance(id, opt.horizon);
+    server.wait(id);
+    ASSERT_FALSE(server.status(id).failed) << server.error(id);
+    acc.add_member(k, server.state(id).tig);
+  }
+  const BurnProbabilityGrid want = acc.finalize();
+
+  const BurnProbabilityGrid got = SweepDriver(base, pert, opt).run();
+  EXPECT_TRUE(got.burned_count == want.burned_count);
+  EXPECT_TRUE(got.probability == want.probability);
+  EXPECT_TRUE(got.arrivals == want.arrivals);
+
+  // The delayed ignition lit inside the batch, at its first step boundary.
+  int lit_late = 0;
+  for (const double t : got.arrivals)
+    if (t == 3.5) ++lit_late;
+  EXPECT_GT(lit_late, 0);
+}
+
+// ---------------------------------------------------------------------------
 // The sweep determinism pin from the acceptance criteria: a K=64 sweep is
-// bitwise-reproducible across pool widths and admission routing.
+// bitwise-reproducible across OpenMP widths (1 and 4).
 
 TEST(Sweep, BitwiseReproducibleAcrossPoolWidths) {
   const serve::ScenarioSpec base = sweep_base(42);
@@ -427,21 +469,12 @@ TEST(Sweep, BitwiseReproducibleAcrossPoolWidths) {
   solo.members = 64;
   solo.horizon = 10.0;
   solo.threads = 1;
-  solo.inline_cell_steps = 1L << 40;  // everything inline, one thread
 
   SweepOptions wide = solo;
   wide.threads = 4;
-  wide.inline_cell_steps = 0;  // everything pooled, four threads
 
-  SweepDriver a(base, pert, solo);
-  const BurnProbabilityGrid ga = a.run();
-  EXPECT_EQ(a.last_inline(), 64);
-  EXPECT_EQ(a.last_pooled(), 0);
-
-  SweepDriver b(base, pert, wide);
-  const BurnProbabilityGrid gb = b.run();
-  EXPECT_EQ(b.last_inline(), 0);
-  EXPECT_EQ(b.last_pooled(), 64);
+  const BurnProbabilityGrid ga = SweepDriver(base, pert, solo).run();
+  const BurnProbabilityGrid gb = SweepDriver(base, pert, wide).run();
 
   EXPECT_EQ(ga.key, gb.key);
   EXPECT_TRUE(ga.burned_count == gb.burned_count);
