@@ -11,11 +11,16 @@
 // Benchmark arguments: (members, threads, file_exchange).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <utility>
+#include <vector>
 
 #include "core/cycle.h"
 #include "obs/obs_function.h"
+#include "par/thread_pool.h"
 
 using namespace wfire;
 
@@ -103,24 +108,55 @@ BENCHMARK(BM_Fig2_AssimilationCycle)
     ->Iterations(1);
 
 // Member-advance phase in isolation: the embarrassingly parallel part.
-// Second argument selects the forward-model path: 0 = per-member reference,
-// 1 = batched SoA sweeps (the PR-7 tentpole).
+// Second argument selects the forward-model path: 0 = each member's
+// FireModel stepped on its own on a pool of `threads` workers (the scalar
+// oracle), 1 = the cycle's batched SoA advance.
 static void BM_Fig2_MemberAdvance(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const bool batched = state.range(1) != 0;
   const grid::Grid2D g(kGridN, kGridN, 6.0, 6.0);
-  core::CycleOptions opt = cycle_options(16, threads, false);
-  opt.advance =
-      batched ? core::AdvanceMode::kBatched : core::AdvanceMode::kReference;
+  const core::CycleOptions opt = cycle_options(16, threads, false);
+  constexpr std::uint64_t kSeed = 8;
   core::AssimilationCycle cycle(
       g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
-      fire::terrain_flat(g), {}, opt, 8);
+      fire::terrain_flat(g), {}, opt, kSeed);
   cycle.initialize({levelset::Ignition{
       levelset::CircleIgnition{280.0, 300.0, 25.0, 0.0}}});
   double t = 0;
-  for (auto _ : state) {
-    t += kCycleLen;
-    cycle.advance_to(t);
+  if (batched) {
+    for (auto _ : state) {
+      t += kCycleLen;
+      cycle.advance_to(t);
+    }
+  } else {
+    // The cycle's members and winds: member k's stream draws its ignition
+    // offset (dx, dy), then its wind jitter (u, v).
+    const int n = cycle.members();
+    std::vector<fire::FireModel> members;
+    std::vector<std::pair<double, double>> wind;
+    for (int k = 0; k < n; ++k) {
+      members.push_back(cycle.member(k));
+      util::Rng mrng =
+          util::Rng::stream(kSeed, static_cast<std::uint64_t>(k) + 1);
+      (void)mrng.normal();
+      (void)mrng.normal();
+      const double u = opt.wind_u + opt.wind_jitter * mrng.normal();
+      const double v = opt.wind_v + opt.wind_jitter * mrng.normal();
+      wind.emplace_back(u, v);
+    }
+    std::vector<fire::FireOutputs> out(static_cast<std::size_t>(n));
+    par::ThreadPool pool(threads);
+    for (auto _ : state) {
+      t += kCycleLen;
+      pool.parallel_for(n, [&](int k) {
+        fire::FireModel& m = members[k];
+        while (m.state().time < t - 1e-9) {
+          const double remaining = t - m.state().time;
+          m.step_uniform_wind_into(std::min(opt.dt, remaining),
+                                   wind[k].first, wind[k].second, out[k]);
+        }
+      });
+    }
   }
   state.counters["threads"] = threads;
   state.counters["batched"] = batched ? 1 : 0;

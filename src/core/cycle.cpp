@@ -30,11 +30,9 @@ void AssimilationCycle::initialize(
     const std::vector<levelset::Ignition>& base) {
   models_.clear();
   member_wind_.clear();
-  out_scratch_.clear();
   batch_.reset();
   models_.resize(opt_.members);
   member_wind_.resize(opt_.members);
-  out_scratch_.resize(opt_.members);
   // Member k's perturbations come from its own counter-based stream, so the
   // ensemble is identical no matter how many threads build or advance it
   // (and no matter what else was drawn from the shared rng_).
@@ -56,30 +54,9 @@ void AssimilationCycle::initialize(
   });
 }
 
-const char* to_string(FallbackReason r) {
-  switch (r) {
-    case FallbackReason::kNone: return "none";
-    case FallbackReason::kModeReference: return "mode_reference";
-    case FallbackReason::kTimeSkew: return "time_skew";
-    case FallbackReason::kReinitSkew: return "reinit_skew";
-  }
-  return "unknown";
-}
-
 void AssimilationCycle::require_initialized() const {
   if (models_.empty())
     throw std::runtime_error("AssimilationCycle: initialize() first");
-}
-
-FallbackReason AssimilationCycle::batch_blocker() const {
-  const double t0 = models_.front()->state().time;
-  const int r0 = models_.front()->steps_since_reinit();
-  for (const auto& m : models_) {
-    if (std::abs(m->state().time - t0) > 1e-9)
-      return FallbackReason::kTimeSkew;
-    if (m->steps_since_reinit() != r0) return FallbackReason::kReinitSkew;
-  }
-  return FallbackReason::kNone;
 }
 
 void AssimilationCycle::advance_to(double time) {
@@ -87,40 +64,18 @@ void AssimilationCycle::advance_to(double time) {
   // A cycle starts here, so the phase log holds this cycle's phases only
   // and a long-running driver does not grow it without bound.
   runner_.clear_timings();
-  bool batched = false;
-  if (opt_.advance == AdvanceMode::kBatched) {
-    const FallbackReason blocker = batch_blocker();
-    batched = blocker == FallbackReason::kNone;
-    last_fallback_reason_ = blocker;
-    if (!batched) ++fallback_count_;
-  } else {
-    last_fallback_reason_ = FallbackReason::kModeReference;
-  }
-  last_advance_batched_ = batched;
-  if (batched) {
-    runner_.run_batch_phase("advance", [&] {
-      if (!batch_) {
-        batch_ = std::make_unique<EnsembleBatch>(
-            grid_, fuel_, terrain_, fire_opt_, members(), opt_.band_cells);
-      }
-      for (int k = 0; k < members(); ++k)
-        batch_->set_member_wind(k, member_wind_[k].first,
-                                member_wind_[k].second);
-      batch_->load(models_);
-      batch_->advance_to(time, opt_.dt);
-      batch_->store(models_);
-    });
-  } else {
-    runner_.run_phase("advance", members(), [&](int k) {
-      fire::FireModel& m = *models_[k];
-      const auto [wu, wv] = member_wind_[k];
-      while (m.state().time < time - 1e-9) {
-        const double remaining = time - m.state().time;
-        m.step_uniform_wind_into(std::min(opt_.dt, remaining), wu, wv,
-                                 out_scratch_[k]);
-      }
-    });
-  }
+  runner_.run_batch_phase("advance", [&] {
+    if (!batch_) {
+      batch_ = std::make_unique<EnsembleBatch>(
+          grid_, fuel_, terrain_, fire_opt_, members(), opt_.band_cells);
+    }
+    for (int k = 0; k < members(); ++k)
+      batch_->set_member_wind(k, member_wind_[k].first,
+                              member_wind_[k].second);
+    batch_->load(models_);
+    batch_->advance_to(time, opt_.dt);
+    batch_->store(models_);
+  });
   if (opt_.file_exchange) roundtrip_through_files();
 }
 

@@ -1,5 +1,6 @@
 // The assimilation cycle of the paper's Fig. 2: ensemble members are
-// advanced in time independently (member-parallel), the observation function
+// advanced in time independently (one batched SoA advance, bitwise-equal to
+// stepping each member with band_cells = 0), the observation function
 // produces synthetic data for each member, and the (morphing) EnKF adjusts
 // the member states by comparing synthetic with real data. State optionally
 // round-trips through disk files between the stages, matching the paper's
@@ -22,19 +23,6 @@
 namespace wfire::core {
 
 enum class FilterKind { kStandardEnKF, kMorphingEnKF };
-
-// Why an advance_to() used the per-member reference path instead of the
-// batched SoA advance. kNone = it batched; kModeReference = reference mode
-// was selected (not a fallback); the rest are genuine fallbacks — the
-// batched path was requested but a precondition failed.
-enum class FallbackReason {
-  kNone,           // batched advance ran
-  kModeReference,  // reference path selected by mode, not a fallback
-  kTimeSkew,       // members out of time lockstep
-  kReinitSkew,     // members in different redistancing phases
-};
-
-[[nodiscard]] const char* to_string(FallbackReason r);
 
 struct CycleOptions {
   int members = 25;              // the paper's Fig. 4 ensemble size
@@ -64,12 +52,7 @@ struct CycleOptions {
   bool file_exchange = false;
   std::string exchange_dir = "/tmp/wfire_exchange";
   int threads = 0;               // 0 = hardware concurrency
-  // Forward-model path. The batched SoA advance falls back to the
-  // per-member reference path when members are out of lockstep; kReference
-  // selects that path outright (the oracle the batched path is tested
-  // against).
-  AdvanceMode advance = AdvanceMode::kBatched;
-  // Narrow-band half width in cells for the batched path (the one default
+  // Narrow-band half width in cells of the batched advance (the one default
   // of EnsembleBatch's band); 0 disables the band.
   int band_cells = 8;
 };
@@ -92,9 +75,11 @@ class AssimilationCycle {
   // "random perturbation of the comparison solution").
   void initialize(const std::vector<levelset::Ignition>& base);
 
-  // Advances all members to `time` (member-parallel). Starts a new cycle:
+  // Advances all members to `time` as one EnsembleBatch. Starts a new cycle:
   // clears the runner's phase log first. Like assimilate(), mean_shape_error()
-  // and state_spread(), throws std::runtime_error before initialize().
+  // and state_spread(), throws std::runtime_error before initialize();
+  // throws std::invalid_argument (from EnsembleBatch::load) when members do
+  // not share the model time and redistancing phase.
   void advance_to(double time);
 
   // One analysis with the given observation image.
@@ -105,20 +90,9 @@ class AssimilationCycle {
   [[nodiscard]] const fire::FireModel& member(int k) const { return *models_[k]; }
   [[nodiscard]] const grid::Grid2D& grid() const { return grid_; }
   [[nodiscard]] par::EnsembleRunner& runner() { return runner_; }
-  // Whether the last advance_to() took the batched SoA path (diagnostics).
-  [[nodiscard]] bool last_advance_batched() const {
-    return last_advance_batched_;
-  }
-  // Why the last advance_to() did not batch (kNone when it did). A silent
-  // fallback looks identical to the batched path from the outside — these
-  // make it observable so drivers/tests can assert the fast path actually
-  // ran.
-  [[nodiscard]] FallbackReason last_fallback_reason() const {
-    return last_fallback_reason_;
-  }
-  // Number of advances where the batched path was requested but a
-  // precondition failed (excludes reference-by-mode runs).
-  [[nodiscard]] long fallback_count() const { return fallback_count_; }
+  // Always 0: an advance whose members are out of lockstep throws instead of
+  // falling back. Kept because perfbench's assim_cycle still reads it.
+  [[nodiscard]] long fallback_count() const { return 0; }
 
   // Mean over members of the burning-centroid distance to a reference psi.
   [[nodiscard]] double mean_position_error(
@@ -142,10 +116,6 @@ class AssimilationCycle {
   void roundtrip_through_files();
   // Throws std::runtime_error while the ensemble is empty.
   void require_initialized() const;
-  // First failed precondition of the batched advance (kNone = batchable).
-  // Delayed ignitions are no longer a blocker: EnsembleBatch carries each
-  // member's queue in-batch and applies it as it comes due.
-  [[nodiscard]] FallbackReason batch_blocker() const;
 
   grid::Grid2D grid_;
   fire::FuelMap fuel_;
@@ -157,11 +127,7 @@ class AssimilationCycle {
   par::EnsembleRunner runner_;
   std::vector<std::unique_ptr<fire::FireModel>> models_;
   std::vector<std::pair<double, double>> member_wind_;
-  std::vector<fire::FireOutputs> out_scratch_;  // reference-path flux reuse
-  std::unique_ptr<EnsembleBatch> batch_;        // lazily built SoA advance
-  bool last_advance_batched_ = false;
-  FallbackReason last_fallback_reason_ = FallbackReason::kNone;
-  long fallback_count_ = 0;
+  std::unique_ptr<EnsembleBatch> batch_;  // lazily built SoA advance
   morphing::MorphingEnKF menkf_;
   la::Workspace la_ws_;  // analysis scratch, reused across cycles
 };

@@ -128,8 +128,8 @@ void EnsembleBatch::fill_wind_rows() {
   }
 }
 
-// Applies each member's due delayed ignitions with the reference path's
-// arithmetic (FireModel::apply_pending_ignitions): signed distance of the
+// Applies each member's due delayed ignitions with the arithmetic of
+// FireModel::apply_pending_ignitions: signed distance of the
 // due union, min-merged into psi, then tig = now wherever psi < 0 and the
 // node has not ignited. Returns true if any member's field changed (the
 // band must then be rebuilt before the sweep).
@@ -292,9 +292,12 @@ void EnsembleBatch::maybe_reinit() {
 }
 
 void EnsembleBatch::reinitialize_members() {
-  if (member_scratch_.size() != static_cast<std::size_t>(members_))
+  if (member_scratch_.size() != static_cast<std::size_t>(members_)) {
     member_scratch_.assign(static_cast<std::size_t>(members_),
                            util::Array2D<double>(grid_.nx, grid_.ny));
+    member_dist_.assign(static_cast<std::size_t>(members_),
+                        util::Array2D<double>(grid_.nx, grid_.ny));
+  }
   const std::size_t cells = lay_.cells();
   const int stride = lay_.stride;
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
@@ -302,7 +305,7 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     util::Array2D<double>& scratch = member_scratch_[k];
     double* s = scratch.data();
     for (std::size_t c = 0; c < cells; ++c) s[c] = psi_[c * stride + k];
-    levelset::reinitialize(grid_, scratch);
+    levelset::reinitialize(grid_, scratch, 2, member_dist_[k]);
     for (std::size_t c = 0; c < cells; ++c) psi_[c * stride + k] = s[c];
   }
 }

@@ -42,10 +42,6 @@
 
 namespace wfire::core {
 
-// How AssimilationCycle::advance_to propagates the ensemble. The per-member
-// scalar path stays as the property-tested reference.
-enum class AdvanceMode { kBatched, kReference };
-
 class EnsembleBatch {
  public:
   // Shared grid/fuel/terrain and stepping options (members differ in wind,
@@ -53,7 +49,7 @@ class EnsembleBatch {
   // the batch lifetime (load() expects exactly that many models).
   // `band_cells` is the narrow-band half width in cells (distance from the
   // nearest member front); 0 disables the band (full-grid sweeps,
-  // bitwise-equal to the reference path). Values 1..3 are clamped to 4: the
+  // bitwise-equal to stepping each FireModel). Values 1..3 are clamped to 4: the
   // band needs room for the 2-cell rebuild slack plus the stencil.
   EnsembleBatch(const grid::Grid2D& g, const fire::FuelMap& fuel,
                 const util::Array2D<double>& terrain,
@@ -78,9 +74,9 @@ class EnsembleBatch {
 
   // Packs the models' states into the SoA fields. All members must share
   // the model time and the reinitialization phase (they do when advanced in
-  // lockstep); throws otherwise. Delayed (pending) ignitions are carried
-  // in-batch: each member's queue is applied inside step() when its time
-  // arrives, with the reference path's min-merge arithmetic.
+  // lockstep); throws std::invalid_argument otherwise. Delayed (pending)
+  // ignitions are carried in-batch: each member's queue is applied inside
+  // step() when its time arrives, with FireModel's min-merge arithmetic.
   void load(const std::vector<std::unique_ptr<fire::FireModel>>& models);
 
   // Advances all members to `time` in steps of min(dt, time - now) while
@@ -148,8 +144,9 @@ class EnsembleBatch {
   // Compact band-major scratch (speed, gradients, predictor, pre-step psi).
   std::vector<double> speed_, k1_, k2_, pred_, before_;
 
-  // Per-member scratch for the fast-sweep redistancing.
-  mutable std::vector<util::Array2D<double>> member_scratch_;
+  // Per-member scratch for the fast-sweep redistancing: the member's psi and
+  // the sweep's distance work array.
+  std::vector<util::Array2D<double>> member_scratch_, member_dist_;
 };
 
 }  // namespace wfire::core

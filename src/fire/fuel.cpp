@@ -24,12 +24,6 @@ const std::vector<FuelCategory>& fuel_catalog() {
   return catalog;
 }
 
-const FuelCategory& fuel_by_name(const std::string& name) {
-  for (const auto& f : fuel_catalog())
-    if (f.name == name) return f;
-  throw std::invalid_argument("fuel_by_name: unknown fuel " + name);
-}
-
 FuelMap uniform_fuel(int nx, int ny, int category) {
   if (category < 0 ||
       category >= static_cast<int>(fuel_catalog().size()))

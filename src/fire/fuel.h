@@ -44,9 +44,6 @@ struct FuelCategory {
 // matches the paper's grassfire experiments.
 [[nodiscard]] const std::vector<FuelCategory>& fuel_catalog();
 
-// Look up by name; throws std::invalid_argument for unknown names.
-[[nodiscard]] const FuelCategory& fuel_by_name(const std::string& name);
-
 enum : int {
   kFuelShortGrass = 0,
   kFuelTimberGrass = 1,

@@ -90,15 +90,11 @@ class FireModel {
   [[nodiscard]] double front_length() const;
 
   // Redistancing phase, exposed so a batched advance (core/ensemble_batch)
-  // can stay in lockstep with the per-member path across load/store
-  // round-trips.
+  // keeps the model's step-count cadence across load/store round-trips.
   [[nodiscard]] int steps_since_reinit() const { return steps_since_reinit_; }
   void set_steps_since_reinit(int n) { steps_since_reinit_ = n; }
-  // True while delayed ignitions are still queued (time > 0 shapes). The
-  // batched path (core/ensemble_batch) carries the queue in-batch, so the
-  // assimilation cycle no longer needs a reference fallback for it; the
-  // accessors below are the load/store round-trip for that queue.
-  [[nodiscard]] bool has_pending_ignitions() const { return !pending_.empty(); }
+  // Delayed ignitions still queued (time > 0 shapes): the load/store
+  // round-trip for a batched advance, which carries the queue in-batch.
   [[nodiscard]] const std::vector<levelset::Ignition>& pending_ignitions()
       const {
     return pending_;

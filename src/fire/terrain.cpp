@@ -1,7 +1,5 @@
 #include "fire/terrain.h"
 
-#include <cmath>
-
 namespace wfire::fire {
 
 util::Array2D<double> terrain_flat(const grid::Grid2D& g) {
@@ -13,37 +11,6 @@ util::Array2D<double> terrain_slope(const grid::Grid2D& g, double sx,
   util::Array2D<double> z(g.nx, g.ny);
   for (int j = 0; j < g.ny; ++j)
     for (int i = 0; i < g.nx; ++i) z(i, j) = sx * g.x(i) + sy * g.y(j);
-  return z;
-}
-
-util::Array2D<double> terrain_hill(const grid::Grid2D& g, double cx, double cy,
-                                   double height, double radius) {
-  util::Array2D<double> z(g.nx, g.ny);
-  const double inv2r2 = 1.0 / (2.0 * radius * radius);
-  for (int j = 0; j < g.ny; ++j)
-    for (int i = 0; i < g.nx; ++i) {
-      const double dx = g.x(i) - cx, dy = g.y(j) - cy;
-      z(i, j) = height * std::exp(-(dx * dx + dy * dy) * inv2r2);
-    }
-  return z;
-}
-
-util::Array2D<double> terrain_random(const grid::Grid2D& g, int n,
-                                     double height, double radius,
-                                     util::Rng& rng) {
-  util::Array2D<double> z(g.nx, g.ny, 0.0);
-  for (int b = 0; b < n; ++b) {
-    const double cx = rng.uniform(g.x0, g.x0 + g.width());
-    const double cy = rng.uniform(g.y0, g.y0 + g.height());
-    const double h = rng.uniform(0.3, 1.0) * height;
-    const double r = rng.uniform(0.5, 1.5) * radius;
-    const double inv2r2 = 1.0 / (2.0 * r * r);
-    for (int j = 0; j < g.ny; ++j)
-      for (int i = 0; i < g.nx; ++i) {
-        const double dx = g.x(i) - cx, dy = g.y(j) - cy;
-        z(i, j) += h * std::exp(-(dx * dx + dy * dy) * inv2r2);
-      }
-  }
   return z;
 }
 

@@ -20,18 +20,4 @@ void restrict_average(const util::Array2D<double>& fine, int ratio,
   }
 }
 
-double integrate(const Grid2D& g, const util::Array2D<double>& field) {
-  if (field.nx() != g.nx || field.ny() != g.ny)
-    throw std::invalid_argument("integrate: field does not match grid");
-  double s = 0;
-  for (int j = 0; j < g.ny; ++j) {
-    const double wy = (j == 0 || j == g.ny - 1) ? 0.5 : 1.0;
-    for (int i = 0; i < g.nx; ++i) {
-      const double wx = (i == 0 || i == g.nx - 1) ? 0.5 : 1.0;
-      s += wx * wy * field(i, j);
-    }
-  }
-  return s * g.dx * g.dy;
-}
-
 }  // namespace wfire::grid

@@ -16,9 +16,4 @@ namespace wfire::grid {
 void restrict_average(const util::Array2D<double>& fine, int ratio,
                       util::Array2D<double>& coarse);
 
-// Integral of a node field times the cell area (trapezoid weights at edges):
-// used to verify flux conservation across the transfer.
-[[nodiscard]] double integrate(const Grid2D& g,
-                               const util::Array2D<double>& field);
-
 }  // namespace wfire::grid

@@ -64,11 +64,4 @@ StepStats step_heun(const grid::Grid2D& g, const util::Array2D<double>& speed,
   return stats_for(g, speed, dt);
 }
 
-double stable_dt(const grid::Grid2D& g, const util::Array2D<double>& speed,
-                 double cfl) {
-  const double smax = util::max_value(speed);
-  if (smax <= 0) return 1e9;
-  return cfl * std::min(g.dx, g.dy) / smax;
-}
-
 }  // namespace wfire::levelset

@@ -41,9 +41,4 @@ StepStats step_heun(const grid::Grid2D& g, const util::Array2D<double>& speed,
                     double dt, UpwindScheme scheme, util::Array2D<double>& psi,
                     StepScratch& scratch);
 
-// Largest stable time step for a speed field at the given CFL number.
-[[nodiscard]] double stable_dt(const grid::Grid2D& g,
-                               const util::Array2D<double>& speed,
-                               double cfl = 0.9);
-
 }  // namespace wfire::levelset

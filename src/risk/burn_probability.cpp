@@ -87,11 +87,6 @@ void BurnProbabilityAccumulator::add_member(int k,
   ++added_count_;
 }
 
-int BurnProbabilityAccumulator::members_added() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return added_count_;
-}
-
 BurnProbabilityGrid BurnProbabilityAccumulator::finalize() const {
   std::lock_guard<std::mutex> lock(mu_);
   if (added_count_ != grid_.members)

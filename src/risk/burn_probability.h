@@ -68,8 +68,6 @@ class BurnProbabilityAccumulator {
   // added, or `tig` has the wrong shape. Thread-safe.
   void add_member(int k, const util::Array2D<double>& tig);
 
-  [[nodiscard]] int members_added() const;
-
   // The finished product (copies the reduction state; the accumulator can
   // keep serving). Throws unless every member has been added.
   [[nodiscard]] BurnProbabilityGrid finalize() const;

@@ -44,8 +44,4 @@ double brightness_temperature(double radiance, double lo, double hi) {
   return 0.5 * (tlo + thi);
 }
 
-double stefan_boltzmann_exitance(double T) {
-  return kStefanBoltzmann * T * T * T * T;
-}
-
 }  // namespace wfire::scene

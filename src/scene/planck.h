@@ -23,7 +23,4 @@ inline constexpr double kMidwaveHi = 5.0e-6;                // [m]
                                             double lo = kMidwaveLo,
                                             double hi = kMidwaveHi);
 
-// Total hemispheric exitance sigma T^4 [W m^-2].
-[[nodiscard]] double stefan_boltzmann_exitance(double T);
-
 }  // namespace wfire::scene

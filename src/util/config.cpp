@@ -1,8 +1,6 @@
 #include "util/config.h"
 
-#include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <stdexcept>
 
 namespace wfire::util {
@@ -25,24 +23,6 @@ Config Config::from_args(int argc, const char* const* argv) {
     if (eq == std::string::npos)
       throw std::invalid_argument("Config: expected key=value, got " + tok);
     cfg.set(trim(tok.substr(0, eq)), trim(tok.substr(eq + 1)));
-  }
-  return cfg;
-}
-
-Config Config::from_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("Config: cannot open " + path);
-  Config cfg;
-  std::string line;
-  while (std::getline(in, line)) {
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    line = trim(line);
-    if (line.empty()) continue;
-    const auto eq = line.find('=');
-    if (eq == std::string::npos)
-      throw std::runtime_error("Config: bad line in " + path + ": " + line);
-    cfg.set(trim(line.substr(0, eq)), trim(line.substr(eq + 1)));
   }
   return cfg;
 }
@@ -87,18 +67,6 @@ int Config::get_int(const std::string& key, int def) const {
     throw std::invalid_argument("Config: key " + key + " not an int: " +
                                 it->second);
   }
-}
-
-bool Config::get_bool(const std::string& key, bool def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  std::string v = it->second;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("Config: key " + key + " not a bool: " +
-                              it->second);
 }
 
 std::vector<std::string> Config::keys() const {

@@ -1,5 +1,5 @@
 // Key=value configuration with typed getters and defaults. Examples and
-// benches accept `key=value` command-line tokens or a config file, so every
+// benches accept `key=value` command-line tokens, so every
 // experiment parameter in DESIGN.md's index is overridable without recompile.
 #pragma once
 
@@ -16,9 +16,6 @@ class Config {
   // Parses `key=value` tokens; tokens without '=' raise invalid_argument.
   static Config from_args(int argc, const char* const* argv);
 
-  // Parses a file of `key = value` lines. '#' starts a comment.
-  static Config from_file(const std::string& path);
-
   void set(const std::string& key, const std::string& value);
 
   [[nodiscard]] bool has(const std::string& key) const;
@@ -29,7 +26,6 @@ class Config {
                                        const std::string& def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] int get_int(const std::string& key, int def) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 
   [[nodiscard]] std::vector<std::string> keys() const;
 

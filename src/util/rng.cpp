@@ -77,8 +77,6 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-Rng Rng::spawn() { return Rng(next_u64()); }
-
 Rng Rng::stream(std::uint64_t seed, std::uint64_t stream_id) {
   // Two SplitMix64 rounds mix the counter into the seed; distinct ids give
   // well-separated sub-seeds without any shared sequencing state.

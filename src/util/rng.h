@@ -30,12 +30,6 @@ class Rng {
   // Normal with given mean and standard deviation.
   double normal(double mean, double stddev);
 
-  // Derive an independent stream (e.g. one per ensemble member). Streams
-  // seeded from distinct jumps of SplitMix64 are statistically independent.
-  // Note spawn() advances *this*: the child depends on how many draws
-  // preceded it. For order-independent derivation use stream().
-  [[nodiscard]] Rng spawn();
-
   // Counter-based stream derivation: the sub-seed is a pure function of
   // (seed, stream_id), so stream k's draws are identical no matter how many
   // threads run, in what order streams are created, or what else was drawn

@@ -1,14 +1,17 @@
-// Batched SoA forward-model tests: the batched ensemble advance against the
-// per-member reference path (bitwise with the band disabled, front/ignition
-// agreement with the narrow band on), degenerate ensemble shapes, the
-// counter-based RNG streams, and thread-count invariance of the assimilation
-// cycle.
+// Batched SoA forward-model tests: the batched ensemble advance against
+// stepping each FireModel (bitwise with the band disabled, front/ignition
+// agreement with the narrow band on), the assimilation cycle's advance
+// against the same test-local loop, degenerate ensemble shapes, the lockstep
+// guard, allocation-free redistancing, the counter-based RNG streams, and
+// thread-count invariance of the assimilation cycle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "core/cycle.h"
 #include "core/data_pool.h"
 #include "core/ensemble_batch.h"
@@ -38,7 +41,8 @@ std::vector<std::unique_ptr<fire::FireModel>> make_members(
   return models;
 }
 
-// Advances the scalar reference members in lockstep.
+// The oracle: advances each scalar FireModel on its own, in steps of
+// min(dt, time - now) like the batch.
 void advance_reference(std::vector<std::unique_ptr<fire::FireModel>>& models,
                        const std::vector<std::pair<double, double>>& wind,
                        double time, double dt) {
@@ -63,17 +67,59 @@ int count_burned(const util::Array2D<double>& tig) {
 // not movable, so tests copy the fields out).
 struct CycleStates {
   std::vector<util::Array2D<double>> psi, tig;
-  bool batched = false;
 };
 
 CycleStates snapshot(const AssimilationCycle& cycle) {
   CycleStates s;
-  s.batched = cycle.last_advance_batched();
   for (int k = 0; k < cycle.members(); ++k) {
     s.psi.push_back(cycle.member(k).state().psi);
     s.tig.push_back(cycle.member(k).state().tig);
   }
   return s;
+}
+
+CycleStates snapshot(
+    const std::vector<std::unique_ptr<fire::FireModel>>& models) {
+  CycleStates s;
+  for (const auto& m : models) {
+    s.psi.push_back(m->state().psi);
+    s.tig.push_back(m->state().tig);
+  }
+  return s;
+}
+
+// Copies of a freshly initialized cycle's members and the winds the cycle
+// drives them with: member k's stream util::Rng::stream(seed, k + 1) draws
+// the ignition offset (dx, dy) first, then the wind jitter (u, v).
+struct ReferenceMembers {
+  std::vector<std::unique_ptr<fire::FireModel>> models;
+  std::vector<std::pair<double, double>> wind;
+};
+
+ReferenceMembers copy_members(const AssimilationCycle& cycle,
+                              const CycleOptions& opt, std::uint64_t seed) {
+  ReferenceMembers r;
+  for (int k = 0; k < cycle.members(); ++k) {
+    r.models.push_back(std::make_unique<fire::FireModel>(cycle.member(k)));
+    util::Rng mrng =
+        util::Rng::stream(seed, static_cast<std::uint64_t>(k) + 1);
+    (void)mrng.normal();  // ignition offset dx
+    (void)mrng.normal();  // ignition offset dy
+    const double u = opt.wind_u + opt.wind_jitter * mrng.normal();
+    const double v = opt.wind_v + opt.wind_jitter * mrng.normal();
+    r.wind.emplace_back(u, v);
+  }
+  return r;
+}
+
+void expect_bitwise(const CycleStates& a, const CycleStates& b) {
+  ASSERT_EQ(a.psi.size(), b.psi.size());
+  for (std::size_t k = 0; k < a.psi.size(); ++k) {
+    for (std::size_t c = 0; c < a.psi[k].size(); ++c) {
+      ASSERT_EQ(a.psi[k].data()[c], b.psi[k].data()[c]) << "psi member " << k;
+      ASSERT_EQ(a.tig[k].data()[c], b.tig[k].data()[c]) << "tig member " << k;
+    }
+  }
 }
 
 }  // namespace
@@ -254,7 +300,7 @@ TEST(BatchVsReference, DelayedIgnitionsApplyInBatchBitwise) {
   auto bat = make_members(g, {{120, 120}, {100, 130}}, fopt);
   ref[0]->ignite(shapes);
   bat[0]->ignite(shapes);
-  ASSERT_TRUE(bat[0]->has_pending_ignitions());
+  ASSERT_FALSE(bat[0]->pending_ignitions().empty());
 
   EnsembleBatch batch(g, ref[0]->fuel(), ref[0]->terrain(), fopt, 2,
                       /*band_cells=*/0);
@@ -275,117 +321,143 @@ TEST(BatchVsReference, DelayedIgnitionsApplyInBatchBitwise) {
     }
   }
   // The far-future shape is still pending on both paths after store().
-  EXPECT_TRUE(ref[0]->has_pending_ignitions());
-  EXPECT_TRUE(bat[0]->has_pending_ignitions());
-  EXPECT_FALSE(bat[1]->has_pending_ignitions());
+  EXPECT_FALSE(ref[0]->pending_ignitions().empty());
+  EXPECT_FALSE(bat[0]->pending_ignitions().empty());
+  EXPECT_TRUE(bat[1]->pending_ignitions().empty());
 }
 
-// --- the cycle dispatch: batched path matches the reference path ---
+// --- the lockstep guard: load() rejects members out of step ---
+
+TEST(BatchLockstep, LoadRejectsTimeAndReinitPhaseSkew) {
+  const grid::Grid2D g = small_grid();
+  fire::FireModelOptions fopt;
+  fopt.reinit_interval = 10;
+  const std::vector<std::pair<double, double>> centers = {{120, 120},
+                                                          {100, 130}};
+  EnsembleBatch batch(g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
+                      fire::terrain_flat(g), fopt, 2, /*band_cells=*/0);
+
+  // In lockstep: accepted.
+  auto models = make_members(g, centers, fopt);
+  EXPECT_NO_THROW(batch.load(models));
+
+  // One member a step ahead in time (same redistancing phase).
+  models[1]->step_uniform_wind(0.5, 3.0, 0.0);
+  models[1]->set_steps_since_reinit(0);
+  EXPECT_THROW(batch.load(models), std::invalid_argument);
+
+  // Same time, different redistancing phase.
+  models = make_members(g, centers, fopt);
+  models[0]->set_steps_since_reinit(3);
+  EXPECT_THROW(batch.load(models), std::invalid_argument);
+}
+
+// --- redistancing allocates nothing once the batch is warm ---
+
+TEST(BatchAlloc, RedistancingAllocatesNothing) {
+#if !WFIRE_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  // The counter sees the calling thread only: keep the OpenMP regions on it.
+  util::ScopedOmpNumThreads omp(1);
+  const grid::Grid2D g = small_grid();
+  fire::FireModelOptions fopt;
+  fopt.reinit_interval = 10;
+  const std::vector<std::pair<double, double>> centers = {
+      {120, 120}, {90, 120}, {150, 100}, {120, 150}, {100, 100}};
+  for (const int band : {0, 8}) {
+    auto models = make_members(g, centers, fopt);
+    EnsembleBatch batch(g, models[0]->fuel(), models[0]->terrain(), fopt,
+                        static_cast<int>(centers.size()), band);
+    for (int k = 0; k < batch.members(); ++k)
+      batch.set_member_wind(k, 3.0, 0.2 * k);
+    // The first pass grows every scratch to its high-water mark (the band
+    // index list and the compact band arrays grow with the fire); replaying
+    // the same 60 steps, across six redistancings, must then allocate
+    // nothing.
+    batch.load(models);
+    batch.advance_to(30.0, 0.5);
+    batch.load(models);
+    EXPECT_EQ(count_allocs([&] { batch.advance_to(30.0, 0.5); }), 0)
+        << "band " << band;
+  }
+#endif
+}
+
+// --- the cycle's advance matches stepping copies of its members ---
 
 TEST(CycleBatch, FullCycleBitwiseWithBandDisabled) {
   const grid::Grid2D g = small_grid();
-  auto run = [&](AdvanceMode mode) {
-    CycleOptions opt;
-    opt.members = 5;
-    opt.threads = 2;
-    opt.ignition_jitter = 20.0;
-    opt.advance = mode;
-    opt.band_cells = 0;
-    AssimilationCycle cycle(
-        g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
-        fire::terrain_flat(g), {}, opt, 21);
-    cycle.initialize({levelset::Ignition{
-        levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
-    cycle.advance_to(12.0);
-    return snapshot(cycle);
-  };
-  // Two separately built cycles so no state leaks between the runs.
-  const CycleStates batched = run(AdvanceMode::kBatched);
-  const CycleStates reference = run(AdvanceMode::kReference);
-  EXPECT_TRUE(batched.batched);
-  EXPECT_FALSE(reference.batched);
-  ASSERT_EQ(batched.psi.size(), reference.psi.size());
-  for (std::size_t k = 0; k < batched.psi.size(); ++k) {
-    for (std::size_t c = 0; c < batched.psi[k].size(); ++c) {
-      ASSERT_EQ(batched.psi[k].data()[c], reference.psi[k].data()[c])
-          << "psi member " << k;
-      ASSERT_EQ(batched.tig[k].data()[c], reference.tig[k].data()[c])
-          << "tig member " << k;
-    }
-  }
+  CycleOptions opt;
+  opt.members = 5;
+  opt.threads = 2;
+  opt.ignition_jitter = 20.0;
+  opt.band_cells = 0;
+  ASSERT_GT(opt.wind_jitter, 0.0);  // members differ in wind
+  AssimilationCycle cycle(
+      g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
+      fire::terrain_flat(g), {}, opt, 21);
+  cycle.initialize({levelset::Ignition{
+      levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
+  ReferenceMembers ref = copy_members(cycle, opt, 21);
+
+  cycle.advance_to(12.0);
+  advance_reference(ref.models, ref.wind, 12.0, opt.dt);
+  expect_bitwise(snapshot(cycle), snapshot(ref.models));
 }
 
 TEST(CycleBatch, DelayedIgnitionsDoNotForceFallback) {
-  // Delayed ignitions used to silently drop the cycle onto the reference
-  // path; the batch now carries them, so a full multi-phase advance must
-  // batch every time with the fallback counter staying at zero — and the
-  // two paths must still agree bitwise with the band disabled.
+  // The batch carries each member's delayed-ignition queue across a
+  // multi-phase advance; with the band disabled it must still agree
+  // bitwise with stepping each member.
   const grid::Grid2D g = small_grid();
   const std::vector<levelset::Ignition> base = {
       levelset::Ignition{levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}},
       levelset::Ignition{levelset::CircleIgnition{60.0, 180.0, 15.0, 5.0}}};
-  auto run = [&](AdvanceMode mode) {
-    CycleOptions opt;
-    opt.members = 5;
-    opt.threads = 2;
-    opt.ignition_jitter = 20.0;
-    opt.advance = mode;
-    opt.band_cells = 0;
-    AssimilationCycle cycle(
-        g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
-        fire::terrain_flat(g), {}, opt, 21);
-    cycle.initialize(base);
-    cycle.advance_to(3.0);  // the delayed shape is still pending here
-    cycle.advance_to(12.0);
-    if (mode == AdvanceMode::kBatched) {
-      EXPECT_TRUE(cycle.last_advance_batched());
-      EXPECT_EQ(cycle.last_fallback_reason(), FallbackReason::kNone);
-      EXPECT_EQ(cycle.fallback_count(), 0);
-    } else {
-      EXPECT_EQ(cycle.last_fallback_reason(), FallbackReason::kModeReference);
-      EXPECT_EQ(cycle.fallback_count(), 0);
-    }
-    return snapshot(cycle);
-  };
-  const CycleStates batched = run(AdvanceMode::kBatched);
-  const CycleStates reference = run(AdvanceMode::kReference);
-  EXPECT_TRUE(batched.batched);
-  ASSERT_EQ(batched.psi.size(), reference.psi.size());
-  for (std::size_t k = 0; k < batched.psi.size(); ++k)
-    for (std::size_t c = 0; c < batched.psi[k].size(); ++c) {
-      ASSERT_EQ(batched.psi[k].data()[c], reference.psi[k].data()[c])
-          << "psi member " << k;
-      ASSERT_EQ(batched.tig[k].data()[c], reference.tig[k].data()[c])
-          << "tig member " << k;
-    }
+  CycleOptions opt;
+  opt.members = 5;
+  opt.threads = 2;
+  opt.ignition_jitter = 20.0;
+  opt.band_cells = 0;
+  AssimilationCycle cycle(
+      g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
+      fire::terrain_flat(g), {}, opt, 21);
+  cycle.initialize(base);
+  ReferenceMembers ref = copy_members(cycle, opt, 21);
+
+  cycle.advance_to(3.0);
+  advance_reference(ref.models, ref.wind, 3.0, opt.dt);
+  // The delayed shape is still pending here.
+  EXPECT_FALSE(cycle.member(0).pending_ignitions().empty());
+  cycle.advance_to(12.0);
+  advance_reference(ref.models, ref.wind, 12.0, opt.dt);
+  EXPECT_TRUE(cycle.member(0).pending_ignitions().empty());
+  expect_bitwise(snapshot(cycle), snapshot(ref.models));
 }
 
 TEST(CycleBatch, NarrowBandCycleTracksReference) {
   const grid::Grid2D g = small_grid();
-  auto run = [&](AdvanceMode mode, int band) {
-    CycleOptions opt;
-    opt.members = 4;
-    opt.threads = 2;
-    opt.ignition_jitter = 15.0;
-    opt.advance = mode;
-    opt.band_cells = band;
-    // Frequent redistancing keeps the narrow band in its agreement regime
-    // (see the cadence caveat in core/ensemble_batch.h).
-    fire::FireModelOptions fopt;
-    fopt.reinit_interval = 10;
-    AssimilationCycle cycle(
-        g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
-        fire::terrain_flat(g), fopt, opt, 22);
-    cycle.initialize({levelset::Ignition{
-        levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
-    cycle.advance_to(20.0);
-    return snapshot(cycle);
-  };
-  const CycleStates batched = run(AdvanceMode::kBatched, 8);
-  const CycleStates reference = run(AdvanceMode::kReference, 8);
-  for (std::size_t k = 0; k < batched.tig.size(); ++k) {
-    const int nb = count_burned(batched.tig[k]);
-    const int nr = count_burned(reference.tig[k]);
+  CycleOptions opt;
+  opt.members = 4;
+  opt.threads = 2;
+  opt.ignition_jitter = 15.0;
+  opt.band_cells = 8;
+  // Frequent redistancing keeps the narrow band in its agreement regime
+  // (see the cadence caveat in core/ensemble_batch.h).
+  fire::FireModelOptions fopt;
+  fopt.reinit_interval = 10;
+  AssimilationCycle cycle(
+      g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
+      fire::terrain_flat(g), fopt, opt, 22);
+  cycle.initialize({levelset::Ignition{
+      levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
+  ReferenceMembers ref = copy_members(cycle, opt, 22);
+
+  cycle.advance_to(20.0);
+  advance_reference(ref.models, ref.wind, 20.0, opt.dt);
+  for (int k = 0; k < cycle.members(); ++k) {
+    const int nb = count_burned(cycle.member(k).state().tig);
+    const int nr = count_burned(ref.models[k]->state().tig);
     EXPECT_GT(nb, 0);
     EXPECT_NEAR(nb, nr, 3) << "member " << k;
   }
@@ -446,30 +518,6 @@ TEST(ThreadInvariance, InitializeAndAdvanceIdenticalAcrossPoolSizes) {
           << "tig member " << k;
     }
   }
-}
-
-TEST(ThreadInvariance, ReferencePathAlsoInvariant) {
-  const grid::Grid2D g = small_grid();
-  auto run = [&](int threads) {
-    CycleOptions opt;
-    opt.members = 4;
-    opt.threads = threads;
-    opt.ignition_jitter = 20.0;
-    opt.advance = AdvanceMode::kReference;
-    AssimilationCycle cycle(
-        g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
-        fire::terrain_flat(g), {}, opt, 34);
-    cycle.initialize({levelset::Ignition{
-        levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
-    cycle.advance_to(10.0);
-    return snapshot(cycle);
-  };
-  const CycleStates one = run(1);
-  const CycleStates four = run(4);
-  for (std::size_t k = 0; k < one.psi.size(); ++k)
-    for (std::size_t c = 0; c < one.psi[k].size(); ++c)
-      ASSERT_EQ(one.psi[k].data()[c], four.psi[k].data()[c])
-          << "psi member " << k;
 }
 
 // The analysis half across widths: registration and the member decode run in

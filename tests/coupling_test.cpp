@@ -8,6 +8,7 @@
 #include "coupling/coupled.h"
 #include "coupling/flux_insertion.h"
 #include "coupling/wind_sample.h"
+#include "util/rng.h"
 
 using namespace wfire;
 using namespace wfire::coupling;

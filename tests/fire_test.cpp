@@ -43,11 +43,6 @@ TEST(Fuel, GrassBurnsFasterThanTimber) {
   EXPECT_GT(spread_rate(grass, 5.0, 0.0), spread_rate(timber, 5.0, 0.0));
 }
 
-TEST(Fuel, LookupByName) {
-  EXPECT_EQ(fuel_by_name("short_grass").name, "short_grass");
-  EXPECT_THROW((void)fuel_by_name("unobtainium"), std::invalid_argument);
-}
-
 TEST(Fuel, UniformMapCoversGrid) {
   const FuelMap m = uniform_fuel(10, 12, kFuelBrush);
   EXPECT_EQ(m.index.nx(), 10);
@@ -163,21 +158,6 @@ TEST(Terrain, SlopeGradientExact) {
       EXPECT_NEAR(dzdx(i, j), 0.1, 1e-10);
       EXPECT_NEAR(dzdy(i, j), -0.05, 1e-10);
     }
-}
-
-TEST(Terrain, HillPeaksAtCenter) {
-  const Grid2D g = fire_grid();
-  const Array2D<double> z = terrain_hill(g, 240.0, 240.0, 50.0, 100.0);
-  EXPECT_NEAR(z(40, 40), 50.0, 1e-9);
-  EXPECT_LT(z(0, 0), 5.0);
-}
-
-TEST(Terrain, RandomIsReproducible) {
-  const Grid2D g = fire_grid();
-  wfire::util::Rng r1(5), r2(5);
-  const Array2D<double> z1 = terrain_random(g, 4, 30.0, 80.0, r1);
-  const Array2D<double> z2 = terrain_random(g, 4, 30.0, 80.0, r2);
-  EXPECT_TRUE(z1 == z2);
 }
 
 TEST(FireModel, IgnitionSetsStateAndBurnsOutward) {

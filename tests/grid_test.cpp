@@ -134,10 +134,3 @@ TEST(Transfer, RejectsMismatchedDims) {
   Array2D<double> coarse(3, 3);
   EXPECT_THROW(restrict_average(fine, 4, coarse), std::invalid_argument);
 }
-
-TEST(Integrate, TrapezoidExactForLinear) {
-  const Grid2D g(5, 5, 1.0, 1.0);
-  Array2D<double> f(5, 5, 2.0);
-  // Integral of constant 2 over a 4x4 m domain.
-  EXPECT_NEAR(integrate(g, f), 2.0 * 16.0, 1e-12);
-}

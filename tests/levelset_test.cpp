@@ -172,12 +172,6 @@ TEST(Integrator, EulerAndHeunAgreeOnSmoothConstantSpeed) {
   EXPECT_LT(std::abs(area_e - area_h) / exact, 0.02);
 }
 
-TEST(Integrator, StableDtScalesInverselyWithSpeed) {
-  const Grid2D g = test_grid();
-  Array2D<double> s1(g.nx, g.ny, 1.0), s2(g.nx, g.ny, 4.0);
-  EXPECT_NEAR(stable_dt(g, s1, 0.9) / stable_dt(g, s2, 0.9), 4.0, 1e-12);
-}
-
 TEST(Integrator, StepStatsReportCfl) {
   const Grid2D g = test_grid();
   Array2D<double> psi = circle_psi(g, 100.0, 100.0, 20.0);

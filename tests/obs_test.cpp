@@ -12,6 +12,7 @@
 #include "obs/obs_function.h"
 #include "obs/statefile.h"
 #include "obs/weather_station.h"
+#include "util/rng.h"
 
 using namespace wfire;
 using namespace wfire::obs;

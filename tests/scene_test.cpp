@@ -50,11 +50,6 @@ INSTANTIATE_TEST_SUITE_P(Temps, BrightnessParam,
                          ::testing::Values(280.0, 300.0, 500.0, 800.0, 1075.0,
                                            1500.0));
 
-TEST(Planck, StefanBoltzmannValue) {
-  // sigma * 300^4 ~ 459 W/m^2.
-  EXPECT_NEAR(stefan_boltzmann_exitance(300.0), 459.3, 0.5);
-}
-
 TEST(Thermal, PaperConstantsPeakAtExactly1075K) {
   GroundThermalModel model;  // defaults = paper values
   const double tp = model.peak_time();
