@@ -6,6 +6,7 @@
 
 #include "enkf/ensemble.h"
 #include "obs/obs_function.h"
+#include "util/omp_compat.h"
 
 namespace wfire::core {
 
@@ -83,48 +84,60 @@ std::vector<morphing::MorphMember> AssimilationCycle::gather_fields(
     const ObservationImage& obs, bool distance_observable,
     util::Array2D<double>& data_field) {
   std::vector<morphing::MorphMember> fields(models_.size());
-  // Task N puts the observed image through the same observable transform as
-  // the members (synthetic and real data compared like-for-like).
-  const int tasks = members() + (distance_observable ? 1 : 0);
-  runner_.run_phase("obs_function", tasks, [&](int k) {
-    if (k == members()) {
-      data_field = obs::front_distance_field(obs.image, grid_,
-                                             opt_.front_flux_threshold);
-      return;
+  runner_.run_batch_phase("obs_function", [&] {
+WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
+    for (int k = 0; k < members(); ++k) {
+      const fire::FireState& s = models_[k]->state();
+      std::vector<util::Array2D<double>>& f = fields[k].fields;
+      f.resize(3);
+      f[0] = obs::heat_flux_image(fuel_, s.tig, s.time);
+      f[1] = s.psi;
+      f[2] = s.tig;
+      for (double& v : f[2]) v = capped_tig(v);
     }
-    const fire::FireState& s = models_[k]->state();
-    morphing::MorphMember m;
-    m.fields.resize(3);
-    m.fields[0] = obs::heat_flux_image(fuel_, s.tig, s.time);
-    if (distance_observable)
-      m.fields[0] = obs::front_distance_field(m.fields[0], grid_,
-                                              opt_.front_flux_threshold);
-    m.fields[1] = s.psi;
-    m.fields[2] = s.tig;
-    for (double& v : m.fields[2]) v = capped_tig(v);
-    fields[k] = std::move(m);
+    if (!distance_observable) return;
+    // The members' flux images and the observed image go through the same
+    // observable transform (synthetic and real data compared like for
+    // like), in one lane-batched call; the members' are replaced in place.
+    std::vector<const util::Array2D<double>*> images;
+    std::vector<util::Array2D<double>*> out;
+    for (morphing::MorphMember& m : fields) {
+      images.push_back(&m.fields[0]);
+      out.push_back(&m.fields[0]);
+    }
+    images.push_back(&obs.image);
+    out.push_back(&data_field);
+    obs::front_distance_fields(images, grid_, opt_.front_flux_threshold, out,
+                               obs_scratch_);
   });
   return fields;
 }
 
 void AssimilationCycle::scatter_fields(
     const std::vector<morphing::MorphMember>& fields, double time) {
-  runner_.run_phase("state_update", members(), [&](int k) {
-    fire::FireState s;
-    s.psi = fields[k].fields[1];
-    s.tig = fields[k].fields[2];
-    s.time = time;
-    // Consistency: the burning region is exactly {psi < 0}; inside it the
-    // ignition time cannot exceed the current time, outside it is unset.
-    for (int j = 0; j < grid_.ny; ++j)
-      for (int i = 0; i < grid_.nx; ++i) {
-        if (s.psi(i, j) < 0) {
-          if (s.tig(i, j) > time) s.tig(i, j) = time;
-        } else {
-          s.tig(i, j) = fire::kNotIgnited;
+  for (const auto& m : models_) m->state().time = time;
+  // Into each model's own psi and tig, in parallel row blocks, with
+  // set_state's fuel-fraction refresh of the same row.
+  runner_.run_batch_phase("state_update", [&] {
+WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
+    for (int j = 0; j < grid_.ny; ++j) {
+      for (int k = 0; k < members(); ++k) {
+        fire::FireModel& m = *models_[k];
+        const double* psi_a = fields[k].fields[1].row(j);
+        const double* tig_a = fields[k].fields[2].row(j);
+        double* psi = m.state().psi.row(j);
+        double* tig = m.state().tig.row(j);
+        // Consistency: the burning region is exactly {psi < 0}; inside it
+        // the ignition time cannot exceed the current time, outside it is
+        // unset.
+        for (int i = 0; i < grid_.nx; ++i) {
+          psi[i] = psi_a[i];
+          tig[i] = psi_a[i] < 0 ? (tig_a[i] > time ? time : tig_a[i])
+                                : fire::kNotIgnited;
         }
+        m.refresh_fuel_fraction(j, j + 1);
       }
-    models_[k]->set_state(std::move(s));
+    }
   });
 }
 

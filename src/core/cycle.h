@@ -18,6 +18,7 @@
 #include "core/model_state.h"
 #include "la/workspace.h"
 #include "morphing/menkf.h"
+#include "obs/obs_function.h"
 #include "par/ensemble_runner.h"
 
 namespace wfire::core {
@@ -128,6 +129,7 @@ class AssimilationCycle {
   std::vector<std::unique_ptr<fire::FireModel>> models_;
   std::vector<std::pair<double, double>> member_wind_;
   std::unique_ptr<EnsembleBatch> batch_;  // lazily built SoA advance
+  obs::DistanceScratch obs_scratch_;      // the observable's lane scratch
   morphing::MorphingEnKF menkf_;
   la::Workspace la_ws_;  // analysis scratch, reused across cycles
 };

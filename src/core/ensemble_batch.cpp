@@ -23,6 +23,10 @@ constexpr int kSimdPad = 4;
 // well-chosen reinit_interval behaves exactly as in the reference.
 constexpr double kReinitTravelFrac = 1.0;
 
+// Compact band-major fields of a step, stored back to back in the work
+// buffer: speed, pre-step psi, and the Heun stages k1, k2 and predictor.
+constexpr std::size_t kCompactFields = 5;
+
 int round_up(int n, int pad) { return ((n + pad - 1) / pad) * pad; }
 
 }  // namespace
@@ -96,20 +100,30 @@ void EnsembleBatch::load(
     if (m->steps_since_reinit() != steps_since_reinit_)
       throw std::invalid_argument(
           "EnsembleBatch: members must share the reinit phase");
+    if (m->grid().nx != grid_.nx || m->grid().ny != grid_.ny)
+      throw std::invalid_argument("EnsembleBatch: member grid differs");
   }
-  const std::size_t cells = lay_.cells();
-  const int stride = lay_.stride;
   pending_.assign(static_cast<std::size_t>(members_), {});
-  for (int k = 0; k < members_; ++k) {
-    const double* ps = models[k]->state().psi.data();
-    const double* tg = models[k]->state().tig.data();
-    const double* ff = models[k]->fuel_fraction().data();
-    for (std::size_t c = 0; c < cells; ++c) {
-      psi_[c * stride + k] = ps[c];
-      tig_[c * stride + k] = tg[c];
-      fuel_[c * stride + k] = ff[c];
-    }
+  for (int k = 0; k < members_; ++k)
     pending_[k] = models[k]->pending_ignitions();
+  // Row-outer in parallel row blocks, then member by member within the row:
+  // the row's SoA slice (nx * stride doubles) stays in cache while every
+  // member's matching cells land in it.
+  const int nx = lay_.nx, stride = lay_.stride;
+WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
+  for (int j = 0; j < lay_.ny; ++j) {
+    const std::size_t c0 = static_cast<std::size_t>(j) * nx;
+    for (int k = 0; k < members_; ++k) {
+      const double* ps = models[k]->state().psi.row(j);
+      const double* tg = models[k]->state().tig.row(j);
+      const double* ff = models[k]->fuel_fraction().row(j);
+      for (int i = 0; i < nx; ++i) {
+        const std::size_t at = (c0 + i) * stride + k;
+        psi_[at] = ps[i];
+        tig_[at] = tg[i];
+        fuel_[at] = ff[i];
+      }
+    }
   }
   travel_ = 0;
   travel_since_reinit_ = 0;
@@ -188,11 +202,8 @@ void EnsembleBatch::rebuild_band() {
   }
   travel_ = 0;
   const std::size_t compact = band_.size() * static_cast<std::size_t>(stride);
-  speed_.resize(compact);
-  k1_.resize(compact);
-  k2_.resize(compact);
-  pred_.resize(compact);
-  before_.resize(compact);
+  if (work_.size() < kCompactFields * compact)
+    work_.resize(kCompactFields * compact);
 }
 
 void EnsembleBatch::advance_to(double time, double dt) {
@@ -211,25 +222,31 @@ void EnsembleBatch::step(double dt) {
   if (band_width_m_ > 0 && travel_ + h >= rebuild_margin_m_) rebuild_band();
   const int nband = static_cast<int>(band_.size());
   const int* band = band_.data();
+  const std::size_t compact = band_.size() * static_cast<std::size_t>(stride);
+  double* speed = work_.data();
+  double* before = speed + compact;
+  double* k1 = before + compact;
+  double* k2 = k1 + compact;
+  double* pred = k2 + compact;
 
   const double smax = fire::spread_field_batch(
       grid_, lay_, psi_.data(), fuel_.data(), wind_u_.data(), wind_v_.data(),
-      tables_, dzdx_, dzdy_, opt_.min_fuel_frac, band, nband, speed_.data());
+      tables_, dzdx_, dzdy_, opt_.min_fuel_frac, band, nband, speed);
 
   // Pre-step psi on the band (the ignition-time crossing reference).
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   for (int b = 0; b < nband; ++b)
-    std::memcpy(&before_[static_cast<std::size_t>(b) * stride],
+    std::memcpy(&before[static_cast<std::size_t>(b) * stride],
                 &psi_[static_cast<std::size_t>(band[b]) * stride],
                 sizeof(double) * static_cast<std::size_t>(stride));
 
   if (opt_.use_heun) {
-    levelset::step_heun_batch(grid_, lay_, speed_.data(), dt, opt_.scheme,
-                              band, nband, band_pos_.data(), psi_.data(),
-                              pred_.data(), k1_.data(), k2_.data());
+    levelset::step_heun_batch(grid_, lay_, speed, dt, opt_.scheme, band,
+                              nband, band_pos_.data(), psi_.data(), pred, k1,
+                              k2);
   } else {
-    levelset::step_euler_batch(grid_, lay_, speed_.data(), dt, opt_.scheme,
-                               band, nband, psi_.data(), k1_.data());
+    levelset::step_euler_batch(grid_, lay_, speed, dt, opt_.scheme, band,
+                               nband, psi_.data(), k1);
   }
 
   const double t_before = time_;
@@ -251,7 +268,7 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static) reduction(max : max_drop))
     double* tg = &tig_[cell * stride];
     double* ff = &fuel_[cell * stride];
     const double* after = &psi_[cell * stride];
-    const double* bef = &before_[static_cast<std::size_t>(b) * stride];
+    const double* bef = &before[static_cast<std::size_t>(b) * stride];
     const bool burnable = tables_.burnable[cell] != 0;
     const double tau = tables_.tau[cell];
     const double* scale = burn_time_scale_.data();
@@ -292,22 +309,9 @@ void EnsembleBatch::maybe_reinit() {
 }
 
 void EnsembleBatch::reinitialize_members() {
-  if (member_scratch_.size() != static_cast<std::size_t>(members_)) {
-    member_scratch_.assign(static_cast<std::size_t>(members_),
-                           util::Array2D<double>(grid_.nx, grid_.ny));
-    member_dist_.assign(static_cast<std::size_t>(members_),
-                        util::Array2D<double>(grid_.nx, grid_.ny));
-  }
-  const std::size_t cells = lay_.cells();
-  const int stride = lay_.stride;
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
-  for (int k = 0; k < members_; ++k) {
-    util::Array2D<double>& scratch = member_scratch_[k];
-    double* s = scratch.data();
-    for (std::size_t c = 0; c < cells; ++c) s[c] = psi_[c * stride + k];
-    levelset::reinitialize(grid_, scratch, 2, member_dist_[k]);
-    for (std::size_t c = 0; c < cells; ++c) psi_[c * stride + k] = s[c];
-  }
+  // The step scratch is dead between steps: its buffer doubles as the lane
+  // kernel's distance scratch (grown if the band is narrow).
+  levelset::reinitialize_lanes(grid_, lay_, members_, psi_.data(), 2, work_);
 }
 
 util::Array2D<double> EnsembleBatch::member_tig(int k) const {
@@ -324,20 +328,30 @@ void EnsembleBatch::store(
     std::vector<std::unique_ptr<fire::FireModel>>& models) const {
   if (static_cast<int>(models.size()) != members_)
     throw std::invalid_argument("EnsembleBatch: store with wrong member count");
-  const std::size_t cells = lay_.cells();
-  const int stride = lay_.stride;
-  for (int k = 0; k < members_; ++k) {
-    fire::FireState s;
-    s.psi = util::Array2D<double>(grid_.nx, grid_.ny);
-    s.tig = util::Array2D<double>(grid_.nx, grid_.ny);
-    s.time = time_;
-    double* ps = s.psi.data();
-    double* tg = s.tig.data();
-    for (std::size_t c = 0; c < cells; ++c) {
-      ps[c] = psi_[c * stride + k];
-      tg[c] = tig_[c * stride + k];
+  for (const auto& m : models) {
+    if (m->grid().nx != grid_.nx || m->grid().ny != grid_.ny)
+      throw std::invalid_argument("EnsembleBatch: member grid differs");
+    m->state().time = time_;
+  }
+  // The transpose of load, into each model's own psi and tig (nothing is
+  // allocated), then set_state's fuel-fraction refresh of the same row.
+  const int nx = lay_.nx, stride = lay_.stride;
+WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
+  for (int j = 0; j < lay_.ny; ++j) {
+    const std::size_t c0 = static_cast<std::size_t>(j) * nx;
+    for (int k = 0; k < members_; ++k) {
+      fire::FireModel& m = *models[k];
+      double* ps = m.state().psi.row(j);
+      double* tg = m.state().tig.row(j);
+      for (int i = 0; i < nx; ++i) {
+        const std::size_t at = (c0 + i) * stride + k;
+        ps[i] = psi_[at];
+        tg[i] = tig_[at];
+      }
+      m.refresh_fuel_fraction(j, j + 1);
     }
-    models[k]->set_state(std::move(s));
+  }
+  for (int k = 0; k < members_; ++k) {
     models[k]->set_steps_since_reinit(steps_since_reinit_);
     models[k]->set_pending_ignitions(pending_[k]);
   }

@@ -27,9 +27,10 @@
 // The member stride is padded to a multiple of 4 lanes (one AVX2 vector of
 // doubles); padding lanes carry benign values through the same arithmetic.
 //
-// Steady state allocates nothing: the SoA fields are sized at construction
-// and the compact band scratch reuses its high-water capacity across
-// rebuilds (the same arena discipline as la::Workspace in the analysis).
+// Steady state allocates nothing: the SoA fields are sized at construction,
+// one work buffer serves the compact band scratch and the redistancing's
+// lane distances at its high-water size, and load/store copy into existing
+// arrays (the same arena discipline as la::Workspace in the analysis).
 #pragma once
 
 #include <cstdint>
@@ -87,9 +88,11 @@ class EnsembleBatch {
   // redistancing.
   void advance_to(double time, double dt);
 
-  // Writes the advanced states back through FireModel::set_state (which
-  // refreshes each model's fuel fraction from tig) and restores any
-  // still-pending delayed ignitions.
+  // Writes the advanced states into each model's existing psi and tig and
+  // refreshes its fuel fraction from tig (set_state's arithmetic, in place:
+  // FireModel::refresh_fuel_fraction), and restores any still-pending
+  // delayed ignitions. load and store transpose in parallel row blocks on
+  // the caller's OpenMP team.
   void store(std::vector<std::unique_ptr<fire::FireModel>>& models) const;
 
   // Member k's ignition-time field, copied out without a model round trip
@@ -141,12 +144,11 @@ class EnsembleBatch {
   double band_width_m_ = 0;   // 0 = full grid
   double rebuild_margin_m_ = 0;
 
-  // Compact band-major scratch (speed, gradients, predictor, pre-step psi).
-  std::vector<double> speed_, k1_, k2_, pred_, before_;
-
-  // Per-member scratch for the fast-sweep redistancing: the member's psi and
-  // the sweep's distance work array.
-  std::vector<util::Array2D<double>> member_scratch_, member_dist_;
+  // Work buffer, reused between two uses that are never live at once: a
+  // step's compact band-major scratch (speed, pre-step psi, gradients,
+  // predictor) and the redistancing's block-major lane distances
+  // (levelset::reinitialize_lanes). It only grows, to the larger of the two.
+  std::vector<double> work_;
 };
 
 }  // namespace wfire::core

@@ -176,11 +176,11 @@ void FireModel::set_state(FireState s) {
   if (!s.psi.same_shape(state_.psi) || !s.tig.same_shape(state_.tig))
     throw std::invalid_argument("FireModel::set_state: shape mismatch");
   state_ = std::move(s);
-  refresh_fuel_fraction();
+  refresh_fuel_fraction(0, grid_.ny);
 }
 
-void FireModel::refresh_fuel_fraction() {
-  for (int j = 0; j < grid_.ny; ++j)
+void FireModel::refresh_fuel_fraction(int j0, int j1) {
+  for (int j = j0; j < j1; ++j)
     for (int i = 0; i < grid_.nx; ++i) {
       const double ti = state_.tig(i, j);
       const FuelCategory* cat = fuel_.at(i, j);

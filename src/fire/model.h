@@ -85,6 +85,13 @@ class FireModel {
   // fuel fraction from tig so fluxes stay consistent with the new state.
   void set_state(FireState s);
 
+  // The in-place form of set_state, for batched writers that fill many
+  // members' psi and tig through state() in parallel row blocks
+  // (core::EnsembleBatch::store, the assimilation cycle's state update):
+  // once state().time is set and rows [j0, j1) are rewritten, recomputes
+  // those rows' fuel fraction exactly as set_state does.
+  void refresh_fuel_fraction(int j0, int j1);
+
   // Diagnostics.
   [[nodiscard]] double burned_area() const;
   [[nodiscard]] double front_length() const;
@@ -104,7 +111,6 @@ class FireModel {
   }
 
  private:
-  void refresh_fuel_fraction();
   void update_ignition_times(const util::Array2D<double>& psi_before,
                              double t_before, double dt);
   void apply_pending_ignitions();

@@ -4,7 +4,10 @@
 // gradient well-conditioned. (Zhao's fast sweeping method for |grad d| = 1.)
 #pragma once
 
+#include <vector>
+
 #include "grid/grid2d.h"
+#include "levelset/batch.h"
 #include "util/array2d.h"
 
 namespace wfire::levelset {
@@ -19,6 +22,23 @@ void reinitialize(const grid::Grid2D& g, util::Array2D<double>& psi,
 // redistancing inside a stepping loop stays allocation-free.
 void reinitialize(const grid::Grid2D& g, util::Array2D<double>& psi,
                   int sweeps, util::Array2D<double>& dist_scratch);
+
+// Widest lane block of reinitialize_lanes.
+inline constexpr int kSweepLanes = 8;
+
+// Lane-batched reinitialize: redistances lanes [0, lanes) of the SoA field
+// `psi` (layout contract of levelset/batch.h; lanes <= lay.stride), each
+// lane with exactly the arithmetic of reinitialize(g, lane, sweeps), so
+// every lane comes out bitwise equal to the scalar kernel's result. A lane
+// with no interface is left untouched (the scalar early return). The
+// Gauss-Seidel recurrence is serial within a lane; the kernel instead runs
+// up to kSweepLanes independent lanes per node, in blocks split across the
+// caller's OpenMP team (at least one block per thread while lanes allow).
+// `dist` is the caller-held, block-major distance scratch, grown to
+// (nx + 2) * (ny + 2) * lanes doubles on first use and reused after.
+void reinitialize_lanes(const grid::Grid2D& g, const BatchLayout& lay,
+                        int lanes, double* psi, int sweeps,
+                        std::vector<double>& dist);
 
 // Measures the deviation of |grad psi| from 1 in a band around the front
 // (|psi| < band). Diagnostic used by tests and the reinit policy.

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "levelset/fast_sweep.h"
+#include "util/omp_compat.h"
 
 namespace wfire::obs {
 
@@ -27,40 +28,77 @@ util::Array2D<double> heat_flux_image(const fire::FuelMap& fuel,
   return flux;
 }
 
-util::Array2D<double> median3x3(const util::Array2D<double>& f) {
-  util::Array2D<double> out(f.nx(), f.ny());
-  for (int j = 0; j < f.ny(); ++j) {
-    double window[9];
-    for (int i = 0; i < f.nx(); ++i) {
-      int n = 0;
-      for (int b = -1; b <= 1; ++b)
-        for (int a = -1; a <= 1; ++a)
-          window[n++] = f.at_clamped(i + a, j + b);
-      std::nth_element(window, window + 4, window + 9);
-      out(i, j) = window[4];
-    }
+namespace {
+
+// Row j of the burning mask of f, -far where burning and +far elsewhere,
+// written to out[0], out[step], ... A node burns when at least 5 of the 9
+// values in its clamped 3x3 window exceed the threshold: exactly when the
+// window's median (its 5th smallest value) does.
+void mask_row(const util::Array2D<double>& f, int j, double threshold,
+              double far, double* out, std::size_t step) {
+  const int nx = f.nx();
+  const double* rows[3] = {f.row(std::max(j - 1, 0)), f.row(j),
+                           f.row(std::min(j + 1, f.ny() - 1))};
+  for (int i = 0; i < nx; ++i) {
+    const int il = std::max(i - 1, 0), ir = std::min(i + 1, nx - 1);
+    int hot = 0;
+    for (const double* r : rows)
+      hot += (r[il] > threshold) + (r[i] > threshold) + (r[ir] > threshold);
+    out[i * step] = hot >= 5 ? -far : far;
   }
-  return out;
 }
+
+}  // namespace
 
 util::Array2D<double> front_distance_field(
     const util::Array2D<double>& flux, const grid::Grid2D& g,
-    double threshold, bool denoise) {
+    double threshold) {
   if (flux.nx() != g.nx || flux.ny() != g.ny)
     throw std::invalid_argument("front_distance_field: shape mismatch");
-  const util::Array2D<double>& img = denoise ? median3x3(flux) : flux;
   const double far = g.width() + g.height();
-  util::Array2D<double> dist(g.nx, g.ny, far);
-  bool any = false;
+  util::Array2D<double> dist(g.nx, g.ny);
   for (int j = 0; j < g.ny; ++j)
-    for (int i = 0; i < g.nx; ++i)
-      if (img(i, j) > threshold) {
-        dist(i, j) = -far;
-        any = true;
-      }
-  if (!any) return dist;
+    mask_row(flux, j, threshold, far, dist.row(j), 1);
+  // A field with nothing burning has no interface: reinitialize leaves the
+  // +far sentinel as it is.
   levelset::reinitialize(g, dist, 3);
   return dist;
+}
+
+void front_distance_fields(std::span<const util::Array2D<double>* const> flux,
+                           const grid::Grid2D& g, double threshold,
+                           std::span<util::Array2D<double>* const> out,
+                           DistanceScratch& scratch) {
+  const int lanes = static_cast<int>(flux.size());
+  if (out.size() != flux.size())
+    throw std::invalid_argument("front_distance_fields: out size mismatch");
+  if (lanes == 0) return;
+  for (const util::Array2D<double>* f : flux)
+    if (f->nx() != g.nx || f->ny() != g.ny)
+      throw std::invalid_argument("front_distance_fields: shape mismatch");
+  const levelset::BatchLayout lay{g.nx, g.ny, lanes};
+  scratch.lanes.resize(lay.size());
+  double* soa = scratch.lanes.data();
+  const double far = g.width() + g.height();
+  const std::size_t stride = static_cast<std::size_t>(lanes);
+WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
+  for (int j = 0; j < g.ny; ++j)
+    for (int l = 0; l < lanes; ++l)
+      mask_row(*flux[l], j, threshold, far,
+               soa + static_cast<std::size_t>(j) * g.nx * stride + l, stride);
+
+  levelset::reinitialize_lanes(g, lay, lanes, soa, 3, scratch.dist);
+
+  for (util::Array2D<double>* o : out)
+    if (o->nx() != g.nx || o->ny() != g.ny)
+      *o = util::Array2D<double>(g.nx, g.ny);
+WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
+  for (int j = 0; j < g.ny; ++j)
+    for (int l = 0; l < lanes; ++l) {
+      double* row = out[l]->row(j);
+      const double* src = soa + static_cast<std::size_t>(j) * g.nx * stride + l;
+      for (int i = 0; i < g.nx; ++i) row[i] = src[i * stride];
+    }
 }
 
 void write_fire_state(const std::string& path, const fire::FireState& s) {

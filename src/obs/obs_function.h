@@ -12,7 +12,9 @@
 // state file, evaluates the observable, and writes a synthetic-data file.
 #pragma once
 
+#include <span>
 #include <string>
+#include <vector>
 
 #include "fire/model.h"
 #include "obs/statefile.h"
@@ -24,21 +26,37 @@ namespace wfire::obs {
 [[nodiscard]] util::Array2D<double> heat_flux_image(
     const fire::FuelMap& fuel, const util::Array2D<double>& tig, double time);
 
-// 3x3 median filter: removes isolated noise pixels from observed images
-// before thresholding (salt noise above the threshold would punch false
-// wells into the distance transform below).
-[[nodiscard]] util::Array2D<double> median3x3(const util::Array2D<double>& f);
-
-// Signed distance [m] to the actively burning band {flux > threshold}
-// (negative inside the band), built by fast sweeping after a median3x3
-// denoise. Heat-flux images are thin rings that alias away in registration
-// pyramids; their distance transform is the smooth, large-scale field the
-// morphing EnKF registers on — the role the level set function plays for
-// the model state. Returns +`far` everywhere when nothing exceeds the
-// threshold.
+// Signed distance [m] to the actively burning band (negative inside the
+// band), built by fast sweeping. The band is {median3x3(flux) > threshold}
+// after the 3x3 median denoise (clamped window), which removes isolated
+// noise pixels that would punch false wells into the distance transform;
+// it is evaluated as "at least 5 of the 9 window values exceed the
+// threshold", the same mask without sorting. Heat-flux images are thin
+// rings that alias away in registration pyramids; their distance transform
+// is the smooth, large-scale field the morphing EnKF registers on — the
+// role the level set function plays for the model state. Returns +`far`
+// everywhere when nothing exceeds the threshold.
 [[nodiscard]] util::Array2D<double> front_distance_field(
     const util::Array2D<double>& flux, const grid::Grid2D& g,
-    double threshold, bool denoise = true);
+    double threshold);
+
+// Caller-held scratch of front_distance_fields, reused across calls: the
+// masks as one SoA field (one lane per image) and the lane kernel's
+// distance scratch.
+struct DistanceScratch {
+  std::vector<double> lanes, dist;
+};
+
+// Batched front_distance_field: out[l] becomes
+// front_distance_field(*flux[l], g, threshold) bitwise, for every l. All
+// masks are built first, in parallel row blocks, then one
+// levelset::reinitialize_lanes call redistances them together on the
+// caller's OpenMP team. out[l] may alias flux[l]; an out array of another
+// shape is reallocated.
+void front_distance_fields(std::span<const util::Array2D<double>* const> flux,
+                           const grid::Grid2D& g, double threshold,
+                           std::span<util::Array2D<double>* const> out,
+                           DistanceScratch& scratch);
 
 // --- state <-> file packing (sections "psi", "tig", "time") ---
 

@@ -384,6 +384,34 @@ TEST(BatchAlloc, RedistancingAllocatesNothing) {
 #endif
 }
 
+// The cycle's whole advance (load, the batched steps with their
+// redistancings, store back into the members) allocates nothing once warm.
+TEST(BatchAlloc, CycleAdvanceAllocatesNothing) {
+#if !WFIRE_ALLOC_COUNTING
+  GTEST_SKIP() << "allocation counting disabled under sanitizers";
+#else
+  // Pool width 1 also narrows the advance's OpenMP team to the calling
+  // thread, the one the counter sees.
+  util::ScopedOmpNumThreads omp(1);
+  const grid::Grid2D g = small_grid();
+  CycleOptions opt;
+  opt.members = 6;
+  opt.threads = 1;
+  opt.ignition_jitter = 20.0;
+  opt.band_cells = 0;
+  fire::FireModelOptions fopt;
+  fopt.reinit_interval = 10;
+  AssimilationCycle cycle(
+      g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
+      fire::terrain_flat(g), fopt, opt, 23);
+  cycle.initialize({levelset::Ignition{
+      levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
+  cycle.advance_to(6.0);  // builds the batch and sizes its scratch
+  for (const double t : {12.0, 18.0})
+    EXPECT_EQ(count_allocs([&] { cycle.advance_to(t); }), 0) << "to " << t;
+#endif
+}
+
 // --- the cycle's advance matches stepping copies of its members ---
 
 TEST(CycleBatch, FullCycleBitwiseWithBandDisabled) {

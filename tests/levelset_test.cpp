@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "levelset/fast_sweep.h"
 #include "levelset/front.h"
 #include "levelset/godunov.h"
 #include "levelset/initialize.h"
 #include "levelset/integrator.h"
+#include "util/omp_compat.h"
 
 using namespace wfire::levelset;
 using wfire::grid::Grid2D;
@@ -247,6 +249,71 @@ TEST(FastSweep, DistancesMatchExactCircle) {
       if (std::abs(psi(i, j)) < 20.0) {
         EXPECT_NEAR(sign(i, j), psi(i, j), 3.0);
       }
+}
+
+// Lane l of the lane-kernel check: a distorted circle front whose shape
+// depends on l, with four special kinds mixed in: a lane with no interface
+// (uniform sign), a lane with exact zeros on its grid nodes (psi rounded to
+// whole meters), a lane whose only interface is a column of zeros between
+// positive nodes, and a lane whose front runs along and across the domain
+// edge.
+Array2D<double> lane_field(const Grid2D& g, int l) {
+  if (l % 7 == 3) return Array2D<double>(g.nx, g.ny, 7.0 + l);
+  if (l % 9 == 5) {
+    Array2D<double> psi(g.nx, g.ny);
+    for (int j = 0; j < g.ny; ++j)
+      for (int i = 0; i < g.nx; ++i) psi(i, j) = std::abs(i - g.nx / 2);
+    return psi;
+  }
+  const double cx = l % 5 == 2 ? 0.0 : 20.0 + 3.0 * (l % 6);
+  const double cy = 25.0 + 2.0 * (l % 4);
+  Array2D<double> psi = circle_psi(g, cx, cy, 9.0 + 1.5 * (l % 3));
+  for (double& v : psi) {
+    v = l % 2 == 0 ? v * v * v / 50.0 : v * (1.0 + 0.1 * (l % 4));
+    if (l % 4 == 1) v = std::round(v);
+  }
+  return psi;
+}
+
+TEST(FastSweep, LanesMatchScalarBitwise) {
+  // dx != dy exercises both orientations of the two-sided update.
+  const Grid2D g(37, 29, 2.0, 3.0);
+  bool saw_zero = false;
+  for (const int lanes : {1, 3, 8, 25, 28, 32}) {
+    for (const int sweeps : {2, 3}) {
+      for (const int width : {1, 3}) {
+        const int stride = (lanes + 3) / 4 * 4;
+        const BatchLayout lay{g.nx, g.ny, stride};
+        // Padding lanes carry a sentinel the kernel must not touch.
+        std::vector<double> soa(lay.size(), -123.0);
+        std::vector<Array2D<double>> expected;
+        for (int l = 0; l < lanes; ++l) {
+          expected.push_back(lane_field(g, l));
+          for (std::size_t c = 0; c < lay.cells(); ++c) {
+            soa[c * stride + l] = expected.back().data()[c];
+            saw_zero = saw_zero || expected.back().data()[c] == 0.0;
+          }
+          reinitialize(g, expected.back(), sweeps);
+        }
+        std::vector<double> dist;
+        {
+          wfire::util::ScopedOmpNumThreads omp(width);
+          reinitialize_lanes(g, lay, lanes, soa.data(), sweeps, dist);
+        }
+        for (int k = 0; k < stride; ++k)
+          for (std::size_t c = 0; c < lay.cells(); ++c) {
+            const double want =
+                k < lanes ? expected[k].data()[c] : -123.0;
+            // Bit equality, so a -0.0 for +0.0 would fail too.
+            ASSERT_EQ(std::signbit(soa[c * stride + k]), std::signbit(want));
+            ASSERT_EQ(soa[c * stride + k], want)
+                << "lanes " << lanes << " lane " << k << " cell " << c
+                << " sweeps " << sweeps << " width " << width;
+          }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_zero);
 }
 
 TEST(Ignition, DelayedShapeHasItsTime) {

@@ -4,14 +4,17 @@
 // nudge), and the file-based observation function.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "obs/obs_function.h"
 #include "obs/statefile.h"
 #include "obs/weather_station.h"
+#include "util/omp_compat.h"
 #include "util/rng.h"
 
 using namespace wfire;
@@ -262,15 +265,37 @@ TEST(ObsFunction, HeatFluxImageMatchesFuelDecay) {
 }
 
 TEST(ObsFunction, Median3x3RemovesSaltNoise) {
+  // The burning mask is the 3x3 median of the image above the threshold.
+  const grid::Grid2D g(9, 9, 6.0, 6.0);
+  const double far = g.width() + g.height();
   util::Array2D<double> img(9, 9, 0.0);
-  img(4, 4) = 1e6;  // isolated hot pixel
-  const util::Array2D<double> clean = median3x3(img);
-  EXPECT_DOUBLE_EQ(clean(4, 4), 0.0);
+  img(4, 4) = 1e6;  // isolated hot pixel: dropped, nothing burns
+  const util::Array2D<double> clean = front_distance_field(img, g, 5000.0);
+  EXPECT_DOUBLE_EQ(clean(4, 4), far);
+  EXPECT_DOUBLE_EQ(wfire::util::min_value(clean), far);
   // A solid 3x3 block survives (its center has 9 hot neighbors).
   util::Array2D<double> block(9, 9, 0.0);
   for (int j = 3; j <= 5; ++j)
     for (int i = 3; i <= 5; ++i) block(i, j) = 1e6;
-  EXPECT_DOUBLE_EQ(median3x3(block)(4, 4), 1e6);
+  EXPECT_LT(front_distance_field(block, g, 5000.0)(4, 4), 0.0);
+
+  // On noise straddling the threshold, a node burns (reads negative)
+  // exactly where the median of its clamped 3x3 window, found by sorting
+  // here, exceeds the threshold.
+  const grid::Grid2D h(23, 17, 6.0, 6.0);
+  wfire::util::Rng rng(3);
+  util::Array2D<double> noise(h.nx, h.ny);
+  for (double& v : noise) v = rng.uniform(0.0, 10000.0);
+  const util::Array2D<double> dist = front_distance_field(noise, h, 5000.0);
+  for (int j = 0; j < h.ny; ++j)
+    for (int i = 0; i < h.nx; ++i) {
+      std::vector<double> window;
+      for (int b = -1; b <= 1; ++b)
+        for (int a = -1; a <= 1; ++a)
+          window.push_back(noise.at_clamped(i + a, j + b));
+      std::nth_element(window.begin(), window.begin() + 4, window.end());
+      EXPECT_EQ(dist(i, j) < 0, window[4] > 5000.0) << i << "," << j;
+    }
 }
 
 TEST(ObsFunction, FrontDistanceFieldSignsAndFar) {
@@ -311,6 +336,52 @@ TEST(ObsFunction, FrontDistanceRobustToSaltNoise) {
     for (int i = 0; i < 41; ++i)
       max_diff = std::max(max_diff, std::abs(clean_d(i, j) - noisy_d(i, j)));
   EXPECT_LT(max_diff, 1.0);  // transform essentially unchanged
+}
+
+TEST(ObsFunction, BatchedDistanceMatchesScalar) {
+  // 26 images (the cycle's 25 members plus the data image): hot blocks of
+  // varying place and size under salt noise, one cold image, one image hot
+  // everywhere, and one hot only along the domain edge.
+  const grid::Grid2D g(41, 33, 6.0, 6.0);
+  wfire::util::Rng rng(11);
+  std::vector<util::Array2D<double>> flux;
+  for (int l = 0; l < 26; ++l) {
+    util::Array2D<double> f(g.nx, g.ny, 0.0);
+    if (l == 7) {
+      f.fill(1e5);
+    } else if (l == 11) {
+      for (int j = 0; j < g.ny; ++j) f(0, j) = f(1, j) = 1e5;
+    } else if (l != 3) {
+      const int i0 = 5 + l % 20, j0 = 4 + (3 * l) % 18, w = 2 + l % 6;
+      for (int j = j0; j < std::min(j0 + w, g.ny); ++j)
+        for (int i = i0; i < std::min(i0 + w + 1, g.nx); ++i) f(i, j) = 2e4;
+      for (int s = 0; s < 10; ++s)
+        f(static_cast<int>(rng.uniform_int(g.nx)),
+          static_cast<int>(rng.uniform_int(g.ny))) += 5.0e4;
+    }
+    flux.push_back(std::move(f));
+  }
+  for (const int width : {1, 3}) {
+    std::vector<const util::Array2D<double>*> in;
+    std::vector<util::Array2D<double>> got(flux.size());
+    std::vector<util::Array2D<double>*> out;
+    for (std::size_t l = 0; l < flux.size(); ++l) {
+      in.push_back(&flux[l]);
+      out.push_back(&got[l]);
+    }
+    DistanceScratch scratch;
+    {
+      wfire::util::ScopedOmpNumThreads omp(width);
+      front_distance_fields(in, g, 5000.0, out, scratch);
+    }
+    for (std::size_t l = 0; l < flux.size(); ++l) {
+      const util::Array2D<double> want = front_distance_field(flux[l], g, 5000.0);
+      ASSERT_TRUE(got[l] == want) << "image " << l << " width " << width;
+    }
+  }
+  // The cold image keeps the +far sentinel.
+  EXPECT_GT(wfire::util::min_value(front_distance_field(flux[3], g, 5000.0)),
+            100.0);
 }
 
 TEST(ObsFunction, FileBasedPipelineMatchesInMemory) {
