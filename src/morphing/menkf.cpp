@@ -48,31 +48,17 @@ void check_options(const MorphingEnKFOptions& opt) {
   positive(opt.inflation, "inflation");
 }
 
-// The per-field ensemble means into `u0` (reused across analyses), in
-// parallel row blocks; each pixel sums the members in member order, then
-// scales by 1/N.
-void field_means(const std::vector<MorphMember>& members,
-                 std::vector<util::Array2D<double>>& u0) {
-  const util::Array2D<double>& first = members.front().fields.front();
-  const std::size_t nfields = members.front().fields.size();
-  u0.resize(nfields);
-  for (util::Array2D<double>& mean : u0)
-    if (!mean.same_shape(first))
-      mean = util::Array2D<double>(first.nx(), first.ny());
-  const int nx = first.nx();
+// Ensemble mean of one field index across members.
+util::Array2D<double> field_mean(const std::vector<MorphMember>& members,
+                                 std::size_t f) {
+  const auto& first = members.front().fields[f];
+  util::Array2D<double> mean(first.nx(), first.ny(), 0.0);
+  for (const auto& m : members)
+    for (int j = 0; j < mean.ny(); ++j)
+      for (int i = 0; i < mean.nx(); ++i) mean(i, j) += m.fields[f](i, j);
   const double inv = 1.0 / static_cast<double>(members.size());
-WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
-  for (int j = 0; j < first.ny(); ++j) {
-    for (std::size_t f = 0; f < nfields; ++f) {
-      double* mean = u0[f].row(j);
-      std::fill_n(mean, nx, 0.0);
-      for (const MorphMember& m : members) {
-        const double* v = m.fields[f].row(j);
-        for (int i = 0; i < nx; ++i) mean[i] += v[i];
-      }
-      for (int i = 0; i < nx; ++i) mean[i] *= inv;
-    }
-  }
+  for (double& v : mean) v *= inv;
+  return mean;
 }
 
 }  // namespace
@@ -89,10 +75,9 @@ MorphingStats MorphingEnKF::analyze(std::vector<MorphMember>& members,
 
   // References: per-field ensemble means; field 0's registration pyramid is
   // built once for all N + 1 images.
-  field_means(members, u0_);
-  ref_.assign(u0_[0], opt_.reg);
-  const std::vector<util::Array2D<double>>& u0 = u0_;
-  const RegistrationReference& ref = ref_;
+  std::vector<util::Array2D<double>> u0(nfields);
+  for (std::size_t f = 0; f < nfields; ++f) u0[f] = field_mean(members, f);
+  const RegistrationReference ref(u0[0], opt_.reg);
 
   // Extended state: [r_f0, r_f1, ..., Tx, Ty]; the observation selects
   // [r_f0, Tx, Ty], the layout of the data vector d and of HX.

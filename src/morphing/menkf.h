@@ -21,7 +21,6 @@
 
 #include "enkf/enkf.h"
 #include "morphing/morph.h"
-#include "morphing/registration.h"
 
 namespace wfire::morphing {
 
@@ -73,10 +72,6 @@ class MorphingEnKF {
  private:
   MorphingEnKFOptions opt_;
   la::Workspace ws_;  // fallback arena when the caller does not supply one
-  // The analysis's references, reused across analyses: the per-field
-  // ensemble means and field 0's registration pyramid.
-  std::vector<util::Array2D<double>> u0_;
-  RegistrationReference ref_;
 };
 
 // Standard-EnKF baseline on raw fields (what Fig. 4(c) does): stacks the

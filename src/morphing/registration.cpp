@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "grid/interp.h"
-#include "util/omp_compat.h"
 
 namespace wfire::morphing {
 
@@ -169,12 +168,26 @@ Mapping upsample(const Mapping& coarse, int nx, int ny) {
   return fine;
 }
 
-// Rows [j0, j1) of the 2x box downsample of u (out is already shaped).
-void downsample_rows(const util::Array2D<double>& u, util::Array2D<double>& out,
-                     int j0, int j1) {
-  const int nx = out.nx();
+// Gaussian-smoothed box pyramid of u (level 0 = finest), at most
+// `max_levels` deep; the coarsest level keeps >= 16 px so compact features
+// are not aliased away.
+std::vector<util::Array2D<double>> smoothed_pyramid(
+    const util::Array2D<double>& u, int max_levels, double sigma) {
+  std::vector<util::Array2D<double>> p{u};
+  while (static_cast<int>(p.size()) < max_levels && p.back().nx() >= 32 &&
+         p.back().ny() >= 32)
+    p.push_back(downsample2(p.back()));
+  for (util::Array2D<double>& level : p) level = gaussian_smooth(level, sigma);
+  return p;
+}
+
+}  // namespace
+
+util::Array2D<double> downsample2(const util::Array2D<double>& u) {
+  const int nx = std::max(u.nx() / 2, 1), ny = std::max(u.ny() / 2, 1);
   const int ilast = u.nx() - 1, jlast = u.ny() - 1;
-  for (int j = j0; j < j1; ++j) {
+  util::Array2D<double> out(nx, ny);
+  for (int j = 0; j < ny; ++j) {
     const double* r0 = u.row(std::min(2 * j, jlast));
     const double* r1 = u.row(std::min(2 * j + 1, jlast));
     double* o = out.row(j);
@@ -183,11 +196,12 @@ void downsample_rows(const util::Array2D<double>& u, util::Array2D<double>& out,
       o[i] = 0.25 * (r0[i0] + r0[i1] + r1[i0] + r1[i1]);
     }
   }
+  return out;
 }
 
-// The normalized taps of gaussian_smooth (sigma > 0); the radius is
-// (size - 1) / 2.
-std::vector<double> gaussian_taps(double sigma) {
+util::Array2D<double> gaussian_smooth(const util::Array2D<double>& u,
+                                      double sigma) {
+  if (sigma <= 0) return u;
   const int radius = std::max(1, static_cast<int>(std::ceil(2.0 * sigma)));
   std::vector<double> k(static_cast<std::size_t>(2 * radius + 1));
   double sum = 0;
@@ -196,17 +210,12 @@ std::vector<double> gaussian_taps(double sigma) {
     sum += k[i + radius];
   }
   for (double& v : k) v /= sum;
-  return k;
-}
 
-// Rows [j0, j1) of gaussian_smooth's x pass, u -> tmp. Taps clamp to the
-// row only within `radius` of either end.
-void smooth_x_rows(const util::Array2D<double>& u, std::span<const double> k,
-                   util::Array2D<double>& tmp, int j0, int j1) {
-  const int radius = static_cast<int>(k.size() / 2);
-  const int nx = u.nx();
+  const int nx = u.nx(), ny = u.ny();
+  util::Array2D<double> tmp(nx, ny), out(nx, ny);
+  // Along x: taps clamp to the row only within `radius` of either end.
   const int lo = std::min(radius, nx), hi = std::max(lo, nx - radius);
-  for (int j = j0; j < j1; ++j) {
+  for (int j = 0; j < ny; ++j) {
     const double* in = u.row(j);
     double* t = tmp.row(j);
     const auto clamped = [&](int i) {
@@ -223,120 +232,24 @@ void smooth_x_rows(const util::Array2D<double>& u, std::span<const double> k,
     }
     for (int i = hi; i < nx; ++i) clamped(i);
   }
-}
-
-// Rows [j0, j1) of gaussian_smooth's y pass, tmp -> out: each tap is a
-// whole (clamped) row, accumulated tap by tap in the same order per pixel.
-void smooth_y_rows(const util::Array2D<double>& tmp, std::span<const double> k,
-                   util::Array2D<double>& out, int j0, int j1) {
-  const int radius = static_cast<int>(k.size() / 2);
-  const int nx = tmp.nx(), ny = tmp.ny();
-  for (int j = j0; j < j1; ++j) {
+  // Along y: each tap is a whole (clamped) row, accumulated tap by tap in
+  // the same order per pixel.
+  for (int j = 0; j < ny; ++j) {
     double* o = out.row(j);
-    std::fill_n(o, nx, 0.0);
     for (int a = -radius; a <= radius; ++a) {
       const double* t = tmp.row(std::clamp(j + a, 0, ny - 1));
       const double w = k[a + radius];
       for (int i = 0; i < nx; ++i) o[i] += w * t[i];
     }
   }
-}
-
-// Levels of the smoothed pyramid of an nx x ny image, at most max_levels:
-// the coarsest level keeps >= 16 px so compact features are not aliased
-// away.
-int pyramid_depth(int nx, int ny, int max_levels) {
-  int depth = 1;
-  for (; depth < max_levels && nx >= 32 && ny >= 32; ++depth) {
-    nx /= 2;
-    ny /= 2;
-  }
-  return depth;
-}
-
-// Gaussian-smoothed box pyramid of u (level 0 = finest).
-std::vector<util::Array2D<double>> smoothed_pyramid(
-    const util::Array2D<double>& u, int max_levels, double sigma) {
-  std::vector<util::Array2D<double>> p{u};
-  const int depth = pyramid_depth(u.nx(), u.ny(), max_levels);
-  while (static_cast<int>(p.size()) < depth) p.push_back(downsample2(p.back()));
-  for (util::Array2D<double>& level : p) level = gaussian_smooth(level, sigma);
-  return p;
-}
-
-void reshape(util::Array2D<double>& a, int nx, int ny) {
-  if (a.nx() != nx || a.ny() != ny) a = util::Array2D<double>(nx, ny);
-}
-
-}  // namespace
-
-util::Array2D<double> downsample2(const util::Array2D<double>& u) {
-  util::Array2D<double> out(std::max(u.nx() / 2, 1), std::max(u.ny() / 2, 1));
-  downsample_rows(u, out, 0, out.ny());
   return out;
 }
 
-util::Array2D<double> gaussian_smooth(const util::Array2D<double>& u,
-                                      double sigma) {
-  if (sigma <= 0) return u;
-  const std::vector<double> k = gaussian_taps(sigma);
-  util::Array2D<double> tmp(u.nx(), u.ny()), out(u.nx(), u.ny());
-  smooth_x_rows(u, k, tmp, 0, u.ny());
-  smooth_y_rows(tmp, k, out, 0, u.ny());
-  return out;
-}
-
-RegistrationReference::RegistrationReference(const util::Array2D<double>& u0,
-                                             const RegistrationOptions& opt) {
-  assign(u0, opt);
-}
-
-void RegistrationReference::assign(const util::Array2D<double>& u0_in,
-                                   const RegistrationOptions& opt) {
-  check_image(u0_in, "RegistrationReference");
-  u0 = u0_in;
-  const auto depth =
-      static_cast<std::size_t>(pyramid_depth(u0.nx(), u0.ny(), opt.max_levels));
-  // raw_[l] is level l before smoothing (raw_[0] stays empty: it is u0).
-  raw_.resize(depth);
-  tmp_.resize(depth);
-  levels.resize(depth);
-  const auto raw = [&](std::size_t l) -> const util::Array2D<double>& {
-    return l == 0 ? u0 : raw_[l];
-  };
-  for (std::size_t l = 0; l < depth; ++l) {
-    if (l > 0)
-      reshape(raw_[l], std::max(raw(l - 1).nx() / 2, 1),
-              std::max(raw(l - 1).ny() / 2, 1));
-    reshape(tmp_[l], raw(l).nx(), raw(l).ny());
-    reshape(levels[l], raw(l).nx(), raw(l).ny());
-  }
-  const bool smooth = opt.presmooth_sigma > 0;
-  const std::vector<double> k =
-      smooth ? gaussian_taps(opt.presmooth_sigma) : std::vector<double>{};
-  // smoothed_pyramid's arithmetic, each pass in parallel row blocks.
-WFIRE_PRAGMA_OMP(omp parallel)
-  {
-    for (std::size_t l = 1; l < depth; ++l) {
-WFIRE_PRAGMA_OMP(omp for schedule(static))
-      for (int j = 0; j < raw_[l].ny(); ++j)
-        downsample_rows(raw(l - 1), raw_[l], j, j + 1);
-    }
-    for (std::size_t l = 0; l < depth; ++l) {
-      const int nx = raw(l).nx(), ny = raw(l).ny();
-      if (smooth) {
-WFIRE_PRAGMA_OMP(omp for schedule(static))
-        for (int j = 0; j < ny; ++j) smooth_x_rows(raw(l), k, tmp_[l], j, j + 1);
-WFIRE_PRAGMA_OMP(omp for schedule(static))
-        for (int j = 0; j < ny; ++j)
-          smooth_y_rows(tmp_[l], k, levels[l], j, j + 1);
-      } else {
-WFIRE_PRAGMA_OMP(omp for schedule(static))
-        for (int j = 0; j < ny; ++j)
-          std::copy_n(raw(l).row(j), nx, levels[l].row(j));
-      }
-    }
-  }
+RegistrationReference::RegistrationReference(util::Array2D<double> u0_in,
+                                             const RegistrationOptions& opt)
+    : u0(std::move(u0_in)) {
+  check_image(u0, "RegistrationReference");
+  levels = smoothed_pyramid(u0, opt.max_levels, opt.presmooth_sigma);
 }
 
 RegistrationResult register_fields(const util::Array2D<double>& u,

@@ -39,23 +39,11 @@ struct RegistrationResult {
 // The reference side of a registration: u0 and its Gaussian-smoothed box
 // pyramid (level 0 = finest). Build it once and register any number of
 // images against it with the same options. u0 must pass check_image.
-class RegistrationReference {
- public:
-  RegistrationReference() = default;
-  explicit RegistrationReference(const util::Array2D<double>& u0,
+struct RegistrationReference {
+  explicit RegistrationReference(util::Array2D<double> u0,
                                  const RegistrationOptions& opt);
-
-  // Rebuilds for a new u0, reusing the arrays of the previous build. The
-  // pyramid passes run in parallel row blocks on the caller's OpenMP team,
-  // with the serial pyramid's arithmetic (bitwise the same levels).
-  void assign(const util::Array2D<double>& u0, const RegistrationOptions& opt);
-
   util::Array2D<double> u0;
   std::vector<util::Array2D<double>> levels;
-
- private:
-  // Per level: the unsmoothed downsample and the smoothing's x pass.
-  std::vector<util::Array2D<double>> raw_, tmp_;
 };
 
 // Registers u against the reference. u must have the shape of its u0 and

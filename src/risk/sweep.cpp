@@ -85,6 +85,8 @@ BurnProbabilityGrid SweepDriver::run() {
       g, fire::uniform_fuel(base_.nx, base_.ny, base_.fuel_category),
       fire::terrain_flat(g), base_.fire, members, /*band_cells=*/0);
   {
+    // The load's transposes and the advance both run at `threads`.
+    util::ScopedOmpNumThreads width(opt_.threads);
     // Members differ from the base only in wind, fuel scales, ignitions and
     // gust seed; each model is its spec's serve::make_model. The models are
     // freed before the advance (member_tig reads the result).
@@ -98,9 +100,7 @@ BurnProbabilityGrid SweepDriver::run() {
       batch.set_member_burn_time_scale(k, spec.burn_time_scale);
     }
     batch.load(models);
-  }
-  {
-    util::ScopedOmpNumThreads width(opt_.threads);
+    models.clear();
     batch.advance_to(opt_.horizon, base_.dt);
   }
 

@@ -42,7 +42,9 @@ struct SweepOptions {
   int members = 64;             // K, the Monte Carlo sample size
   double horizon = 120.0;       // forecast horizon [s] (advance target)
   // Execution knobs — bitwise-irrelevant to the product (see contract):
-  int threads = 0;              // OpenMP width (<= 0: the library default)
+  // OpenMP width of the whole sweep, the batch's load included (<= 0: the
+  // library default).
+  int threads = 0;
   // No effect: every sweep runs at `threads`. Kept so callers that still
   // set it compile.
   long inline_cell_steps = 0;
