@@ -6,7 +6,8 @@
 // Expected shape: sweep throughput (member runs/s, cell-steps/s) scales
 // with the OpenMP width until the batch's grid sweeps saturate the cores;
 // the reduction itself is a per-member O(cells) fold and never shows.
-// Cache hits are a key hash plus an LRU splice — nanoseconds, independent
+// Cache hits are a key hash, a count and a recency splice (the admission
+// policy is stated in risk/product_cache.h) — nanoseconds, independent
 // of K and grid size — which is the entire point of serving products
 // instead of simulations.
 //

@@ -74,9 +74,11 @@ int main(int argc, char** argv) {
   const auto again = cache.fetch(base, pert, opt);
   std::printf(
       "product %016llx: K=%d members to t=%.0f s on %d threads "
-      "(cache: %ld sweep, %ld hit; repeat fetch %s)\n",
+      "(cache: %ld sweep, %ld hit, %ld evicted, %ld rejected; "
+      "repeat fetch %s)\n",
       static_cast<unsigned long long>(product->key), members, horizon,
-      threads, cache.sweeps_run(), cache.hits(),
+      threads, cache.sweeps_run(), cache.hits(), cache.evictions(),
+      cache.rejections(),
       again.get() == product.get() ? "returned the same grid" : "MISMATCH");
 
   // --- The probability surface vs the reference burn.

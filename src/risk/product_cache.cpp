@@ -1,6 +1,8 @@
 #include "risk/product_cache.h"
 
+#include <climits>
 #include <cstdlib>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -13,11 +15,28 @@ int ProductCache::env_capacity() {
   char* end = nullptr;
   const long v = std::strtol(s, &end, 10);
   if (end == nullptr || *end != '\0') return kDefault;
-  return v >= 1 ? static_cast<int>(v) : 1;
+  // strtol saturates out-of-range values to LONG_MIN/LONG_MAX, which the
+  // clamp maps to 1 and INT_MAX like any other value beyond int.
+  if (v < 1) return 1;
+  return v > INT_MAX ? INT_MAX : static_cast<int>(v);
 }
 
 ProductCache::ProductCache(int capacity)
     : capacity_(capacity >= 1 ? capacity : 1) {}
+
+void ProductCache::count_fetch(std::uint64_t key) {
+  ++counts_[key];
+  if (++fetches_since_aging_ < 10 * static_cast<std::int64_t>(capacity_))
+    return;
+  fetches_since_aging_ = 0;
+  for (auto it = counts_.begin(); it != counts_.end();)
+    it = (it->second /= 2) == 0 ? counts_.erase(it) : std::next(it);
+}
+
+std::int64_t ProductCache::count_of(std::uint64_t key) const {
+  const auto it = counts_.find(key);
+  return it == counts_.end() ? 0 : it->second;
+}
 
 std::shared_ptr<const BurnProbabilityGrid> ProductCache::fetch(
     const serve::ScenarioSpec& base, const PerturbationSpec& pert,
@@ -29,6 +48,7 @@ std::shared_ptr<const BurnProbabilityGrid> ProductCache::fetch(
   bool leader = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    count_fetch(key);
     if (const auto it = index_.find(key); it != index_.end()) {
       ++hits_;
       lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
@@ -62,11 +82,18 @@ std::shared_ptr<const BurnProbabilityGrid> ProductCache::fetch(
   {
     std::lock_guard<std::mutex> lock(mu_);
     inflight_.erase(key);
-    lru_.push_front(Entry{key, grid});
-    index_[key] = lru_.begin();
-    while (static_cast<int>(lru_.size()) > capacity_) {
+    bool keep = static_cast<int>(lru_.size()) < capacity_;
+    if (!keep && count_of(key) > count_of(lru_.back().key)) {
       index_.erase(lru_.back().key);
       lru_.pop_back();  // clients holding the pointer keep the grid alive
+      ++evictions_;
+      keep = true;
+    }
+    if (keep) {
+      lru_.push_front(Entry{key, grid});
+      index_[key] = lru_.begin();
+    } else {
+      ++rejections_;
     }
   }
   prom.set_value(grid);
@@ -88,9 +115,24 @@ long ProductCache::sweeps_run() const {
   return sweeps_;
 }
 
+long ProductCache::evictions() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return evictions_;
+}
+
+long ProductCache::rejections() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return rejections_;
+}
+
 int ProductCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return static_cast<int>(lru_.size());
+}
+
+int ProductCache::counted_keys() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int>(counts_.size());
 }
 
 }  // namespace wfire::risk

@@ -1,12 +1,16 @@
 // Risk-layer tests: the order-free burn-probability reduction, the batched
 // sweep against per-member server runs, sweep determinism across OpenMP
 // widths (the product is a pure function of (base, perturbation) —
-// execution knobs are bitwise-irrelevant), the single-flight product cache,
+// execution knobs are bitwise-irrelevant), the single-flight product cache
+// and its frequency-aware admission,
 // risk::score() on hand-constructed grids with known confusion matrices,
 // and the scenario-spec schema pinned across admit validation, checkpoints
 // and product keys.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
@@ -22,6 +26,7 @@
 #include "risk/product_cache.h"
 #include "risk/sweep.h"
 #include "serve/scenario_server.h"
+#include "util/rng.h"
 
 using namespace wfire;
 using namespace wfire::risk;
@@ -57,6 +62,51 @@ PerturbationSpec sweep_pert() {
   pert.seed = 1234;
   return pert;
 }
+
+// A product that sweeps in about a millisecond: 2 members to 1 s on the
+// sweep_base() grid, one thread. Each id is a distinct product key.
+struct TinyProduct {
+  serve::ScenarioSpec base = sweep_base();
+  PerturbationSpec pert = sweep_pert();
+  SweepOptions opt;
+  explicit TinyProduct(std::uint64_t id) {
+    pert.seed = id;
+    opt.members = 2;
+    opt.horizon = 1.0;
+    opt.threads = 1;
+  }
+  [[nodiscard]] std::uint64_t key() const {
+    return product_key(base, pert, opt);
+  }
+};
+
+std::shared_ptr<const BurnProbabilityGrid> fetch_tiny(ProductCache& cache,
+                                                      std::uint64_t id) {
+  const TinyProduct p(id);
+  return cache.fetch(p.base, p.pert, p.opt);
+}
+
+// Zipf(s) popularity over ranks 0..n-1: rank r drawn with probability
+// proportional to (r + 1)^-s, by inverting the cdf like perfbench's
+// risk_products workload does.
+class Zipf {
+ public:
+  Zipf(int n, double s) : cdf_(static_cast<std::size_t>(n)) {
+    double total = 0;
+    for (std::size_t r = 0; r < cdf_.size(); ++r)
+      cdf_[r] = total += std::pow(static_cast<double>(r) + 1.0, -s);
+    for (double& c : cdf_) c /= total;
+  }
+  int operator()(util::Rng& rng) const {
+    const double u = rng.uniform();
+    std::size_t r = 0;
+    while (r + 1 < cdf_.size() && cdf_[r] < u) ++r;
+    return static_cast<int>(r);
+  }
+
+ private:
+  std::vector<double> cdf_;
+};
 
 }  // namespace
 
@@ -490,7 +540,8 @@ TEST(Sweep, BitwiseReproducibleAcrossPoolWidths) {
 
 // ---------------------------------------------------------------------------
 // The product cache: repeats are served without re-simulation, concurrent
-// first requests share one sweep, capacity evicts least-recently-fetched.
+// first requests share one sweep, and a full cache keeps a new product
+// only if it is fetched more often than the least recently fetched one.
 
 TEST(Cache, ServesRepeatsWithoutResimulation) {
   const serve::ScenarioSpec base = sweep_base();
@@ -523,17 +574,24 @@ TEST(Cache, ServesRepeatsWithoutResimulation) {
   (void)cache.fetch(base, pert, hb);
   EXPECT_EQ(cache.size(), 2);
   (void)cache.fetch(base, pert, opt);  // refresh A's recency
-  (void)cache.fetch(base, pert, hc);   // evicts B (least recently fetched)
+  // C, fetched once, is no more popular than the least recently fetched B:
+  // it is served but not kept, and B stays.
+  const auto gc = cache.fetch(base, pert, hc);
+  ASSERT_NE(gc, nullptr);
+  EXPECT_EQ(gc->key, product_key(base, pert, hc));
   EXPECT_EQ(cache.size(), 2);
   EXPECT_EQ(cache.sweeps_run(), 3);
+  EXPECT_EQ(cache.rejections(), 1);
+  EXPECT_EQ(cache.evictions(), 0);
 
-  (void)cache.fetch(base, pert, opt);  // A survived the eviction
+  (void)cache.fetch(base, pert, opt);  // A is still cached
   EXPECT_EQ(cache.sweeps_run(), 3);
-  (void)cache.fetch(base, pert, hb);  // B was evicted: re-simulated
-  EXPECT_EQ(cache.sweeps_run(), 4);
+  (void)cache.fetch(base, pert, hb);  // so is B
+  EXPECT_EQ(cache.sweeps_run(), 3);
 
-  // An evicted-but-held product stays alive for its clients.
+  // Products not kept stay alive for their clients.
   EXPECT_GE(g1->members, 8);
+  EXPECT_GE(gc->members, 8);
 }
 
 TEST(Cache, SingleFlightDeduplicatesConcurrentMisses) {
@@ -578,10 +636,156 @@ TEST(Cache, EnvCapacityOverride) {
   EXPECT_EQ(ProductCache::env_capacity(), 5);
   ASSERT_EQ(setenv("WFIRE_RISK_CACHE", "0", 1), 0);
   EXPECT_EQ(ProductCache::env_capacity(), 1);  // clamped
+  ASSERT_EQ(setenv("WFIRE_RISK_CACHE", "3000000000", 1), 0);
+  EXPECT_EQ(ProductCache::env_capacity(), INT_MAX);  // clamped, not wrapped
+  ASSERT_EQ(setenv("WFIRE_RISK_CACHE", "99999999999999999999", 1), 0);
+  EXPECT_EQ(ProductCache::env_capacity(), INT_MAX);  // ERANGE: clamped
+  ASSERT_EQ(setenv("WFIRE_RISK_CACHE", "-99999999999999999999", 1), 0);
+  EXPECT_EQ(ProductCache::env_capacity(), 1);
   ASSERT_EQ(setenv("WFIRE_RISK_CACHE", "nonsense", 1), 0);
   EXPECT_EQ(ProductCache::env_capacity(), 32);  // default on parse failure
   ASSERT_EQ(unsetenv("WFIRE_RISK_CACHE"), 0);
   EXPECT_EQ(ProductCache::env_capacity(), 32);
+}
+
+TEST(Cache, HotSetSurvivesBurstOfOneOffProducts) {
+  // Scan resistance: a full aging window of one-off products passes
+  // through a full cache without displacing the products fetched before
+  // (least-recently-fetched eviction alone would have dropped all three).
+  constexpr int kCap = 3;
+  constexpr int kBurst = 10 * kCap;
+  ProductCache cache(kCap);
+  std::vector<std::shared_ptr<const BurnProbabilityGrid>> hot;
+  for (int id = 0; id < kCap; ++id) hot.push_back(fetch_tiny(cache, id));
+  for (int id = 0; id < kCap; ++id)
+    ASSERT_EQ(fetch_tiny(cache, id).get(), hot[static_cast<std::size_t>(id)].get());
+
+  for (int i = 0; i < kBurst; ++i) {
+    const TinyProduct p(1000 + i);
+    const auto g = cache.fetch(p.base, p.pert, p.opt);
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->key, p.key());  // served, though not kept
+  }
+  EXPECT_EQ(cache.rejections(), kBurst);
+  EXPECT_EQ(cache.evictions(), 0);
+  EXPECT_EQ(cache.size(), kCap);
+  EXPECT_EQ(cache.sweeps_run(), kCap + kBurst);
+
+  for (int id = 0; id < kCap; ++id)
+    EXPECT_EQ(fetch_tiny(cache, id).get(), hot[static_cast<std::size_t>(id)].get());
+  EXPECT_EQ(cache.sweeps_run(), kCap + kBurst);
+}
+
+TEST(Cache, AgingAdmitsANewlyHotProduct) {
+  // Two products are fetched 100 times each, then go cold while a third
+  // becomes hot. Halving the counts every 10 x capacity fetches bounds the
+  // cold products' counts, so the newcomer is admitted within
+  // 2 x 10 x capacity of its own fetches; without aging it would need
+  // more than 100.
+  constexpr int kCap = 2;
+  ProductCache cache(kCap);
+  for (int round = 0; round < 100; ++round) {
+    (void)fetch_tiny(cache, 0);
+    (void)fetch_tiny(cache, 1);
+  }
+  ASSERT_EQ(cache.sweeps_run(), 2);
+
+  long fetches = 0;
+  while (cache.evictions() == 0 && fetches < 100) {
+    (void)fetch_tiny(cache, 2);
+    ++fetches;
+  }
+  EXPECT_EQ(cache.evictions(), 1);
+  EXPECT_GT(fetches, 1);  // one fetch does not displace a popular product
+  EXPECT_LE(fetches, 2 * 10 * kCap);
+  EXPECT_EQ(cache.rejections(), fetches - 1);
+  EXPECT_EQ(cache.sweeps_run(), 2 + fetches);
+
+  // The newcomer and the more recently fetched cold product are resident;
+  // the least recently fetched one was evicted.
+  (void)fetch_tiny(cache, 2);
+  (void)fetch_tiny(cache, 1);
+  EXPECT_EQ(cache.sweeps_run(), 2 + fetches);
+  (void)fetch_tiny(cache, 0);
+  EXPECT_EQ(cache.sweeps_run(), 3 + fetches);
+  EXPECT_EQ(cache.size(), kCap);
+}
+
+TEST(Cache, FrequencyTableStaysBounded) {
+  // 100 x capacity distinct one-off products: aging drops every count of 1,
+  // so the table never reaches the documented 20 x capacity keys.
+  constexpr int kCap = 2;
+  ProductCache cache(kCap);
+  int most = 0;
+  for (int id = 0; id < 100 * kCap; ++id) {
+    (void)fetch_tiny(cache, id);
+    most = std::max(most, cache.counted_keys());
+  }
+  EXPECT_EQ(cache.sweeps_run(), 100 * kCap);
+  EXPECT_GT(most, 0);
+  EXPECT_LT(most, 20 * kCap);
+  EXPECT_EQ(cache.size() + cache.evictions() + cache.rejections(),
+            cache.sweeps_run());
+}
+
+TEST(Cache, ZipfReplayKeepsThePopularProducts) {
+  // risk_products' traffic shape: Zipf(1.1) over 12 products through a
+  // cache of 6, in a fixed seeded sequence. Keeping the six most popular
+  // products would serve 0.814 of the fetches; least-recently-fetched
+  // eviction alone keeps about 0.74 of them.
+  constexpr int kCatalog = 12;
+  constexpr int kCap = 6;
+  constexpr int kFetches = 1000;
+  const Zipf zipf(kCatalog, 1.1);
+  util::Rng pick(1);
+  ProductCache cache(kCap);
+  while (cache.size() < kCap) (void)fetch_tiny(cache, zipf(pick));
+
+  const long hits0 = cache.hits();
+  for (int n = 0; n < kFetches; ++n) (void)fetch_tiny(cache, zipf(pick));
+  const double hit_ratio =
+      static_cast<double>(cache.hits() - hits0) / kFetches;
+  EXPECT_GE(hit_ratio, 0.79);
+  EXPECT_EQ(cache.size(), kCap);
+}
+
+TEST(Cache, ConcurrentZipfClientsKeepCountersConsistent) {
+  // Four clients fetch Zipf-popular products through one small cache at
+  // once: admission, eviction and aging run under contention (the TSan CI
+  // job runs this). Every fetch is counted once, as a hit or a miss; every
+  // miss ran a sweep or joined one in flight; every sweep's product was
+  // kept (and may since have been evicted) or rejected.
+  constexpr int kCap = 3;
+  constexpr int kClients = 4;
+  constexpr int kFetches = 60;
+  const Zipf zipf(8, 1.1);
+  ProductCache cache(kCap);
+  std::atomic<int> wrong{0}, oversize{0};
+  std::latch start(kClients);
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c)
+    clients.emplace_back([&, c] {
+      util::Rng pick = util::Rng::stream(5, static_cast<std::uint64_t>(c));
+      start.arrive_and_wait();
+      for (int n = 0; n < kFetches; ++n) {
+        const TinyProduct p(static_cast<std::uint64_t>(zipf(pick)));
+        const auto g = cache.fetch(p.base, p.pert, p.opt);
+        if (g == nullptr || g->key != p.key()) ++wrong;
+        if (cache.size() > kCap) ++oversize;
+      }
+    });
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(oversize.load(), 0);
+  EXPECT_LE(cache.size(), kCap);
+  EXPECT_EQ(cache.hits() + cache.misses(), kClients * kFetches);
+  const long joins = cache.misses() - cache.sweeps_run();  // single-flight
+  EXPECT_GE(joins, 0);
+  EXPECT_EQ(cache.size() + cache.evictions() + cache.rejections(),
+            cache.sweeps_run());
+  EXPECT_LT(cache.counted_keys(), 20 * kCap);
 }
 
 // ---------------------------------------------------------------------------
