@@ -1,14 +1,14 @@
 // Figure 2 reproduction: the parallel structure of one assimilation cycle.
 // Ensemble members are advanced independently (member-parallel), the
 // observation function runs per member, and the (morphing) EnKF is the
-// global phase "on all processors"; the ensemble optionally lives in disk
-// files between stages.
+// global phase "on all processors"; every phase runs on one OpenMP team of
+// `threads`. The paper's disk-file exchange between stages is timed per
+// member by BM_Fig2_FileRoundTrip.
 //
 // Expected shape: the member-parallel phases (advance, obs function) speed
-// up with thread count; the EnKF phase is the serial fraction; the
-// file-based exchange adds a roughly constant per-cycle cost.
+// up with thread count; the EnKF phase scales least.
 //
-// Benchmark arguments: (members, threads, file_exchange).
+// Benchmark arguments: (members, threads).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -20,7 +20,7 @@
 
 #include "core/cycle.h"
 #include "obs/obs_function.h"
-#include "par/thread_pool.h"
+#include "util/omp_compat.h"
 
 using namespace wfire;
 
@@ -29,13 +29,10 @@ namespace {
 constexpr int kGridN = 101;   // 600 m fire domain at 6 m
 constexpr double kCycleLen = 10.0;
 
-core::CycleOptions cycle_options(int members, int threads,
-                                 bool file_exchange) {
+core::CycleOptions cycle_options(int members, int threads) {
   core::CycleOptions opt;
   opt.members = members;
   opt.threads = threads;
-  opt.file_exchange = file_exchange;
-  opt.exchange_dir = "/tmp/wfire_bench_fig2";
   opt.ignition_jitter = 20.0;
   opt.morph.sigma_r = 50.0;
   opt.morph.sigma_T = 0.5;
@@ -58,19 +55,16 @@ core::ObservationImage make_observation(double t) {
 static void BM_Fig2_AssimilationCycle(benchmark::State& state) {
   const int members = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
-  const bool file_exchange = state.range(2) != 0;
 
   const grid::Grid2D g(kGridN, kGridN, 6.0, 6.0);
-  double advance_s = 0, obs_s = 0, enkf_s = 0, file_s = 0;
+  double advance_s = 0, obs_s = 0, enkf_s = 0;
   int cycles = 0;
 
   for (auto _ : state) {
     state.PauseTiming();
     core::AssimilationCycle cycle(
         g, fire::uniform_fuel(g.nx, g.ny, fire::kFuelShortGrass),
-        fire::terrain_flat(g), {}, cycle_options(members, threads,
-                                                 file_exchange),
-        7);
+        fire::terrain_flat(g), {}, cycle_options(members, threads), 7);
     cycle.initialize({levelset::Ignition{
         levelset::CircleIgnition{280.0, 300.0, 25.0, 0.0}}});
     const core::ObservationImage obs = make_observation(kCycleLen);
@@ -84,7 +78,6 @@ static void BM_Fig2_AssimilationCycle(benchmark::State& state) {
       if (t.name == "advance") advance_s += t.seconds;
       else if (t.name == "obs_function") obs_s += t.seconds;
       else if (t.name == "enkf") enkf_s += t.seconds;
-      else if (t.name.rfind("file", 0) == 0) file_s += t.seconds;
     }
     ++cycles;
     state.ResumeTiming();
@@ -92,36 +85,34 @@ static void BM_Fig2_AssimilationCycle(benchmark::State& state) {
   state.counters["advance_s"] = advance_s / cycles;
   state.counters["obsfn_s"] = obs_s / cycles;
   state.counters["enkf_s"] = enkf_s / cycles;
-  state.counters["file_s"] = file_s / cycles;
   state.counters["members"] = members;
   state.counters["threads"] = threads;
 }
 BENCHMARK(BM_Fig2_AssimilationCycle)
     ->Unit(benchmark::kMillisecond)
-    ->Args({8, 1, 0})
-    ->Args({8, 2, 0})
-    ->Args({16, 1, 0})
-    ->Args({16, 2, 0})
-    ->Args({25, 1, 0})
-    ->Args({25, 2, 0})
-    ->Args({16, 2, 1})  // the paper's disk-file pipeline
+    ->Args({8, 1})
+    ->Args({8, 2})
+    ->Args({16, 1})
+    ->Args({16, 2})
+    ->Args({25, 1})
+    ->Args({25, 2})
     ->Iterations(1);
 
 // Member-advance phase in isolation: the embarrassingly parallel part.
 // Second argument selects the forward-model path: 0 = each member's
-// FireModel stepped on its own on a pool of `threads` workers (the scalar
+// FireModel stepped on its own in an OpenMP loop of `threads` (the scalar
 // oracle), 1 = the cycle's batched SoA advance. Every iteration times the
 // same simulated span, one cycle [kCycleLen, 2 kCycleLen] of a freshly
 // ignited ensemble; the reset and the first cycle run outside the timed
 // part, so a row does not depend on the iteration count. The count is
 // pinned: the library would pick it from the main thread's CPU time, which
-// misses the pool's work on the scalar rows (100 iterations of /2/0, each
-// with its untimed reset, took about 30 s).
+// misses the other threads' work (100 iterations of /2/0, each with its
+// untimed reset, took about 30 s).
 static void BM_Fig2_MemberAdvance(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const bool batched = state.range(1) != 0;
   const grid::Grid2D g(kGridN, kGridN, 6.0, 6.0);
-  const core::CycleOptions opt = cycle_options(16, threads, false);
+  const core::CycleOptions opt = cycle_options(16, threads);
   constexpr std::uint64_t kSeed = 8;
   const std::vector<levelset::Ignition> base = {levelset::Ignition{
       levelset::CircleIgnition{280.0, 300.0, 25.0, 0.0}}};
@@ -155,16 +146,17 @@ static void BM_Fig2_MemberAdvance(benchmark::State& state) {
     }
     std::vector<fire::FireModel> members = ignited;
     std::vector<fire::FireOutputs> out(static_cast<std::size_t>(n));
-    par::ThreadPool pool(threads);
     const auto advance = [&](double t) {
-      pool.parallel_for(n, [&](int k) {
+      util::ScopedOmpNumThreads width(threads);
+WFIRE_PRAGMA_OMP(omp parallel for schedule(dynamic))
+      for (int k = 0; k < n; ++k) {
         fire::FireModel& m = members[k];
         while (m.state().time < t - 1e-9) {
           const double remaining = t - m.state().time;
           m.step_uniform_wind_into(std::min(opt.dt, remaining),
                                    wind[k].first, wind[k].second, out[k]);
         }
-      });
+      }
     };
     for (auto _ : state) {
       state.PauseTiming();

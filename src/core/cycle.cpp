@@ -1,7 +1,6 @@
 #include "core/cycle.h"
 
 #include <cmath>
-#include <filesystem>
 #include <stdexcept>
 
 #include "enkf/ensemble.h"
@@ -25,10 +24,22 @@ AssimilationCycle::AssimilationCycle(const grid::Grid2D& g, fire::FuelMap fuel,
       menkf_(opt.morph) {
   if (opt_.members < 2)
     throw std::invalid_argument("AssimilationCycle: members < 2");
+  // The members' FireModel constructors check the same shapes; checked here
+  // once, they cannot throw inside initialize()'s parallel loop.
+  if (fuel_.index.nx() != g.nx || fuel_.index.ny() != g.ny)
+    throw std::invalid_argument(
+        "AssimilationCycle: fuel map does not match grid");
+  if (terrain_.nx() != g.nx || terrain_.ny() != g.ny)
+    throw std::invalid_argument(
+        "AssimilationCycle: terrain does not match grid");
 }
 
 void AssimilationCycle::initialize(
     const std::vector<levelset::Ignition>& base) {
+  for (const levelset::Ignition& ign : base) levelset::validate(ign);
+  if (!(std::isfinite(opt_.ignition_jitter) && opt_.ignition_jitter >= 0))
+    throw std::invalid_argument(
+        "AssimilationCycle: ignition_jitter must be finite and >= 0");
   models_.clear();
   member_wind_.clear();
   batch_.reset();
@@ -37,21 +48,24 @@ void AssimilationCycle::initialize(
   // Member k's perturbations come from its own counter-based stream, so the
   // ensemble is identical no matter how many threads build or advance it
   // (and no matter what else was drawn from the shared rng_).
-  runner_.run_phase("initialize", opt_.members, [&](int k) {
-    util::Rng mrng =
-        util::Rng::stream(seed_, static_cast<std::uint64_t>(k) + 1);
-    auto model = std::make_unique<fire::FireModel>(grid_, fuel_, terrain_,
-                                                   fire_opt_);
-    const double dx = opt_.ignition_jitter * mrng.normal();
-    const double dy = opt_.ignition_jitter * mrng.normal();
-    std::vector<levelset::Ignition> perturbed;
-    perturbed.reserve(base.size());
-    for (const auto& ign : base)
-      perturbed.push_back(levelset::shifted(ign, dx, dy));
-    model->ignite(perturbed);
-    models_[k] = std::move(model);
-    member_wind_[k] = {opt_.wind_u + opt_.wind_jitter * mrng.normal(),
-                       opt_.wind_v + opt_.wind_jitter * mrng.normal()};
+  runner_.run_phase("initialize", [&] {
+WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
+    for (int k = 0; k < opt_.members; ++k) {
+      util::Rng mrng =
+          util::Rng::stream(seed_, static_cast<std::uint64_t>(k) + 1);
+      auto model = std::make_unique<fire::FireModel>(grid_, fuel_, terrain_,
+                                                     fire_opt_);
+      const double dx = opt_.ignition_jitter * mrng.normal();
+      const double dy = opt_.ignition_jitter * mrng.normal();
+      std::vector<levelset::Ignition> perturbed;
+      perturbed.reserve(base.size());
+      for (const auto& ign : base)
+        perturbed.push_back(levelset::shifted(ign, dx, dy));
+      model->ignite(perturbed);
+      models_[k] = std::move(model);
+      member_wind_[k] = {opt_.wind_u + opt_.wind_jitter * mrng.normal(),
+                         opt_.wind_v + opt_.wind_jitter * mrng.normal()};
+    }
   });
 }
 
@@ -65,7 +79,7 @@ void AssimilationCycle::advance_to(double time) {
   // A cycle starts here, so the phase log holds this cycle's phases only
   // and a long-running driver does not grow it without bound.
   runner_.clear_timings();
-  runner_.run_batch_phase("advance", [&] {
+  runner_.run_phase("advance", [&] {
     if (!batch_) {
       batch_ = std::make_unique<EnsembleBatch>(
           grid_, fuel_, terrain_, fire_opt_, members(), opt_.band_cells);
@@ -77,14 +91,13 @@ void AssimilationCycle::advance_to(double time) {
     batch_->advance_to(time, opt_.dt);
     batch_->store(models_);
   });
-  if (opt_.file_exchange) roundtrip_through_files();
 }
 
 std::vector<morphing::MorphMember> AssimilationCycle::gather_fields(
     const ObservationImage& obs, bool distance_observable,
     util::Array2D<double>& data_field) {
   std::vector<morphing::MorphMember> fields(models_.size());
-  runner_.run_batch_phase("obs_function", [&] {
+  runner_.run_phase("obs_function", [&] {
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     for (int k = 0; k < members(); ++k) {
       const fire::FireState& s = models_[k]->state();
@@ -118,7 +131,7 @@ void AssimilationCycle::scatter_fields(
   for (const auto& m : models_) m->state().time = time;
   // Into each model's own psi and tig, in parallel row blocks, with
   // set_state's fuel-fraction refresh of the same row.
-  runner_.run_batch_phase("state_update", [&] {
+  runner_.run_phase("state_update", [&] {
 WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
     for (int j = 0; j < grid_.ny; ++j) {
       for (int k = 0; k < members(); ++k) {
@@ -141,22 +154,6 @@ WFIRE_PRAGMA_OMP(omp parallel for schedule(static))
   });
 }
 
-void AssimilationCycle::roundtrip_through_files() {
-  namespace fs = std::filesystem;
-  fs::create_directories(opt_.exchange_dir);
-  runner_.run_phase("file_write", members(), [&](int k) {
-    obs::write_fire_state(
-        opt_.exchange_dir + "/member_" + std::to_string(k) + ".wfst",
-        models_[k]->state());
-  });
-  runner_.run_phase("file_read", members(), [&](int k) {
-    const fire::FireState s = obs::read_fire_state(
-        opt_.exchange_dir + "/member_" + std::to_string(k) + ".wfst", grid_.nx,
-        grid_.ny);
-    models_[k]->set_state(s);
-  });
-}
-
 AnalysisResult AssimilationCycle::assimilate(const ObservationImage& obs) {
   require_initialized();
   const double time = models_.front()->state().time;
@@ -166,7 +163,7 @@ AnalysisResult AssimilationCycle::assimilate(const ObservationImage& obs) {
       gather_fields(obs, morphing_filter, data_field);
 
   AnalysisResult result;
-  runner_.run_serial_phase("enkf", [&] {
+  runner_.run_phase("enkf", [&] {
     if (morphing_filter) {
       const morphing::MorphingStats stats =
           menkf_.analyze(fields, data_field, rng_, &la_ws_);
@@ -181,7 +178,6 @@ AnalysisResult AssimilationCycle::assimilate(const ObservationImage& obs) {
   });
 
   scatter_fields(fields, time);
-  if (opt_.file_exchange) roundtrip_through_files();
   return result;
 }
 

@@ -2,15 +2,13 @@
 // advanced in time independently (one batched SoA advance, bitwise-equal to
 // stepping each member with band_cells = 0), the observation function
 // produces synthetic data for each member, and the (morphing) EnKF adjusts
-// the member states by comparing synthetic with real data. State optionally
-// round-trips through disk files between the stages, matching the paper's
-// separate-executable pipeline ("the model, the observation function, and
-// the EnKF are in separate executables"); the in-memory path is bitwise
-// equivalent (tested) and faster.
+// the member states by comparing synthetic with real data. Every phase runs
+// on the caller's OpenMP team at CycleOptions::threads. The paper's stages
+// are separate executables exchanging disk files; here the ensemble stays in
+// memory (one member's file round trip is BM_Fig2_FileRoundTrip).
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/data_pool.h"
@@ -49,10 +47,8 @@ struct CycleOptions {
   double wind_jitter = 0.5;      // std [m/s]
   // Initial ensemble: ignition locations displaced per member.
   double ignition_jitter = 60.0; // std of the center offset [m]
-  // Disk-file exchange (Fig. 2 pipeline).
-  bool file_exchange = false;
-  std::string exchange_dir = "/tmp/wfire_exchange";
-  int threads = 0;               // 0 = hardware concurrency
+  // OpenMP team width of every phase; <= 0 keeps the caller's default.
+  int threads = 0;
   // Narrow-band half width in cells of the batched advance (the one default
   // of EnsembleBatch's band); 0 disables the band.
   int band_cells = 8;
@@ -66,6 +62,8 @@ struct AnalysisResult {
 
 class AssimilationCycle {
  public:
+  // Throws std::invalid_argument when members < 2 or the fuel map or the
+  // terrain does not match the grid.
   AssimilationCycle(const grid::Grid2D& g, fire::FuelMap fuel,
                     util::Array2D<double> terrain,
                     fire::FireModelOptions fire_opt, CycleOptions opt,
@@ -73,7 +71,10 @@ class AssimilationCycle {
 
   // Builds the ensemble from base ignitions: each member's shapes are
   // displaced by an iid N(0, ignition_jitter^2) offset (the paper's
-  // "random perturbation of the comparison solution").
+  // "random perturbation of the comparison solution"). Throws
+  // std::invalid_argument, leaving the ensemble as it was, when a base
+  // ignition fails levelset::validate() or ignition_jitter is not a finite
+  // value >= 0.
   void initialize(const std::vector<levelset::Ignition>& base);
 
   // Advances all members to `time` as one EnsembleBatch. Starts a new cycle:
@@ -114,7 +115,6 @@ class AssimilationCycle {
       util::Array2D<double>& data_field);
   void scatter_fields(const std::vector<morphing::MorphMember>& fields,
                       double time);
-  void roundtrip_through_files();
   // Throws std::runtime_error while the ensemble is empty.
   void require_initialized() const;
 

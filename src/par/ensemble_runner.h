@@ -1,15 +1,13 @@
-// Member-parallel execution with phase timing — the "advancing the ensemble
-// in time" half of the paper's Fig. 2, where each ensemble member runs
-// independently on its subset of processors and the EnKF is the global
-// synchronization point. The timing breakdown feeds the Fig. 2 scaling
-// bench.
+// Phase log of the assimilation cycle (the paper's Fig. 2): each phase runs
+// on the calling thread's OpenMP team at the runner's width, and its wall
+// time is recorded under the phase name. The member-parallel phases open
+// one team over all members; the EnKF is the global phase on the same team.
+// The timing breakdown feeds the Fig. 2 scaling bench and perfbench.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
-
-#include "par/thread_pool.h"
 
 namespace wfire::par {
 
@@ -20,25 +18,12 @@ struct PhaseTiming {
 
 class EnsembleRunner {
  public:
-  explicit EnsembleRunner(int threads = 0) : pool_(threads) {}
+  // width <= 0 keeps the caller's OpenMP default.
+  explicit EnsembleRunner(int width) : width_(width) {}
 
-  [[nodiscard]] int threads() const { return pool_.size(); }
-
-  // Runs task(k) for each member k on the pool; records the phase wall time
-  // under `name`. Member tasks run serial kernels, so the pool alone owns
-  // the cores in this phase.
-  void run_phase(const std::string& name, int members,
-                 const std::function<void(int)>& task);
-
-  // Runs a serial (all-processors) phase, e.g. the EnKF analysis.
-  void run_serial_phase(const std::string& name,
-                        const std::function<void()>& task);
-
-  // Runs a fused batched phase (e.g. the SoA ensemble advance) on the
-  // calling thread with its OpenMP team widened to the pool width: one team
-  // spans all members while the pool sits idle.
-  void run_batch_phase(const std::string& name,
-                       const std::function<void()>& task);
+  // Runs task() with the calling thread's OpenMP team width set to the
+  // runner's width, and records the phase wall time under `name`.
+  void run_phase(const std::string& name, const std::function<void()>& task);
 
   [[nodiscard]] const std::vector<PhaseTiming>& timings() const {
     return timings_;
@@ -46,7 +31,7 @@ class EnsembleRunner {
   void clear_timings() { timings_.clear(); }
 
  private:
-  ThreadPool pool_;
+  int width_;
   std::vector<PhaseTiming> timings_;
 };
 

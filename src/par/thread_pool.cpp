@@ -1,5 +1,7 @@
 #include "par/thread_pool.h"
 
+#include <stdexcept>
+
 namespace wfire::par {
 
 ThreadPool::ThreadPool(int n) {
@@ -38,25 +40,13 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
-  std::vector<std::future<void>> futures;
-  futures.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    futures.push_back(submit([&fn, i] { fn(i); }));
-  // Every future is drained before the first exception propagates: the tasks
-  // capture fn (and whatever the caller's lambda references) by reference,
-  // so returning while siblings are still queued or running would leave them
-  // with dangling references — the shutdown/exception-hygiene bug class this
-  // loop exists to prevent.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
+void ThreadPool::submit(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) throw std::runtime_error("ThreadPool: submit after stop");
+    queue_.push_back(std::move(task));
   }
-  if (first) std::rethrow_exception(first);
+  cv_.notify_one();
 }
 
 }  // namespace wfire::par

@@ -34,8 +34,10 @@
 //    advance.
 //  - Allocation: everything a scenario needs in steady state (stepping
 //    scratch, flux outputs, request ring, checkpoint buffers) is carved at
-//    admit(); the serving path (request_advance/step/status) touches the
-//    heap only through a user-supplied completion hook, never itself.
+//    admit(). An advance served inline and status() touch the heap only
+//    through a user-supplied completion hook, never themselves
+//    (ScenarioServer.SteadyStateServingAllocatesNothing pins the inline
+//    path). A pooled hand-off may allocate in the pool's FIFO queue.
 #pragma once
 
 #include <atomic>

@@ -15,9 +15,9 @@
 namespace wfire::util {
 
 // RAII override of the calling thread's OpenMP team width (the nthreads ICV
-// is per-thread). EnsembleRunner::run_batch_phase widens the caller to the
-// pool width for the fused batched sweeps; benches and tests pin a width
-// with it. No-op in serial builds and for n <= 0.
+// is per-thread). EnsembleRunner::run_phase runs each assimilation-cycle
+// phase at the cycle's width with it; benches and tests pin a width with it.
+// No-op in serial builds and for n <= 0.
 class ScopedOmpNumThreads {
  public:
 #if defined(WFIRE_HAVE_OPENMP)

@@ -63,8 +63,8 @@ int count_burned(const util::Array2D<double>& tig) {
   return n;
 }
 
-// Snapshot of a cycle's ensemble states (cycles own thread pools and are
-// not movable, so tests copy the fields out).
+// Snapshot of a cycle's ensemble states: tests compare copies of the
+// fields across cycles run one after another.
 struct CycleStates {
   std::vector<util::Array2D<double>> psi, tig;
 };
@@ -550,8 +550,9 @@ TEST(ThreadInvariance, InitializeAndAdvanceIdenticalAcrossPoolSizes) {
 
 // The analysis half across widths: registration and the member decode run in
 // member-parallel OpenMP loops, the observation function and state update in
-// pool phases. Member states and every AnalysisResult field must match
-// bitwise between (pool 1, OMP 1) and (pool 4, OMP 4) on every repetition.
+// cycle phases at CycleOptions::threads. Member states and every
+// AnalysisResult field must match bitwise between (threads 1, OMP 1) and
+// (threads 4, OMP 4) on every repetition.
 TEST(ThreadInvariance, AssimilateIdenticalAcrossPoolAndOmpWidths) {
   const grid::Grid2D g = small_grid();
   auto truth = std::make_unique<fire::FireModel>(

@@ -226,34 +226,100 @@ TEST(Cycle, StandardFilterRejectsImagesOfAnotherShape) {
   }
 }
 
+// The paper's stages exchange the ensemble through disk files; the cycle
+// keeps it in memory. The two agree bitwise because every member state
+// comes back unchanged from a statefile round trip, after the advance and
+// after the analysis.
 TEST(Cycle, FileExchangeMatchesInMemory) {
-  // The Fig. 2 disk-file pipeline must not change the results: run two
-  // identical cycles (same seeds), one exchanging state through files.
   const grid::Grid2D g = small_grid();
-  const auto run = [&](bool file_exchange) {
-    CycleOptions opt;
-    opt.members = 4;
-    opt.threads = 2;
-    opt.file_exchange = file_exchange;
-    opt.exchange_dir = "/tmp/wfire_cycle_test";
-    AssimilationCycle cycle(g, fire::uniform_fuel(g.nx, g.ny, 0),
-                            fire::terrain_flat(g), {}, opt, 14);
-    cycle.initialize({levelset::Ignition{
-        levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
-    cycle.advance_to(10.0);
-    la::Vector all;
+  DataPool pool(ignited_model(130.0, 120.0), {}, util::Rng(4));
+  CycleOptions opt;
+  opt.members = 4;
+  opt.threads = 2;
+  opt.ignition_jitter = 20.0;
+  AssimilationCycle cycle(g, fire::uniform_fuel(g.nx, g.ny, 0),
+                          fire::terrain_flat(g), {}, opt, 14);
+  cycle.initialize({levelset::Ignition{
+      levelset::CircleIgnition{120.0, 120.0, 20.0, 0.0}}});
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "wfire_cycle_test";
+  std::filesystem::create_directories(dir);
+  const auto expect_round_trip = [&](const char* stage) {
     for (int k = 0; k < cycle.members(); ++k) {
-      const la::Vector v = pack_state(cycle.member(k).state());
-      all.insert(all.end(), v.begin(), v.end());
+      const fire::FireState& s = cycle.member(k).state();
+      const std::string path =
+          (dir / ("member_" + std::to_string(k) + ".wfst")).string();
+      obs::write_fire_state(path, s);
+      const fire::FireState r = obs::read_fire_state(path, g.nx, g.ny);
+      EXPECT_EQ(r.time, s.time) << stage << " member " << k;
+      EXPECT_TRUE(r.psi == s.psi) << stage << " member " << k;
+      EXPECT_TRUE(r.tig == s.tig) << stage << " member " << k;
     }
-    return all;
   };
-  const la::Vector mem = run(false);
-  const la::Vector file = run(true);
-  ASSERT_EQ(mem.size(), file.size());
-  for (std::size_t i = 0; i < mem.size(); ++i)
-    EXPECT_DOUBLE_EQ(mem[i], file[i]);
-  std::filesystem::remove_all("/tmp/wfire_cycle_test");
+  cycle.advance_to(10.0);
+  expect_round_trip("advance");
+  cycle.assimilate(pool.observe_at(10.0));
+  expect_round_trip("analysis");
+  std::filesystem::remove_all(dir);
+}
+
+// Bad inputs throw before initialize() touches the ensemble: a NaN radius
+// would build NaN members and a NaN time members that never light, both
+// caught only later by the analysis's finite check. An ensemble built
+// earlier survives a rejected call unchanged.
+TEST(Cycle, InitializeRejectsInvalidInputs) {
+  const grid::Grid2D g = small_grid();
+  const auto circle = [](double cx, double r, double time) {
+    return levelset::Ignition{levelset::CircleIgnition{cx, 120.0, r, time}};
+  };
+  CycleOptions opt;
+  opt.members = 3;
+  opt.threads = 2;
+  opt.ignition_jitter = 20.0;
+  AssimilationCycle cycle(g, fire::uniform_fuel(g.nx, g.ny, 0),
+                          fire::terrain_flat(g), {}, opt, 18);
+  cycle.initialize({circle(120.0, 20.0, 0.0)});
+  cycle.advance_to(5.0);
+  std::vector<fire::FireState> before;
+  for (int k = 0; k < cycle.members(); ++k)
+    before.push_back(cycle.member(k).state());
+
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (const levelset::Ignition& bad :
+       {circle(120.0, nan, 0.0), circle(120.0, 20.0, nan),
+        circle(inf, 20.0, 0.0), circle(120.0, 0.0, 0.0),
+        levelset::Ignition{levelset::LineIgnition{60.0, 120.0, 180.0, 120.0,
+                                                  -1.0, 0.0}}}) {
+    EXPECT_THROW(cycle.initialize({circle(100.0, 20.0, 0.0), bad}),
+                 std::invalid_argument);
+  }
+  for (const double jitter : {nan, inf, -1.0}) {
+    CycleOptions bad_opt = opt;
+    bad_opt.ignition_jitter = jitter;
+    AssimilationCycle bad_cycle(g, fire::uniform_fuel(g.nx, g.ny, 0),
+                                fire::terrain_flat(g), {}, bad_opt, 18);
+    EXPECT_THROW(bad_cycle.initialize({circle(120.0, 20.0, 0.0)}),
+                 std::invalid_argument)
+        << "ignition_jitter " << jitter;
+    EXPECT_EQ(bad_cycle.members(), 0);
+  }
+  // Shapes that do not match the grid are rejected once, at construction.
+  EXPECT_THROW(AssimilationCycle(g, fire::uniform_fuel(g.nx - 1, g.ny, 0),
+                                 fire::terrain_flat(g), {}, opt, 18),
+               std::invalid_argument);
+  EXPECT_THROW(AssimilationCycle(g, fire::uniform_fuel(g.nx, g.ny, 0),
+                                 util::Array2D<double>(g.nx, g.ny + 1, 0.0),
+                                 {}, opt, 18),
+               std::invalid_argument);
+
+  ASSERT_EQ(cycle.members(), 3);
+  for (int k = 0; k < cycle.members(); ++k) {
+    const fire::FireState& s = cycle.member(k).state();
+    EXPECT_EQ(s.time, before[k].time) << "member " << k;
+    EXPECT_TRUE(s.psi == before[k].psi) << "member " << k;
+    EXPECT_TRUE(s.tig == before[k].tig) << "member " << k;
+  }
 }
 
 TEST(RealTime, DriverRecordsCyclesAndDeadlines) {

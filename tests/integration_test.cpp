@@ -139,7 +139,9 @@ TEST(Integration, MultiCycleAssimilationConvergesToTruth) {
 }
 
 TEST(Integration, StateFilePipelineSurvivesAssimilation) {
-  // File-exchange mode through a full advance + assimilate sequence.
+  // The paper's separate-executable pipeline around a full advance +
+  // assimilate sequence: each analysed member goes to a state file, and the
+  // observation function run from that file equals the in-memory one.
   const grid::Grid2D g(31, 31, 6.0, 6.0);
   core::DataPool pool(
       [&] {
@@ -155,8 +157,6 @@ TEST(Integration, StateFilePipelineSurvivesAssimilation) {
   core::CycleOptions opt;
   opt.members = 4;
   opt.threads = 2;
-  opt.file_exchange = true;
-  opt.exchange_dir = "/tmp/wfire_integration_exchange";
   opt.morph.sigma_r = 50.0;
   core::AssimilationCycle cycle(g, fire::uniform_fuel(g.nx, g.ny, 0),
                                 fire::terrain_flat(g), {}, opt, 12);
@@ -165,13 +165,20 @@ TEST(Integration, StateFilePipelineSurvivesAssimilation) {
   const core::ObservationImage obs = pool.observe_at(10.0);
   cycle.advance_to(10.0);
   EXPECT_NO_THROW(cycle.assimilate(obs));
-  // The exchange directory holds one state file per member.
-  int files = 0;
-  for (const auto& e :
-       std::filesystem::directory_iterator(opt.exchange_dir))
-    if (e.path().extension() == ".wfst") ++files;
-  EXPECT_EQ(files, 4);
-  std::filesystem::remove_all(opt.exchange_dir);
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "wfire_integration_exchange";
+  std::filesystem::create_directories(dir);
+  for (int k = 0; k < cycle.members(); ++k) {
+    const fire::FireModel& m = cycle.member(k);
+    const std::string stem = (dir / ("member_" + std::to_string(k))).string();
+    obs::write_fire_state(stem + ".wfst", m.state());
+    const util::Array2D<double> from_file = obs::observation_function_file(
+        stem + ".wfst", stem + "_synth.wfst", m.fuel(), g.nx, g.ny);
+    EXPECT_TRUE(from_file == obs::heat_flux_image(m.fuel(), m.state().tig,
+                                                  m.state().time))
+        << "member " << k;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Integration, WeatherStationAgainstCoupledModel) {

@@ -549,6 +549,7 @@ TEST(Cache, ServesRepeatsWithoutResimulation) {
   SweepOptions opt;
   opt.members = 8;
   opt.horizon = 4.0;
+  opt.threads = 1;  // the product is width-independent; short TSan runs
 
   ProductCache cache(2);
   const auto g1 = cache.fetch(base, pert, opt);
@@ -561,7 +562,7 @@ TEST(Cache, ServesRepeatsWithoutResimulation) {
   EXPECT_EQ(cache.hits(), 1);
   EXPECT_EQ(cache.sweeps_run(), 1);
 
-  // Execution knobs don't key: a different pool width is still a hit.
+  // Execution knobs don't key: a different width is still a hit.
   SweepOptions exec = opt;
   exec.threads = 3;
   EXPECT_EQ(cache.fetch(base, pert, exec).get(), g1.get());
@@ -605,6 +606,7 @@ TEST(Cache, SingleFlightDeduplicatesConcurrentMisses) {
   SweepOptions opt;
   opt.members = 8;
   opt.horizon = 4.0;
+  opt.threads = 1;  // the product is width-independent; short TSan runs
 
   bool all_joined = false;
   for (int round = 0; round < 50 && !all_joined; ++round) {
